@@ -59,6 +59,23 @@
 // chain workloads (where tree clocks alone are >2× slower); flat remains
 // the default pending soak time for the hybrid.
 //
+// In every representation the end-of-transaction flushes are deferred:
+// Algorithm 3's laziness carries on past the end event. A full-propagation
+// end copies C_t once into a pooled, immutable snapshot. Every variable in
+// its update sets then records a pending (owner, snapshot) pair instead of
+// paying three O(width) joins. The represented 𝕎_x and ℝ_x are the stored
+// clocks joined with the pending snapshot; the represented ȒR_x joins the
+// snapshot zeroed at its owner. A pending snapshot is settled (joined in)
+// only where the full clock is consulted: a read or write that checks
+// against 𝕎_x, a write by another thread that absorbs ℝ_x, or a flush from
+// a different owner. A later end by the same owner supersedes it without a
+// join, because thread clocks only grow, and a unary write that overwrites
+// 𝕎_x drops it. The rule is exact: wherever 𝕎_x, ℝ_x or ȒR_x is consulted,
+// the represented value equals the eagerly flushed one, so verdicts and
+// violation indices are unchanged (golden corpus, differential suites).
+// Snapshots are reference counted and recycled through a per-engine free
+// list. EngineStats.FlushesDeferred and FlushesSettled count both sides.
+//
 // # Pipelined and parallel checking
 //
 // The single-pass, constant-per-event algorithm streams naturally, so the
@@ -239,7 +256,8 @@
 // check, feed, finalize on a backend; proxy, replay, failover on the
 // router) and an "engine" section surfacing the EngineStats
 // introspection counters (epoch fast-path hits/misses, GC'd ends,
-// sparse promotions, tree demotions/re-promotions, width promotions)
+// deferred/settled flushes, sparse promotions, tree
+// demotions/re-promotions, width promotions)
 // aggregated across every check and session — and GET
 // /metrics?format=prom serves the same registry as Prometheus text
 // exposition (counters, gauges, cumulative histograms in seconds), so

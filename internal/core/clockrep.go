@@ -79,21 +79,25 @@ func (f *flatClock) Inc(t int) {
 
 func (f *flatClock) Leq(o *flatClock) bool { return f.c.Leq(o.c) }
 
+// Join is branchless per lane: a max, with the change and the
+// zero-to-nonzero transitions accumulated arithmetically. Times are
+// non-negative, so (x-1)>>63 is all ones exactly when x == 0 and (-x)>>63
+// exactly when x > 0.
 func (f *flatClock) Join(o *flatClock) {
 	if len(o.c) > len(f.c) {
 		f.c = f.c.Grow(len(o.c))
 	}
-	changed := false
+	dst := f.c[:len(o.c)]
+	var diff, grew vc.Time
 	for i, v := range o.c {
-		if v > f.c[i] {
-			if f.c[i] == 0 {
-				f.nz++
-			}
-			f.c[i] = v
-			changed = true
-		}
+		old := dst[i]
+		n := max(old, v)
+		dst[i] = n
+		diff |= n ^ old
+		grew += ((old - 1) >> 63) & ((-n) >> 63) // -1 per lane that became nonzero
 	}
-	if changed {
+	f.nz -= int(grew)
+	if diff != 0 {
 		f.mut++
 	}
 }

@@ -117,6 +117,9 @@ func newOptimizedGenericFlat() *OptimizedOn[*flatClock] {
 	return &OptimizedOn[*flatClock]{newClock: newFlatClock, name: AlgoOptimized.String()}
 }
 
+// noSnap marks an empty pending-flush slot (optVar.pendW / pendR).
+const noSnap = int32(-1)
+
 // accessSlot is the epoch of a completed read-flush or write by `thread`:
 // the O(width) parts of the handler may be skipped while every listed
 // version still matches.

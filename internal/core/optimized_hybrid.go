@@ -91,6 +91,10 @@ type hybridEngVar struct {
 	// unchanged clocks, the write handler's flush, check and updates are
 	// all idempotent (coverWrite still runs).
 	writeSlot accessSlot
+	// pendW / pendR are deferred end-event flushes (noSnap when none): pool
+	// indices of snapshots that the represented W_x, R_x and ȒR_x still
+	// have to absorb (see OptimizedOn).
+	pendW, pendR int32
 }
 
 // OptimizedOn is Algorithm 3 (Appendix *hybridClock.2) — AeroDrome with lazy clock
@@ -129,6 +133,26 @@ type hybridEngVar struct {
 //   - update-set membership is also refreshed when rx/W grow at end-event
 //     flushes, so end-time conditions match Algorithm 1's, which evaluates
 //     them against the current clock values rather than access-time values.
+//
+// Laziness also extends past the end event. A full-propagation end copies
+// C_t once into a pooled, immutable snapshot, and every variable in its
+// update sets records a pending (owner t, snapshot) pair instead of paying
+// the O(width) W_x ⊔= C_t, R_x ⊔= C_t and ȒR_x ⊔= C_t[0/t] joins. The
+// represented clocks are W_x = w ⊔ snapW, R_x = rx ⊔ snapR and
+// ȒR_x = hrx ⊔ snapR[0/owner]. A pending snapshot is settled (joined in)
+// only where the full clock is consulted: writeClockFor's W_x, a write by
+// a thread other than the owner (which absorbs R_x), and a flush from a
+// different owner. A later end by the same owner supersedes the snapshot
+// without a join, since thread clocks only grow. A unary write's
+// overwrite of W_x drops the pending snapshot, and joins into w, rx or
+// hrx commute with it. The ȒR check reads the one component it needs
+// through the snapshot. The rule is exact, not approximate: at every point
+// where W_x, R_x or ȒR_x is consulted, the represented value equals the
+// eagerly flushed one. The owner's own write may absorb rx alone because
+// its snapshot is already below its clock. Snapshots are reference
+// counted by the pending slots that name them and recycled through a free
+// list, so the pool never holds more than one snapshot beyond the peak
+// number of pending slots.
 type OptimizedHybrid struct {
 	newClock func() *hybridClock
 	// newAux, when non-nil, constructs the auxiliary-accumulator clocks
@@ -160,6 +184,18 @@ type OptimizedHybrid struct {
 	// repStats, set by the hybrid/auto constructors, shares the
 	// representation-transition counters with the thread clocks.
 	repStats *repStats
+	// The deferred-flush snapshot pool: snaps[s] is a copy of thread
+	// snapOwner[s]'s clock taken at one of its full-propagation ends,
+	// named by snapRefs[s] pending slots; snapFree lists the entries with
+	// no references, ready for reuse.
+	snaps     []*hybridClock
+	snapOwner []int32
+	snapRefs  []int32
+	snapFree  []int32
+	// flushesDeferred / flushesSettled count end-event flushes recorded as
+	// pending snapshots vs. pending snapshots later joined in.
+	flushesDeferred int64
+	flushesSettled  int64
 }
 
 // Name implements Engine.
@@ -185,6 +221,8 @@ func (b *OptimizedHybrid) Stats() EngineStats {
 		EndsFull:         b.endsProcessed,
 		EndsCollected:    b.endsCollected,
 		SparsePromotions: b.sparsePromotions,
+		FlushesDeferred:  b.flushesDeferred,
+		FlushesSettled:   b.flushesSettled,
 	}
 	if b.repStats != nil {
 		s.TreeDemotions = b.repStats.demotions
@@ -236,7 +274,7 @@ func (b *OptimizedHybrid) ensureLock(l int) *hybridEngLock {
 
 func (b *OptimizedHybrid) ensureVar(x int) *hybridEngVar {
 	for len(b.vars) <= x {
-		b.vars = append(b.vars, hybridEngVar{lastW: nilThread})
+		b.vars = append(b.vars, hybridEngVar{lastW: nilThread, pendW: noSnap, pendR: noSnap})
 	}
 	v := &b.vars[x]
 	var zero *hybridClock
@@ -270,7 +308,7 @@ func (b *OptimizedHybrid) checkAndGet(clk *hybridClock, t int, e trace.Event, ac
 		return true
 	}
 	ts.c.Join(clk)
-	if clk.HasEntryOtherThan(t) {
+	if !ts.foreign && clk.HasEntryOtherThan(t) {
 		ts.foreign = true
 	}
 	b.markThreadDirty(t, clk)
@@ -285,12 +323,108 @@ func (b *OptimizedHybrid) checkAndGet(clk *hybridClock, t int, e trace.Event, ac
 
 // writeClockFor returns the clock readers and writers must consult for the
 // last write to v: the writer's live clock while its transaction is still
-// running (Staleʷ = ⊤), otherwise the flushed W_x.
+// running (Staleʷ = ⊤), otherwise the flushed W_x with any pending
+// snapshot settled.
 func (b *OptimizedHybrid) writeClockFor(v *hybridEngVar) *hybridClock {
 	if v.staleW && v.lastW >= 0 {
 		return b.threads[v.lastW].c
 	}
+	if v.pendW != noSnap {
+		b.settleW(v)
+	}
 	return v.w
+}
+
+// takeSnapshot copies thread t's clock into a pooled snapshot for the
+// deferred flushes of one end event and returns its pool index. The
+// caller gives it its first reference right away.
+func (b *OptimizedHybrid) takeSnapshot(t int) int32 {
+	var s int32
+	if n := len(b.snapFree); n > 0 {
+		s = b.snapFree[n-1]
+		b.snapFree = b.snapFree[:n-1]
+	} else {
+		s = int32(len(b.snaps))
+		b.snaps = append(b.snaps, b.newAuxClock())
+		b.snapOwner = append(b.snapOwner, 0)
+		b.snapRefs = append(b.snapRefs, 0)
+	}
+	b.snaps[s].CopyFrom(b.threads[t].c)
+	b.snapOwner[s] = int32(t)
+	return s
+}
+
+// releaseSnapshot drops one pending reference to snapshot s and recycles
+// it once none remain.
+func (b *OptimizedHybrid) releaseSnapshot(s int32) {
+	b.snapRefs[s]--
+	if b.snapRefs[s] == 0 {
+		b.snapFree = append(b.snapFree, s)
+	}
+}
+
+// deferW records snapshot s as v's pending W_x flush. A pending snapshot
+// of another owner is settled first; one of the same owner is superseded
+// (s dominates it, thread clocks only grow).
+func (b *OptimizedHybrid) deferW(v *hybridEngVar, s int32) {
+	if p := v.pendW; p != noSnap {
+		if b.snapOwner[p] != b.snapOwner[s] {
+			b.settleW(v)
+		} else {
+			b.releaseSnapshot(p)
+		}
+	}
+	v.pendW = s
+	b.snapRefs[s]++
+	b.flushesDeferred++
+	// The repeat-write epoch keys on w/rx versions, which a deferral
+	// leaves untouched while changing the represented clocks.
+	v.writeSlot.thread = nilThread
+}
+
+// deferR is deferW for the pending R_x / ȒR_x flush.
+func (b *OptimizedHybrid) deferR(v *hybridEngVar, s int32) {
+	if p := v.pendR; p != noSnap {
+		if b.snapOwner[p] != b.snapOwner[s] {
+			b.settleR(v)
+		} else {
+			b.releaseSnapshot(p)
+		}
+	}
+	v.pendR = s
+	b.snapRefs[s]++
+	b.flushesDeferred++
+	v.writeSlot.thread = nilThread
+}
+
+// settleW joins v's pending snapshot into w.
+func (b *OptimizedHybrid) settleW(v *hybridEngVar) {
+	p := v.pendW
+	v.w.Join(b.snaps[p])
+	v.pendW = noSnap
+	b.releaseSnapshot(p)
+	b.flushesSettled++
+}
+
+// settleR joins v's pending snapshot into rx and, zeroed at its owner,
+// into hrx.
+func (b *OptimizedHybrid) settleR(v *hybridEngVar) {
+	p := v.pendR
+	snap := b.snaps[p]
+	v.rx.Join(snap)
+	snap.JoinZeroingInto(&v.hrx, int(b.snapOwner[p]))
+	v.pendR = noSnap
+	b.releaseSnapshot(p)
+	b.flushesSettled++
+}
+
+// hrxAt returns component t of the represented ȒR_x without settling.
+func (b *OptimizedHybrid) hrxAt(v *hybridEngVar, t int) vc.Time {
+	h := v.hrx.At(t)
+	if p := v.pendR; p != noSnap && b.snapOwner[p] != int32(t) {
+		h = max(h, b.snaps[p].At(t))
+	}
+	return h
 }
 
 // coverRead records x in the update set of every thread whose active
@@ -468,22 +602,30 @@ func (b *OptimizedHybrid) Process(e trace.Event) *Violation {
 		v.staleR = v.staleR[:0]
 		// The ȒR check: ∃u≠t with *hybridClock⊲_t ⊑ R_{u,x}, via the begin clock's own
 		// component (see the package comment).
-		if ts.depth > 0 && ts.cb.At(t) <= v.hrx.At(t) {
+		if ts.depth > 0 && ts.cb.At(t) <= b.hrxAt(v, t) {
 			b.viol = &Violation{
 				Index: b.n, Event: e, ActiveThread: e.Thread,
 				Check: CheckWriteRead, Algorithm: b.Name(),
 			}
 			break
 		}
+		// Absorb R_x. A pending snapshot of t's own is below C_t already.
+		if p := v.pendR; p != noSnap && b.snapOwner[p] != int32(t) {
+			b.settleR(v)
+		}
 		ts.c.Join(v.rx)
-		if v.rx.HasEntryOtherThan(t) {
+		if !ts.foreign && v.rx.HasEntryOtherThan(t) {
 			ts.foreign = true
 		}
 		b.markThreadDirty(t, v.rx)
 		if ts.depth > 0 {
 			v.staleW = true // lazy: readers consult C_t while the txn runs
 		} else {
-			v.w.CopyFrom(ts.c) // unary write: eager
+			v.w.CopyFrom(ts.c) // unary write: eager, overwriting any pending W_x
+			if p := v.pendW; p != noSnap {
+				v.pendW = noSnap
+				b.releaseSnapshot(p)
+			}
 			v.staleW = false
 		}
 		v.lastW = int32(t)
@@ -595,10 +737,16 @@ func (b *OptimizedHybrid) handleEnd(t int, e trace.Event) {
 			}
 		}
 		ts.dirtyLocks = ts.dirtyLocks[:0]
+		// The variable flushes are deferred: one shared snapshot of C_t,
+		// taken at the first flush, stands in for every W_x/R_x/ȒR_x join.
+		snap := int32(noSnap)
 		for _, x := range ts.updW {
 			v := &b.vars[x]
 			if !v.staleW || v.lastW == int32(t) {
-				v.w.Join(ct)
+				if snap == noSnap {
+					snap = b.takeSnapshot(t)
+				}
+				b.deferW(v, snap)
 				b.coverWrite(x, ct)
 			}
 			if v.lastW == int32(t) {
@@ -608,8 +756,10 @@ func (b *OptimizedHybrid) handleEnd(t int, e trace.Event) {
 		ts.updW = ts.updW[:0]
 		for _, x := range ts.updR {
 			v := &b.vars[x]
-			v.rx.Join(ct)
-			ct.JoinZeroingInto(&v.hrx, t)
+			if snap == noSnap {
+				snap = b.takeSnapshot(t)
+			}
+			b.deferR(v, snap)
 			v.removeStaleReader(int32(t))
 			b.coverRead(x, ct)
 		}

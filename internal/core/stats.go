@@ -30,6 +30,12 @@ type EngineStats struct {
 	TreeDemotions    int64
 	TreeRepromotions int64
 	WidthPromotions  int64
+	// FlushesDeferred counts end-event W_x/R_x flushes recorded as pending
+	// snapshots instead of joins; FlushesSettled counts pending snapshots
+	// later joined in because the full clock was consulted. Deferred minus
+	// settled is the join work the deferral saved (or still holds).
+	FlushesDeferred int64
+	FlushesSettled  int64
 }
 
 // EpochHitRate returns EpochHits/(EpochHits+EpochMisses), or 0 with no
@@ -52,6 +58,8 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.TreeDemotions += o.TreeDemotions
 	s.TreeRepromotions += o.TreeRepromotions
 	s.WidthPromotions += o.WidthPromotions
+	s.FlushesDeferred += o.FlushesDeferred
+	s.FlushesSettled += o.FlushesSettled
 }
 
 // StatsReporter is implemented by engines that expose introspection

@@ -121,13 +121,15 @@ func TestStatsRepresentationTransitions(t *testing.T) {
 
 func TestStatsAdd(t *testing.T) {
 	a := EngineStats{EpochHits: 1, EpochMisses: 2, EndsFull: 3, EndsCollected: 4,
-		SparsePromotions: 5, TreeDemotions: 6, TreeRepromotions: 7, WidthPromotions: 8}
+		SparsePromotions: 5, TreeDemotions: 6, TreeRepromotions: 7, WidthPromotions: 8,
+		FlushesDeferred: 9, FlushesSettled: 10}
 	var sum EngineStats
 	sum.Add(a)
 	sum.Add(a)
 	if sum.EpochHits != 2 || sum.EpochMisses != 4 || sum.EndsFull != 6 ||
 		sum.EndsCollected != 8 || sum.SparsePromotions != 10 ||
-		sum.TreeDemotions != 12 || sum.TreeRepromotions != 14 || sum.WidthPromotions != 16 {
+		sum.TreeDemotions != 12 || sum.TreeRepromotions != 14 || sum.WidthPromotions != 16 ||
+		sum.FlushesDeferred != 18 || sum.FlushesSettled != 20 {
 		t.Fatalf("Add drifted: %+v", sum)
 	}
 }

@@ -113,18 +113,26 @@ func newMetrics() *metrics {
 			return sel(m.engineStats)
 		})
 	}
+	// Registration order is exposition order: alphabetical, like the JSON
+	// engine section.
+	engineCounter("aerodromed_engine_ends_collected_total",
+		"Transaction ends taking the garbage-collection fast path.",
+		func(s aerodrome.EngineStats) int64 { return s.EndsCollected })
+	engineCounter("aerodromed_engine_ends_full_total",
+		"Transaction ends taking the full propagation path.",
+		func(s aerodrome.EngineStats) int64 { return s.EndsFull })
 	engineCounter("aerodromed_engine_epoch_hits_total",
 		"Conflict checks resolved by the epoch fast path.",
 		func(s aerodrome.EngineStats) int64 { return s.EpochHits })
 	engineCounter("aerodromed_engine_epoch_misses_total",
 		"Conflict checks that fell through to a full clock comparison.",
 		func(s aerodrome.EngineStats) int64 { return s.EpochMisses })
-	engineCounter("aerodromed_engine_ends_full_total",
-		"Transaction ends taking the full propagation path.",
-		func(s aerodrome.EngineStats) int64 { return s.EndsFull })
-	engineCounter("aerodromed_engine_ends_collected_total",
-		"Transaction ends taking the garbage-collection fast path.",
-		func(s aerodrome.EngineStats) int64 { return s.EndsCollected })
+	engineCounter("aerodromed_engine_flushes_deferred_total",
+		"End-of-transaction clock flushes recorded as pending snapshots.",
+		func(s aerodrome.EngineStats) int64 { return s.FlushesDeferred })
+	engineCounter("aerodromed_engine_flushes_settled_total",
+		"Pending end-of-transaction snapshots joined in on consultation.",
+		func(s aerodrome.EngineStats) int64 { return s.FlushesSettled })
 	engineCounter("aerodromed_engine_sparse_promotions_total",
 		"Sparse read accumulators promoted to dense clocks.",
 		func(s aerodrome.EngineStats) int64 { return s.SparsePromotions })
@@ -207,7 +215,7 @@ func (m *metrics) engineSnapshot() EngineMetrics {
 	m.statsMu.Lock()
 	s := m.engineStats
 	m.statsMu.Unlock()
-	return EngineMetrics{EngineStats: s, EpochHitRate: s.EpochHitRate()}
+	return engineMetricsOf(s)
 }
 
 // snapshot renders the counters. The JSON shape is part of the service

@@ -14,6 +14,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -139,6 +141,29 @@ func TestMetricsJSONSchema(t *testing.T) {
 		}
 		prev = key
 	}
+
+	// The engine section is pinned the same way (keys at indent depth two
+	// inside "engine"), deferred-flush counters included.
+	var engineKeys []string
+	inEngine := false
+	for _, line := range strings.Split(string(body), "\n") {
+		switch {
+		case line == `  "engine": {`:
+			inEngine = true
+		case inEngine && strings.HasPrefix(line, `  }`):
+			inEngine = false
+		case inEngine && strings.HasPrefix(line, `    "`):
+			engineKeys = append(engineKeys, line[5:strings.Index(line[5:], `"`)+5])
+		}
+	}
+	if !sort.StringsAreSorted(engineKeys) {
+		t.Errorf("engine keys out of order: %v", engineKeys)
+	}
+	for _, k := range []string{"ends_full", "epoch_hit_rate", "flushes_deferred", "flushes_settled"} {
+		if !slices.Contains(engineKeys, k) {
+			t.Errorf("engine section lacks %q: %v", k, engineKeys)
+		}
+	}
 }
 
 // promValues parses Prometheus text exposition into series → value,
@@ -189,6 +214,8 @@ func TestMetricsPromMatchesJSON(t *testing.T) {
 		"aerodromed_checks_total":                                   float64(snap.Checks.Total),
 		"aerodromed_engine_epoch_hits_total":                        float64(snap.Engine.EpochHits),
 		"aerodromed_engine_epoch_misses_total":                      float64(snap.Engine.EpochMisses),
+		"aerodromed_engine_flushes_deferred_total":                  float64(snap.Engine.FlushesDeferred),
+		"aerodromed_engine_flushes_settled_total":                   float64(snap.Engine.FlushesSettled),
 		`aerodromed_stage_duration_seconds_count{stage="check"}`:    float64(snap.Stages["check"].Count),
 		`aerodromed_stage_duration_seconds_count{stage="finalize"}`: float64(snap.Stages["finalize"].Count),
 	} {
@@ -200,6 +227,17 @@ func TestMetricsPromMatchesJSON(t *testing.T) {
 		if got != want {
 			t.Errorf("%s = %v in prom, %v in JSON", series, got, want)
 		}
+	}
+	// The engine counters are exposed in the JSON section's alphabetical
+	// order.
+	var engineSeries []string
+	for _, line := range strings.Split(string(promBody), "\n") {
+		if strings.HasPrefix(line, "aerodromed_engine_") && !strings.HasPrefix(line, "aerodromed_engine_selections") {
+			engineSeries = append(engineSeries, line[:strings.IndexByte(line, ' ')])
+		}
+	}
+	if len(engineSeries) != 10 || !sort.StringsAreSorted(engineSeries) {
+		t.Errorf("engine series not the ten counters in alphabetical order: %v", engineSeries)
 	}
 	// Histogram buckets must be cumulative and end at the count.
 	var lastBucket float64 = -1

@@ -27,10 +27,36 @@ type StageMetrics struct {
 // EngineMetrics is the aggregated engine-introspection section of the
 // backend snapshot: the counters of every stats-reporting engine the
 // server has run (one-shot checks and sessions alike), plus the derived
-// epoch fast-path hit rate.
+// epoch fast-path hit rate. Its keys, like the top-level ones, are in
+// alphabetical order.
 type EngineMetrics struct {
-	aerodrome.EngineStats
-	EpochHitRate float64 `json:"epoch_hit_rate"`
+	EndsCollected    int64   `json:"ends_collected"`
+	EndsFull         int64   `json:"ends_full"`
+	EpochHitRate     float64 `json:"epoch_hit_rate"`
+	EpochHits        int64   `json:"epoch_hits"`
+	EpochMisses      int64   `json:"epoch_misses"`
+	FlushesDeferred  int64   `json:"flushes_deferred"`
+	FlushesSettled   int64   `json:"flushes_settled"`
+	SparsePromotions int64   `json:"sparse_promotions"`
+	TreeDemotions    int64   `json:"tree_demotions"`
+	TreeRepromotions int64   `json:"tree_repromotions"`
+	WidthPromotions  int64   `json:"width_promotions"`
+}
+
+func engineMetricsOf(s aerodrome.EngineStats) EngineMetrics {
+	return EngineMetrics{
+		EndsCollected:    s.EndsCollected,
+		EndsFull:         s.EndsFull,
+		EpochHitRate:     s.EpochHitRate(),
+		EpochHits:        s.EpochHits,
+		EpochMisses:      s.EpochMisses,
+		FlushesDeferred:  s.FlushesDeferred,
+		FlushesSettled:   s.FlushesSettled,
+		SparsePromotions: s.SparsePromotions,
+		TreeDemotions:    s.TreeDemotions,
+		TreeRepromotions: s.TreeRepromotions,
+		WidthPromotions:  s.WidthPromotions,
+	}
 }
 
 // CheckMetrics is the one-shot /v1/check counter section.

@@ -107,10 +107,11 @@ func (s *Sparse) JoinZeroing(d Clock, skip int) {
 	}
 	// A source carrying more nonzero components than the promotion
 	// threshold forces a promotion anyway; doing it up front replaces an
-	// association-list scan per component with one bulk dense join.
+	// association-list scan per component with one bulk dense join. The
+	// skipped lane is not joined, so it does not count.
 	nz := 0
-	for _, v := range d {
-		if v != 0 {
+	for i, v := range d {
+		if v != 0 && i != skip {
 			nz++
 		}
 	}

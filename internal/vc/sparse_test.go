@@ -59,6 +59,44 @@ func TestSparsePromotion(t *testing.T) {
 	}
 }
 
+// TestSparseJoinZeroingPromotionBoundary pins the up-front promotion of a
+// zeroing join to the lanes it actually joins: a source with exactly
+// PromoteThreshold nonzero lanes besides skip stays sparse whether or not
+// the skipped lane is set, and one more lane promotes in both cases.
+func TestSparseJoinZeroingPromotionBoundary(t *testing.T) {
+	const skip = 5
+	for _, tc := range []struct {
+		lanes    int // nonzero lanes other than skip
+		skipSet  bool
+		promoted bool
+	}{
+		{PromoteThreshold, false, false},
+		{PromoteThreshold, true, false},
+		{PromoteThreshold + 1, false, true},
+		{PromoteThreshold + 1, true, true},
+	} {
+		src := make(Clock, tc.lanes+1)
+		for i := range src {
+			if i != skip {
+				src[i] = Time(i + 1)
+			}
+		}
+		if tc.skipSet {
+			src[skip] = 99
+		}
+		var s Sparse
+		s.JoinZeroing(src, skip)
+		if s.IsDense() != tc.promoted {
+			t.Errorf("%d lanes, skip lane set %v: dense = %v, want %v",
+				tc.lanes, tc.skipSet, s.IsDense(), tc.promoted)
+		}
+		if s.Len() != tc.lanes || s.At(skip) != 0 {
+			t.Errorf("%d lanes, skip lane set %v: Len %d, At(skip) %d",
+				tc.lanes, tc.skipSet, s.Len(), s.At(skip))
+		}
+	}
+}
+
 // TestSparseAgainstDense drives random single-component and zeroing joins
 // through Sparse and a dense Clock in lockstep.
 func TestSparseAgainstDense(t *testing.T) {

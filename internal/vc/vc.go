@@ -154,10 +154,9 @@ func (c Clock) Join(d Clock) Clock {
 	if len(d) > len(c) {
 		c = c.Grow(len(d))
 	}
+	dst := c[:len(d)]
 	for i, v := range d {
-		if v > c[i] {
-			c[i] = v
-		}
+		dst[i] = max(dst[i], v) // branchless: no per-lane misprediction
 	}
 	return c
 }
@@ -165,18 +164,16 @@ func (c Clock) Join(d Clock) Clock {
 // JoinZeroing sets c to c ⊔ d[0/skip] and returns the possibly reallocated
 // clock: a join that ignores component skip of d. This implements the
 // ȒRx := ȒRx ⊔ C_t[0/t] updates of Algorithms 2 and 3 without allocating.
+// It runs as two branchless joins on either side of skip.
 func (c Clock) JoinZeroing(d Clock, skip int) Clock {
 	if len(d) > len(c) {
 		c = c.Grow(len(d))
 	}
-	for i, v := range d {
-		if i == skip {
-			continue
-		}
-		if v > c[i] {
-			c[i] = v
-		}
+	if skip < 0 || skip >= len(d) {
+		return c.Join(d)
 	}
+	c[:skip].Join(d[:skip])
+	c[skip+1 : len(d)].Join(d[skip+1:])
 	return c
 }
 

@@ -2,6 +2,7 @@ package vc
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -29,7 +30,7 @@ func BenchmarkLeq(b *testing.B) {
 }
 
 func BenchmarkJoin(b *testing.B) {
-	for _, dim := range []int{4, 16, 64} {
+	for _, dim := range []int{4, 16, 64, 256} {
 		x, y := benchClocks(dim)
 		b.Run(sizeName(dim), func(b *testing.B) {
 			b.ReportAllocs()
@@ -40,8 +41,27 @@ func BenchmarkJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinMixed joins random lanes into a fresh copy of the target
+// each iteration, so whether a lane rises is unpredictable: the case where
+// a per-lane branch mispredicts and the max-based loop does not.
+func BenchmarkJoinMixed(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	for _, dim := range []int{64, 256} {
+		x, y, dst := New(dim), New(dim), New(dim)
+		for i := range x {
+			x[i], y[i] = Time(r.Intn(100)), Time(r.Intn(100))
+		}
+		b.Run(sizeName(dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dst = x.CopyInto(dst)
+				dst = dst.Join(y)
+			}
+		})
+	}
+}
+
 func BenchmarkJoinZeroing(b *testing.B) {
-	for _, dim := range []int{4, 16, 64} {
+	for _, dim := range []int{4, 16, 64, 256} {
 		x, y := benchClocks(dim)
 		b.Run(sizeName(dim), func(b *testing.B) {
 			b.ReportAllocs()

@@ -36,6 +36,11 @@ type EngineStats struct {
 	TreeDemotions    int64 `json:"tree_demotions"`
 	TreeRepromotions int64 `json:"tree_repromotions"`
 	WidthPromotions  int64 `json:"width_promotions"`
+	// FlushesDeferred counts end-of-transaction clock flushes recorded as
+	// pending snapshots instead of joins; FlushesSettled counts pending
+	// snapshots later joined in because the full clock was consulted.
+	FlushesDeferred int64 `json:"flushes_deferred"`
+	FlushesSettled  int64 `json:"flushes_settled"`
 }
 
 // EpochHitRate returns EpochHits/(EpochHits+EpochMisses), or 0 with no
@@ -58,6 +63,8 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.TreeDemotions += o.TreeDemotions
 	s.TreeRepromotions += o.TreeRepromotions
 	s.WidthPromotions += o.WidthPromotions
+	s.FlushesDeferred += o.FlushesDeferred
+	s.FlushesSettled += o.FlushesSettled
 }
 
 // Sub returns the counter-wise difference s − o: the activity between
@@ -72,6 +79,8 @@ func (s EngineStats) Sub(o EngineStats) EngineStats {
 		TreeDemotions:    s.TreeDemotions - o.TreeDemotions,
 		TreeRepromotions: s.TreeRepromotions - o.TreeRepromotions,
 		WidthPromotions:  s.WidthPromotions - o.WidthPromotions,
+		FlushesDeferred:  s.FlushesDeferred - o.FlushesDeferred,
+		FlushesSettled:   s.FlushesSettled - o.FlushesSettled,
 	}
 }
 
@@ -85,6 +94,8 @@ func statsFromCore(s core.EngineStats) EngineStats {
 		TreeDemotions:    s.TreeDemotions,
 		TreeRepromotions: s.TreeRepromotions,
 		WidthPromotions:  s.WidthPromotions,
+		FlushesDeferred:  s.FlushesDeferred,
+		FlushesSettled:   s.FlushesSettled,
 	}
 }
 

@@ -139,6 +139,23 @@ func TestCheckReaderPipelinedStats(t *testing.T) {
 	if cs.ParseTime <= 0 || cs.CheckTime <= 0 {
 		t.Fatalf("stage times not accumulated: %+v", cs)
 	}
+
+	// Readers of a unary write absorb the writer's clock, so their ends
+	// take the full propagation path and defer the R_x flush; each next
+	// reader's end settles the previous reader's snapshot.
+	var b strings.Builder
+	b.WriteString("t0|w(x)|0\n")
+	for r := 0; r < 3; r++ {
+		for th := 1; th <= 4; th++ {
+			fmt.Fprintf(&b, "t%d|begin|0\nt%d|r(x)|0\nt%d|end|0\n", th, th, th)
+		}
+	}
+	if _, cs, err = aerodrome.CheckReaderPipelinedStats(strings.NewReader(b.String()), aerodrome.Optimized); err != nil {
+		t.Fatal(err)
+	}
+	if e := cs.Engine; e.FlushesDeferred != 12 || e.FlushesSettled != 11 {
+		t.Fatalf("flushes deferred %d, settled %d; want 12 and 11", e.FlushesDeferred, e.FlushesSettled)
+	}
 }
 
 func TestCheckSTDParallelIntraStats(t *testing.T) {
