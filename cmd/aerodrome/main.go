@@ -328,9 +328,9 @@ func printEngineStats(w io.Writer, eng core.Engine) {
 	if checks > 0 {
 		rate = 100 * float64(s.EpochHits) / float64(checks)
 	}
-	fmt.Fprintf(w, "engine:    epoch %d/%d hits (%.1f%%), ends %d full / %d collected, flushes %d deferred / %d settled, promotions %d sparse / %d width, tree %d demoted / %d repromoted\n",
+	fmt.Fprintf(w, "engine:    epoch %d/%d hits (%.1f%%), ends %d full / %d collected, flushes %d deferred / %d settled, joins %d skipped, promotions %d sparse / %d width, tree %d demoted / %d repromoted\n",
 		s.EpochHits, checks, rate, s.EndsFull, s.EndsCollected,
-		s.FlushesDeferred, s.FlushesSettled,
+		s.FlushesDeferred, s.FlushesSettled, s.JoinsSkipped,
 		s.SparsePromotions, s.WidthPromotions, s.TreeDemotions, s.TreeRepromotions)
 }
 

@@ -278,6 +278,22 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestBinarySignTargetRejected: a 24-byte ADB1 input whose one record has
+// target 0x80000001 is a parse error (exit 2) on the sequential and the
+// pipelined path, not a negative-index panic inside the engine.
+func TestBinarySignTargetRejected(t *testing.T) {
+	rec := []byte("ADB1\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x02\x00\x01\x00\x00\x80")
+	path := writeTemp(t, "sign.bin", string(rec))
+	for _, pipeArgs := range [][]string{nil, {"-pipeline"}} {
+		var out, errOut bytes.Buffer
+		args := append(append([]string{"-format", "bin"}, pipeArgs...), path)
+		if code := run(args, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "record 0") {
+			t.Fatalf("%v: exit %d, stderr %q", args, code, errOut.String())
+		}
+	}
+}
+
 // dualSTD carries an atomicity violation with no race on x (lock-protected
 // accesses split by another transaction) and a later write-write race on z
 // — the two analyses latch at different trace points.

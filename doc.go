@@ -24,8 +24,8 @@
 //   - hybrid (aerodrome.OptimizedHybrid): tree clocks for the per-thread
 //     clocks ℂ_t — where the publish-absorb discipline makes
 //     subtree-skipping pay — and flat clocks for the auxiliary
-//     accumulators (𝕎_x, ℝ_x, lock and begin clocks), which alias the
-//     thread clocks' flat snapshots copy-on-write. Thread clocks whose
+//     accumulators (𝕎_x, ℝ_x, lock clocks and flush snapshots), which
+//     alias the thread clocks' flat views copy-on-write. Thread clocks whose
 //     workload defeats tree pruning (densely entangled chains, where
 //     every join races past most of the tree) demote themselves to the
 //     flat representation adaptively, so the hybrid tracks the better of
@@ -65,16 +65,35 @@
 // its update sets then records a pending (owner, snapshot) pair instead of
 // paying three O(width) joins. The represented 𝕎_x and ℝ_x are the stored
 // clocks joined with the pending snapshot; the represented ȒR_x joins the
-// snapshot zeroed at its owner. A pending snapshot is settled (joined in)
-// only where the full clock is consulted: a read or write that checks
-// against 𝕎_x, a write by another thread that absorbs ℝ_x, or a flush from
-// a different owner. A later end by the same owner supersedes it without a
-// join, because thread clocks only grow, and a unary write that overwrites
-// 𝕎_x drops it. The rule is exact: wherever 𝕎_x, ℝ_x or ȒR_x is consulted,
-// the represented value equals the eagerly flushed one, so verdicts and
+// snapshot zeroed at its owner. A later end by the same owner supersedes a
+// pending snapshot without a join, because thread clocks only grow; a
+// flush from a different owner settles (joins in) the old one first; a
+// unary write that overwrites 𝕎_x drops it. Snapshots are reference
+// counted and recycled through a per-engine free list.
+//
+// Before an O(width) join the engine asks in O(1) whether the target
+// already holds the source. An outermost end ticks C_t(t) before it
+// propagates, and each snapshot records its owner's component as its
+// stamp, so snapshot s ⊑ C_u exactly when C_u(owner) ≥ stamp: only the
+// owner raises its own component (at its begins and ends), a clock whose
+// owner component reaches the stamp absorbed the owner's clock at or after
+// the end that took s, and thread clocks only grow. The tick keeps every
+// begin-stamp comparison's outcome, because the ticked value lies between
+// the begin stamp and the next begin stamp. With that test a read or write
+// consults 𝕎_x without settling it: the pending snapshot is joined straight
+// into the reader's clock unless the stamp shows it is there already, and
+// the stored 𝕎_x goes through the epoch fast path. A write settles ℝ_x
+// only when its snapshot is not below the writer's clock, and skips the
+// ℝ_x absorb while a per-variable epoch shows the writer already joined
+// this version of ℝ_x. Violation tests compare begin stamps, C⊲_t(t) ≤
+// K(t), which under the local-time invariant is exactly C⊲_t ⊑ K, so no
+// begin clock is kept. Update-set membership is one inline (thread, begin
+// stamp) pair per variable, spilled to a thread-indexed vector only while
+// a second running transaction lists the variable. Every shortcut answers
+// its question exactly as the full computation would, so verdicts and
 // violation indices are unchanged (golden corpus, differential suites).
-// Snapshots are reference counted and recycled through a per-engine free
-// list. EngineStats.FlushesDeferred and FlushesSettled count both sides.
+// EngineStats.FlushesDeferred, FlushesSettled and JoinsSkipped count the
+// deferrals, the settles and the skipped joins.
 //
 // # Pipelined and parallel checking
 //
@@ -256,7 +275,7 @@
 // check, feed, finalize on a backend; proxy, replay, failover on the
 // router) and an "engine" section surfacing the EngineStats
 // introspection counters (epoch fast-path hits/misses, GC'd ends,
-// deferred/settled flushes, sparse promotions, tree
+// deferred/settled flushes, skipped joins, sparse promotions, tree
 // demotions/re-promotions, width promotions)
 // aggregated across every check and session — and GET
 // /metrics?format=prom serves the same registry as Prometheus text

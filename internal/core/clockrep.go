@@ -25,8 +25,6 @@ type clockRep[C comparable] interface {
 	At(t int) vc.Time
 	// Inc increments component t (own component of a thread clock).
 	Inc(t int)
-	// Leq reports whether this clock ⊑ o.
-	Leq(o C) bool
 	// Join sets this clock to its join with o.
 	Join(o C)
 	// JoinZeroingInto joins this clock's components into the sparse ȒR
@@ -34,10 +32,10 @@ type clockRep[C comparable] interface {
 	JoinZeroingInto(dst *vc.Sparse, skip int)
 	// CopyFrom overwrites this clock with o (deep assignment).
 	CopyFrom(o C)
-	// MonotoneCopyFrom overwrites this clock with o under the caller's
-	// guarantee that this clock ⊑ o (begin clocks chasing thread clocks);
-	// representations may use it as a change-only fast path.
-	MonotoneCopyFrom(o C)
+	// NoteSkippedJoin tells a thread clock that the engine skipped a join
+	// into it as a provable no-op (the hybrid's re-promotion hysteresis
+	// counts it as a quiet join; other representations ignore it).
+	NoteSkippedJoin()
 	// Ver is a mutation counter: it changes whenever the represented
 	// vector may have changed, never otherwise-observably. (identity, Ver)
 	// pairs are the epochs of the already-dominated fast paths.
@@ -77,8 +75,6 @@ func (f *flatClock) Inc(t int) {
 	f.mut++
 }
 
-func (f *flatClock) Leq(o *flatClock) bool { return f.c.Leq(o.c) }
-
 // Join is branchless per lane: a max, with the change and the
 // zero-to-nonzero transitions accumulated arithmetically. Times are
 // non-negative, so (x-1)>>63 is all ones exactly when x == 0 and (-x)>>63
@@ -112,7 +108,7 @@ func (f *flatClock) CopyFrom(o *flatClock) {
 	f.mut++
 }
 
-func (f *flatClock) MonotoneCopyFrom(o *flatClock) { f.CopyFrom(o) }
+func (f *flatClock) NoteSkippedJoin() {}
 
 func (f *flatClock) Ver() uint64 { return f.mut }
 

@@ -123,9 +123,10 @@ func TestDeferredUnaryWriteDropsPendingW(t *testing.T) {
 
 // TestDeferredGCResetThenOwnerConsult: a garbage-collected transaction
 // resets lastW of x; later U's end replaces V's pending W_x with its own
-// snapshot while lastW is V's thread, so U's thread reading x consults (and
-// settles) its own pending snapshot. R's read of x then closes
-// R → U → V → R.
+// snapshot while lastW is V's thread, so U's thread reading x consults its
+// own pending snapshot. snapBelow proves that join a no-op, so the read
+// skips it and leaves the snapshot pending. R's read of x then closes
+// R → U → V → R through the still-pending snapshot.
 func TestDeferredGCResetThenOwnerConsult(t *testing.T) {
 	b, ts := entangled(3)
 	t0, t1, t2 := ts[0], ts[1], ts[2]
@@ -149,10 +150,11 @@ func TestDeferredGCResetThenOwnerConsult(t *testing.T) {
 	if v.pendW == noSnap || eng.snapOwner[v.pendW] != int32(t1) || v.lastW != int32(t2) {
 		t.Fatalf("want t1's pending W_x under lastW t2, got slot %d lastW %d", v.pendW, v.lastW)
 	}
-	settled := eng.flushesSettled
+	settled, skipped := eng.flushesSettled, eng.joinsSkipped
 	eng.Process(tr.Events[16])
-	if v.pendW != noSnap || eng.flushesSettled != settled+1 {
-		t.Fatal("the owner's read did not settle its own pending W_x")
+	if v.pendW == noSnap || eng.flushesSettled != settled || eng.joinsSkipped != skipped+1 {
+		t.Fatalf("the owner's read should skip the join of its own pending W_x without settling it (pendW %d, settled +%d, skipped +%d)",
+			v.pendW, eng.flushesSettled-settled, eng.joinsSkipped-skipped)
 	}
 	pinDeferred(t, tr, 17, CheckRead)
 }
@@ -196,7 +198,7 @@ func TestDeferredHRCheckReadsPendingSnapshot(t *testing.T) {
 	if v.pendR == noSnap || eng.snapOwner[v.pendR] != int32(t2) || v.hrx.At(int(t1)) != 0 {
 		t.Fatalf("want an unsettled pending R_x of t2 (slot %d, ȒR_x(t1) %d)", v.pendR, v.hrx.At(int(t1)))
 	}
-	if got := eng.hrxAt(v, int(t1)); got < eng.threads[t1].cb.At(int(t1)) {
+	if got := eng.hrxAt(v, int(t1)); got < eng.threads[t1].begin {
 		t.Fatalf("hrxAt(t1) = %d misses the pending snapshot's component", got)
 	}
 	pinDeferred(t, tr, 9, CheckWriteRead)

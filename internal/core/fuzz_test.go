@@ -22,7 +22,7 @@ import (
 // fuzzSeeds returns the corpus seeds: the paper's ρ traces and one
 // injected-violation trace per tracegen -inject mode, in byte-program
 // form.
-func fuzzSeeds(f *testing.F) [][]byte {
+func fuzzSeeds(f testing.TB) [][]byte {
 	f.Helper()
 	var seeds [][]byte
 	for _, tr := range []*trace.Trace{

@@ -6,7 +6,7 @@ import (
 )
 
 // hybridClock is the third clock representation: tree clocks for the
-// per-thread clocks ℂ_t and C⊲_t — where the publish-absorb discipline
+// per-thread clocks ℂ_t — where the publish-absorb discipline
 // makes subtree-skipping pay — but flat vc.Clocks for the auxiliary
 // accumulators (𝕎_x, ℝ_x, lock clocks), whose end-event flushes and
 // zeroing-adjacent update patterns fall outside the tree transfer
@@ -16,18 +16,15 @@ import (
 // Exactly one of tree/flat is non-nil, fixed at construction: the engine's
 // newClock makes tree-backed thread clocks and newAux makes flat-backed
 // auxiliaries. Same-side operations dispatch to the native implementation;
-// the four cross-representation operations the engine actually performs go
-// through internal/treeclock's narrow flat-interop API:
+// the three cross-representation operations the engine actually performs
+// go through internal/treeclock's narrow flat-interop API:
 //
 //	thread ⊔= aux    (checkAndGet, write R_x absorb)   → JoinFlat
 //	aux ⊔= thread    (flushes, end-event propagation)  → AbsorbIntoFlat
 //	aux := thread    (release, unary write)            → AbsorbIntoFlat
-//	begin ⊑ aux      (checkAndGet violation test)      → LeqFlat
 //
-// The remaining cross combinations (tree ← flat assignment, flat ⊑ tree)
-// have no engine call site; Leq handles flat ⊑ tree for completeness and
-// CopyFrom panics on tree ← flat rather than silently approximating an
-// assignment.
+// The engine has no tree ← flat assignment: CopyFrom panics on one rather
+// than silently approximating it.
 type hybridClock struct {
 	tree *treeclock.Clock
 	flat flatClock
@@ -207,19 +204,6 @@ func (h *hybridClock) Inc(t int) {
 	h.flat.Inc(t)
 }
 
-func (h *hybridClock) Leq(o *hybridClock) bool {
-	if h.tree != nil {
-		if o.tree != nil {
-			return h.tree.Leq(o.tree)
-		}
-		return h.tree.LeqFlat(o.flat.c)
-	}
-	if o.tree != nil {
-		return o.tree.DominatesFlat(h.flat.c)
-	}
-	return h.flat.Leq(&o.flat)
-}
-
 func (h *hybridClock) Join(o *hybridClock) {
 	if h.tree == nil && h.owner >= 0 {
 		// Flat thread clock: feed the hysteresis signal. A join that leaves
@@ -228,9 +212,7 @@ func (h *hybridClock) Join(o *hybridClock) {
 		before := h.flat.mut
 		h.joinFlatTarget(o)
 		if h.flat.mut == before {
-			if h.quiet < ^uint16(0) {
-				h.quiet++
-			}
+			h.NoteSkippedJoin()
 		} else {
 			h.quiet = 0
 		}
@@ -328,12 +310,13 @@ func (h *hybridClock) CopyFrom(o *hybridClock) {
 	h.flat.CopyFrom(&o.flat)
 }
 
-func (h *hybridClock) MonotoneCopyFrom(o *hybridClock) {
-	if h.tree != nil && o.tree != nil {
-		h.tree.MonotoneCopyFrom(o.tree)
-		return
+// NoteSkippedJoin counts a skipped no-op join into a flat thread clock as
+// a quiet join, so the engine's shortcuts do not starve the re-promotion
+// streak of the joins they make unnecessary.
+func (h *hybridClock) NoteSkippedJoin() {
+	if h.tree == nil && h.owner >= 0 && h.quiet < ^uint16(0) {
+		h.quiet++
 	}
-	h.CopyFrom(o)
 }
 
 func (h *hybridClock) Ver() uint64 {

@@ -120,15 +120,41 @@ func newOptimizedGenericFlat() *OptimizedOn[*flatClock] {
 // noSnap marks an empty pending-flush slot (optVar.pendW / pendR).
 const noSnap = int32(-1)
 
-// accessSlot is the epoch of a completed read-flush or write by `thread`:
-// the O(width) parts of the handler may be skipped while every listed
-// version still matches.
+// accessSlot is the epoch of a completed write by `thread`: the O(width)
+// parts of the handler may be skipped while every listed version still
+// matches.
 type accessSlot struct {
 	thread   int32
-	wasInTxn bool    // writes only: staleW semantics differ inside a txn
-	ctVer    uint64  // the accessing thread's clock version
-	rxVer    uint64  // writes only: R_x version
-	wVer     uint64  // writes only: W_x version
-	cbVer    uint64  // writes only: the begin clock behind the ȒR check
-	hrxAtT   vc.Time // writes only: the ȒR component the check reads
+	wasInTxn bool    // staleW semantics differ inside a txn
+	ctVer    uint64  // the writing thread's clock version
+	rxVer    uint64  // R_x version
+	wVer     uint64  // W_x version
+	begin    vc.Time // the begin stamp behind the ȒR check
+	hrxAtT   vc.Time // the ȒR component the check reads
+}
+
+// flushSlot is the epoch of a completed unary-read flush by `thread` at
+// clock version ctVer. It is kept apart from accessSlot so that every
+// variable's record stays small.
+type flushSlot struct {
+	thread int32
+	ctVer  uint64
+}
+
+// updMark records which running transactions list a variable in one of
+// their update sets: an inline (thread, begin stamp) pair, and a
+// thread-indexed vector of begin stamps that fills only while a second
+// running transaction lists the variable. Begin stamps strictly increase
+// per thread and are at least 2, so neither the zero value nor a pair
+// left by a finished transaction matches a running one.
+type updMark struct {
+	t     int32
+	stamp vc.Time
+	spill vc.Clock
+}
+
+// has reports whether the transaction of thread u begun at stamp own is
+// listed.
+func (m *updMark) has(u int32, own vc.Time) bool {
+	return (m.t == u && m.stamp == own) || m.spill.At(int(u)) == own
 }

@@ -9,21 +9,25 @@ import (
 )
 
 // epochSlot caches one successful checkAndGet: thread `thread` absorbed
-// clock `src` at version srcVer while its begin clock was at cbVer, and no
-// violation fired. While all three still match, re-running the check is
-// provably a no-op (the begin clock is unchanged, so the violation
-// predicate evaluates identically, and the thread clock only grows, so
-// the join is absorbed already) — the whole O(width) Leq+Join is skipped.
+// clock `src` at version srcVer inside the transaction begun at stamp
+// begin, and no violation fired. While all three still match, re-running
+// the check is provably a no-op (the begin stamp is unchanged, so the
+// violation predicate evaluates identically, and the thread clock only
+// grows, so the join is absorbed already) — the O(width) join is skipped.
 type hybridEpochSlot struct {
 	thread int32
 	src    *hybridClock
 	srcVer uint64
-	cbVer  uint64
+	begin  vc.Time
 }
 
 type hybridEngThread struct {
-	c     *hybridClock
-	cb    *hybridClock
+	c *hybridClock
+	// begin is the begin stamp *hybridClock⊲_t(t) of the thread's last outermost
+	// transaction. Under the local-time invariant it stands for the whole
+	// begin clock: *hybridClock⊲_t ⊑ K ⟺ *hybridClock⊲_t(t) ≤ K(t) for every clock K the engine
+	// keeps, so no O(width) begin clock is stored.
+	begin vc.Time
 	depth int
 	init  bool
 	ran   bool
@@ -36,7 +40,7 @@ type hybridEngThread struct {
 	activeIdx int32
 	// updR / updW are the paper's UpdateSetʳ_t / UpdateSetʷ_t, as slices
 	// of variable IDs deduplicated through the variables' markR/markW
-	// stamps (one entry per variable per transaction).
+	// (one entry per variable per transaction).
 	updR, updW []int32
 	// relLocks lists the locks whose lastRel is this thread, so the GC
 	// path resets them without sweeping the lock table.
@@ -81,12 +85,12 @@ type hybridEngVar struct {
 	// running transactions) have not been flushed into rx/hrx.
 	staleR []int32
 	// markR/markW deduplicate update-set membership (see optThread.updR).
-	markR, markW vc.Clock
+	markR, markW updMark
 	slot         hybridEpochSlot
 	// readSlot skips the unary-read flush (the O(width) rx/ȒR joins) when
 	// the same thread re-reads x with an unchanged clock: both joins are
 	// then no-ops. (coverRead still runs; it is O(active transactions).)
-	readSlot accessSlot
+	readSlot flushSlot
 	// writeSlot is the same for repeat writes: with no stale readers and
 	// unchanged clocks, the write handler's flush, check and updates are
 	// all idempotent (coverWrite still runs).
@@ -95,6 +99,11 @@ type hybridEngVar struct {
 	// indices of snapshots that the represented W_x, R_x and ȒR_x still
 	// have to absorb (see OptimizedOn).
 	pendW, pendR int32
+	// rxAbs / rxAbsVer are the absorb epoch of R_x: thread rxAbs joined rx
+	// into its clock at rx version rxAbsVer, so while both match, the
+	// write path's C_t ⊔= rx is a no-op for that thread.
+	rxAbs    int32
+	rxAbsVer uint64
 }
 
 // OptimizedOn is Algorithm 3 (Appendix *hybridClock.2) — AeroDrome with lazy clock
@@ -109,9 +118,9 @@ type hybridEngVar struct {
 //     sweeps over the whole lock table;
 //   - the foreign-component test behind transaction GC is maintained
 //     incrementally (O(1) per end event);
-//   - epoch fast paths skip the Leq+Join of checkAndGet entirely when the
-//     same (source clock, version) was already absorbed under the current
-//     begin clock — the FastTrack-style same-epoch case.
+//   - epoch fast paths skip the join of checkAndGet entirely when the same
+//     (source clock, version) was already absorbed inside the current
+//     transaction — the FastTrack-style same-epoch case.
 //
 // Laziness makes detection points earlier-or-equal than Basic's, never
 // later: while an accessing transaction is still running, readers and
@@ -139,26 +148,49 @@ type hybridEngVar struct {
 // update sets records a pending (owner t, snapshot) pair instead of paying
 // the O(width) W_x ⊔= C_t, R_x ⊔= C_t and ȒR_x ⊔= C_t[0/t] joins. The
 // represented clocks are W_x = w ⊔ snapW, R_x = rx ⊔ snapR and
-// ȒR_x = hrx ⊔ snapR[0/owner]. A pending snapshot is settled (joined in)
-// only where the full clock is consulted: writeClockFor's W_x, a write by
-// a thread other than the owner (which absorbs R_x), and a flush from a
-// different owner. A later end by the same owner supersedes the snapshot
-// without a join, since thread clocks only grow. A unary write's
-// overwrite of W_x drops the pending snapshot, and joins into w, rx or
-// hrx commute with it. The ȒR check reads the one component it needs
-// through the snapshot. The rule is exact, not approximate: at every point
-// where W_x, R_x or ȒR_x is consulted, the represented value equals the
-// eagerly flushed one. The owner's own write may absorb rx alone because
-// its snapshot is already below its clock. Snapshots are reference
-// counted by the pending slots that name them and recycled through a free
-// list, so the pool never holds more than one snapshot beyond the peak
-// number of pending slots.
+// ȒR_x = hrx ⊔ snapR[0/owner]. A later end by the same owner supersedes a
+// pending snapshot without a join, since thread clocks only grow; a flush
+// from a different owner settles (joins in) the old one first; a unary
+// write's overwrite of W_x drops it. Joins into w, rx or hrx commute with
+// a pending snapshot, and the ȒR check reads the one component it needs
+// through it. Snapshots are reference counted by the pending slots that
+// name them and recycled through a free list, so the pool never holds more
+// than one snapshot beyond the peak number of pending slots.
+//
+// Before an O(width) join or settle the engine asks in O(1) whether the
+// target already holds the source, and skips the work when it does:
+//
+//   - End tick and stamped snapshots. An outermost end runs C_t.Inc(t)
+//     before propagating, and each snapshot records its owner's component
+//     as its stamp. snapBelow(s, u), C_u(owner) ≥ stamp, then holds exactly
+//     when s ⊑ C_u: only the owner raises its own component (at its begins
+//     and ends), so a clock whose owner component reaches the stamp
+//     absorbed the owner's clock at or after the end that took s, and
+//     thread clocks only grow. The tick keeps every begin-stamp comparison's
+//     outcome: between a begin and its end C_t(t) is the begin stamp, the
+//     ticked value is one above it, and the next begin stamp is higher still.
+//   - Reads and writes consult W_x without settling it (checkAndGetW): the
+//     pending snapshot is joined straight into C_t unless snapBelow says it
+//     is there already, and w goes through the epoch slot. A write settles
+//     R_x only when its pending snapshot is not below C_t, and skips
+//     C_t ⊔= rx while the variable's absorb epoch (rxAbs, rxAbsVer) shows
+//     this thread already joined this version of rx.
+//   - Violation tests compare begin stamps: under the local-time invariant,
+//     *hybridClock⊲_t ⊑ K ⟺ *hybridClock⊲_t(t) ≤ K(t) for every clock K the engine keeps, so no
+//     begin clock is stored or compared.
+//   - Update-set membership is one inline (thread, begin stamp) pair per
+//     variable and access kind (updMark), spilled to a thread-indexed
+//     vector only while a second running transaction lists the variable.
+//
+// Each shortcut answers a question exactly as the full computation would,
+// so verdicts, violation indices and GC decisions are the eager engine's;
+// EngineStats.JoinsSkipped counts the joins and settles skipped.
 type OptimizedHybrid struct {
 	newClock func() *hybridClock
 	// newAux, when non-nil, constructs the auxiliary-accumulator clocks
-	// (lock clocks, W_x, R_x) instead of newClock: the hybrid engine keeps
-	// those flat while the thread clocks are trees. The uniform engines
-	// leave it nil and use one constructor for both.
+	// (lock clocks, W_x, R_x, snapshots) instead of newClock: the hybrid
+	// engine keeps those flat while the thread clocks are trees. The
+	// uniform engines leave it nil and use one constructor for both.
 	newAux  func() *hybridClock
 	name    string
 	threads []hybridEngThread
@@ -175,7 +207,7 @@ type OptimizedHybrid struct {
 	endsProcessed int64
 	endsCollected int64
 	// epochHits / epochMisses count checkAndGet calls resolved by the
-	// epoch fast path vs. falling through to the full Leq+Join.
+	// epoch fast path vs. falling through to the full check and join.
 	epochHits   int64
 	epochMisses int64
 	// sparsePromotions counts ȒR_x accumulators promoting to dense; every
@@ -186,16 +218,21 @@ type OptimizedHybrid struct {
 	repStats *repStats
 	// The deferred-flush snapshot pool: snaps[s] is a copy of thread
 	// snapOwner[s]'s clock taken at one of its full-propagation ends,
-	// named by snapRefs[s] pending slots; snapFree lists the entries with
+	// snapStamp[s] is that copy's owner component (see snapBelow), and
+	// snapRefs[s] pending slots name it; snapFree lists the entries with
 	// no references, ready for reuse.
 	snaps     []*hybridClock
 	snapOwner []int32
+	snapStamp []vc.Time
 	snapRefs  []int32
 	snapFree  []int32
 	// flushesDeferred / flushesSettled count end-event flushes recorded as
 	// pending snapshots vs. pending snapshots later joined in.
 	flushesDeferred int64
 	flushesSettled  int64
+	// joinsSkipped counts joins and settles skipped because snapBelow or
+	// an absorb epoch proved them no-ops.
+	joinsSkipped int64
 }
 
 // Name implements Engine.
@@ -223,6 +260,7 @@ func (b *OptimizedHybrid) Stats() EngineStats {
 		SparsePromotions: b.sparsePromotions,
 		FlushesDeferred:  b.flushesDeferred,
 		FlushesSettled:   b.flushesSettled,
+		JoinsSkipped:     b.joinsSkipped,
 	}
 	if b.repStats != nil {
 		s.TreeDemotions = b.repStats.demotions
@@ -240,11 +278,6 @@ func (b *OptimizedHybrid) ensureThread(t int) *hybridEngThread {
 	if !ts.init {
 		ts.c = b.newClock()
 		ts.c.InitUnit(t)
-		// The begin clock is a read-only snapshot of the thread clock, so
-		// it takes the auxiliary representation: the hybrid engine keeps it
-		// flat and the monotone copy at every begin degenerates to an O(1)
-		// copy-on-write alias of the thread clock's flat view.
-		ts.cb = b.newAuxClock()
 		ts.init = true
 	}
 	return ts
@@ -274,7 +307,7 @@ func (b *OptimizedHybrid) ensureLock(l int) *hybridEngLock {
 
 func (b *OptimizedHybrid) ensureVar(x int) *hybridEngVar {
 	for len(b.vars) <= x {
-		b.vars = append(b.vars, hybridEngVar{lastW: nilThread, pendW: noSnap, pendR: noSnap})
+		b.vars = append(b.vars, hybridEngVar{lastW: nilThread, pendW: noSnap, pendR: noSnap, rxAbs: nilThread})
 	}
 	v := &b.vars[x]
 	var zero *hybridClock
@@ -287,52 +320,88 @@ func (b *OptimizedHybrid) ensureVar(x int) *hybridEngVar {
 	return v
 }
 
-// checkAndGet implements the paper's procedure of the same name: declare a
-// violation if *hybridClock⊲_t ⊑ clk and t has an active transaction, else C_t ⊔= clk.
-// slot, when non-nil, is the epoch cache for this (source, thread) pair.
-func (b *OptimizedHybrid) checkAndGet(clk *hybridClock, t int, e trace.Event, active trace.ThreadID, check CheckKind, slot *hybridEpochSlot) bool {
-	ts := &b.threads[t]
-	srcVer := clk.Ver()
-	cbVer := ts.cb.Ver()
-	if slot != nil && slot.thread == int32(t) && slot.src == clk &&
-		slot.srcVer == srcVer && slot.cbVer == cbVer {
-		b.epochHits++
-		return false // epoch fast path: already checked and absorbed
-	}
-	b.epochMisses++
-	if ts.depth > 0 && ts.cb.Leq(clk) {
+// violates implements the violation half of checkAndGet: with t inside a
+// transaction, *hybridClock⊲_t ⊑ clk is a violation. Under the local-time invariant
+// the test is *hybridClock⊲_t(t) ≤ clk(t).
+func (b *OptimizedHybrid) violates(clk *hybridClock, t int, e trace.Event, check CheckKind) bool {
+	if ts := &b.threads[t]; ts.depth > 0 && ts.begin <= clk.At(t) {
 		b.viol = &Violation{
-			Index: b.n, Event: e, ActiveThread: active,
+			Index: b.n, Event: e, ActiveThread: e.Thread,
 			Check: check, Algorithm: b.Name(),
 		}
 		return true
 	}
+	return false
+}
+
+// checkAndGet implements the paper's procedure of the same name: declare a
+// violation if *hybridClock⊲_t ⊑ clk and t has an active transaction, else C_t ⊔= clk.
+// slot is the epoch cache for this (source, thread) pair.
+func (b *OptimizedHybrid) checkAndGet(clk *hybridClock, t int, e trace.Event, check CheckKind, slot *hybridEpochSlot) bool {
+	begin := b.threads[t].begin
+	srcVer := clk.Ver()
+	if slot.thread == int32(t) && slot.src == clk &&
+		slot.srcVer == srcVer && slot.begin == begin {
+		b.epochHits++
+		return false // epoch fast path: already checked and absorbed
+	}
+	b.epochMisses++
+	if b.violates(clk, t, e, check) {
+		return true
+	}
+	b.absorb(t, clk)
+	*slot = hybridEpochSlot{thread: int32(t), src: clk, srcVer: srcVer, begin: begin}
+	return false
+}
+
+// checkAndGetW is checkAndGet against the represented W_x: the writer's
+// live clock while its transaction is still running (Staleʷ = ⊤),
+// otherwise w ⊔ the pending snapshot. The snapshot is consulted without
+// settling it: it is joined straight into C_t unless snapBelow shows C_t
+// holds it already, and w goes through the epoch slot.
+func (b *OptimizedHybrid) checkAndGetW(v *hybridEngVar, t int, e trace.Event, check CheckKind) bool {
+	if v.staleW && v.lastW >= 0 {
+		return b.checkAndGet(b.threads[v.lastW].c, t, e, check, &v.slot)
+	}
+	if p := v.pendW; p != noSnap {
+		if b.violates(b.snaps[p], t, e, check) {
+			return true
+		}
+		if b.snapBelow(p, t) {
+			b.skipJoin(t)
+		} else {
+			b.absorb(t, b.snaps[p])
+		}
+		if v.w.Ver() == 0 {
+			return false // w never changed, so it is ⊥: W_x is the snapshot
+		}
+	}
+	return b.checkAndGet(v.w, t, e, check, &v.slot)
+}
+
+// absorb joins clk into C_t and keeps the foreign flag and the dirty-thread
+// lists in step with it.
+func (b *OptimizedHybrid) absorb(t int, clk *hybridClock) {
+	ts := &b.threads[t]
 	ts.c.Join(clk)
 	if !ts.foreign && clk.HasEntryOtherThan(t) {
 		ts.foreign = true
 	}
 	b.markThreadDirty(t, clk)
-	if slot != nil {
-		slot.thread = int32(t)
-		slot.src = clk
-		slot.srcVer = srcVer
-		slot.cbVer = cbVer
-	}
-	return false
 }
 
-// writeClockFor returns the clock readers and writers must consult for the
-// last write to v: the writer's live clock while its transaction is still
-// running (Staleʷ = ⊤), otherwise the flushed W_x with any pending
-// snapshot settled.
-func (b *OptimizedHybrid) writeClockFor(v *hybridEngVar) *hybridClock {
-	if v.staleW && v.lastW >= 0 {
-		return b.threads[v.lastW].c
-	}
-	if v.pendW != noSnap {
-		b.settleW(v)
-	}
-	return v.w
+// skipJoin accounts for a join into C_t skipped because C_t provably holds
+// its source already.
+func (b *OptimizedHybrid) skipJoin(t int) {
+	b.joinsSkipped++
+	b.threads[t].c.NoteSkippedJoin()
+}
+
+// snapBelow reports whether snapshot s ⊑ C_u, in O(1): C_u's owner
+// component has reached the stamp of the end tick that took s (see
+// OptimizedOn).
+func (b *OptimizedHybrid) snapBelow(s int32, u int) bool {
+	return b.threads[u].c.At(int(b.snapOwner[s])) >= b.snapStamp[s]
 }
 
 // takeSnapshot copies thread t's clock into a pooled snapshot for the
@@ -347,10 +416,13 @@ func (b *OptimizedHybrid) takeSnapshot(t int) int32 {
 		s = int32(len(b.snaps))
 		b.snaps = append(b.snaps, b.newAuxClock())
 		b.snapOwner = append(b.snapOwner, 0)
+		b.snapStamp = append(b.snapStamp, 0)
 		b.snapRefs = append(b.snapRefs, 0)
 	}
-	b.snaps[s].CopyFrom(b.threads[t].c)
+	ct := b.threads[t].c
+	b.snaps[s].CopyFrom(ct)
 	b.snapOwner[s] = int32(t)
+	b.snapStamp[s] = ct.At(t)
 	return s
 }
 
@@ -432,47 +504,55 @@ func (b *OptimizedHybrid) hrxAt(v *hybridEngVar, t int) vc.Time {
 // Under the local-time invariant, *hybridClock⊲_u ⊑ clk ⟺ *hybridClock⊲_u(u) ≤ clk(u), and only
 // threads on the active list can qualify.
 func (b *OptimizedHybrid) coverRead(x int32, clk *hybridClock) {
+	m := &b.vars[x].markR
 	for _, u := range b.active {
 		us := &b.threads[u]
-		own := us.cb.At(int(u))
-		if own <= clk.At(int(u)) {
-			v := &b.vars[x]
-			if v.markR.At(int(u)) != own {
-				v.markR = v.markR.Set(int(u), own)
-				us.updR = append(us.updR, x)
-			}
+		if us.begin <= clk.At(int(u)) && !m.has(u, us.begin) {
+			b.mark(m, u)
+			us.updR = append(us.updR, x)
 		}
 	}
 }
 
 // coverWrite is coverRead for UpdateSetʷ.
 func (b *OptimizedHybrid) coverWrite(x int32, clk *hybridClock) {
+	m := &b.vars[x].markW
 	for _, u := range b.active {
 		us := &b.threads[u]
-		own := us.cb.At(int(u))
-		if own <= clk.At(int(u)) {
-			v := &b.vars[x]
-			if v.markW.At(int(u)) != own {
-				v.markW = v.markW.Set(int(u), own)
-				us.updW = append(us.updW, x)
-			}
+		if us.begin <= clk.At(int(u)) && !m.has(u, us.begin) {
+			b.mark(m, u)
+			us.updW = append(us.updW, x)
 		}
+	}
+}
+
+// mark lists the running transaction of thread u in m, which does not list
+// it yet (the callers test m.has inline; this is the rarer, slower half).
+// It takes the inline pair over unless that pair names another transaction
+// that is still running; then u spills to the thread-indexed vector.
+func (b *OptimizedHybrid) mark(m *updMark, u int32) {
+	own := b.threads[u].begin
+	// b.threads[m.t] exists: thread u does, and the slice grows densely.
+	if o := &b.threads[m.t]; m.t == u || o.activeIdx < 0 || o.begin != m.stamp {
+		m.t, m.stamp = u, own
+	} else {
+		m.spill = m.spill.Set(int(u), own)
 	}
 }
 
 // markThreadDirty lists thread u on the dirty-thread list of every active
 // transaction whose begin stamp appears in clk, which was just joined
 // into u's clock. Thread clocks change only at the join sites that call
-// this (checkAndGet, the write-event R_x absorb, fork, and end-event
-// propagation), so at any thread's end event every thread with
-// C_u(t) ≥ *hybridClock⊲_t(t) is on t's list (stale entries are re-checked there).
+// this (absorb, fork, and end-event propagation) and at u's own ticks,
+// so at any thread's end event every thread with C_u(t) ≥ *hybridClock⊲_t(t) is on
+// t's list (stale entries are re-checked there).
 func (b *OptimizedHybrid) markThreadDirty(u int, clk *hybridClock) {
 	for _, t2 := range b.active {
 		if int(t2) == u {
 			continue
 		}
 		ts2 := &b.threads[t2]
-		own := ts2.cb.At(int(t2))
+		own := ts2.begin
 		if clk.At(int(t2)) >= own && ts2.markedT.At(u) != own {
 			ts2.markedT = ts2.markedT.Set(u, own)
 			ts2.dirtyThreads = append(ts2.dirtyThreads, int32(u))
@@ -488,7 +568,7 @@ func (b *OptimizedHybrid) markThreadDirty(u int, clk *hybridClock) {
 func (b *OptimizedHybrid) markLockDirty(li int32, clk *hybridClock) {
 	for _, u := range b.active {
 		us := &b.threads[u]
-		own := us.cb.At(int(u))
+		own := us.begin
 		if clk.At(int(u)) >= own {
 			l := &b.locks[li]
 			if l.marked.At(int(u)) != own {
@@ -534,7 +614,7 @@ func (b *OptimizedHybrid) Process(e trace.Event) *Violation {
 	case trace.Begin:
 		if ts.depth == 0 {
 			ts.c.Inc(t)
-			ts.cb.MonotoneCopyFrom(ts.c)
+			ts.begin = ts.c.At(t)
 			ts.activeIdx = int32(len(b.active))
 			b.active = append(b.active, int32(t))
 		}
@@ -544,18 +624,17 @@ func (b *OptimizedHybrid) Process(e trace.Event) *Violation {
 		ts.depth--
 		if ts.depth == 0 {
 			b.removeActive(t)
+			ts.c.Inc(t) // the end tick that stamps this end's snapshot
 			b.handleEnd(t, e)
 		}
 
 	case trace.Read:
 		x := e.Target
 		v := b.ensureVar(int(x))
-		if v.lastW != int32(t) {
-			if b.checkAndGet(b.writeClockFor(v), t, e, e.Thread, CheckRead, &v.slot) {
-				break
-			}
+		if v.lastW != int32(t) && b.checkAndGetW(v, t, e, CheckRead) {
+			break
 		}
-		ct := b.threads[t].c
+		ct := ts.c
 		if ts.depth > 0 {
 			v.addStaleReader(int32(t))
 		} else {
@@ -565,7 +644,7 @@ func (b *OptimizedHybrid) Process(e trace.Event) *Violation {
 			if !(v.readSlot.thread == int32(t) && v.readSlot.ctVer == ct.Ver()) {
 				v.rx.Join(ct)
 				ct.JoinZeroingInto(&v.hrx, t)
-				v.readSlot = accessSlot{thread: int32(t), ctVer: ct.Ver()}
+				v.readSlot = flushSlot{thread: int32(t), ctVer: ct.Ver()}
 			}
 		}
 		b.coverRead(x, ct)
@@ -573,51 +652,60 @@ func (b *OptimizedHybrid) Process(e trace.Event) *Violation {
 	case trace.Write:
 		x := e.Target
 		v := b.ensureVar(int(x))
-		if v.lastW != int32(t) {
-			if b.checkAndGet(b.writeClockFor(v), t, e, e.Thread, CheckWriteWrite, &v.slot) {
-				break
-			}
+		if v.lastW != int32(t) && b.checkAndGetW(v, t, e, CheckWriteWrite) {
+			break
 		}
-		// Repeat-write fast path: the same thread rewriting x under the
-		// same begin clock with its clock, R_x, W_x and ȒR_x(t) unchanged
+		// Repeat-write fast path: the same thread rewriting x inside the
+		// same transaction with its clock, R_x, W_x and ȒR_x(t) unchanged
 		// re-runs a handler whose O(width) steps are all no-ops; only the
 		// O(active) coverWrite below still has observable work to do.
 		if v.lastW == int32(t) && len(v.staleR) == 0 &&
 			v.writeSlot.thread == int32(t) && v.writeSlot.ctVer == ts.c.Ver() &&
 			v.writeSlot.rxVer == v.rx.Ver() && v.writeSlot.wVer == v.w.Ver() &&
-			v.writeSlot.cbVer == ts.cb.Ver() &&
+			v.writeSlot.begin == ts.begin &&
 			v.writeSlot.wasInTxn == (ts.depth > 0) &&
 			v.writeSlot.hrxAtT == v.hrx.At(t) {
 			b.coverWrite(x, ts.c)
 			break
 		}
 		// Flush stale readers with their live clocks; record any newly
-		// covered begins so end-time flushes stay exact.
+		// covered begins so end-time flushes stay exact. A flush of C_t
+		// alone keeps rx ⊑ C_t, so it keeps t's absorb epoch too.
+		keep := v.rxAbs == int32(t) && v.rxAbsVer == v.rx.Ver()
 		for _, u := range v.staleR {
 			uc := b.threads[u].c
 			v.rx.Join(uc)
 			uc.JoinZeroingInto(&v.hrx, int(u))
 			b.coverRead(x, uc)
+			keep = keep && u == int32(t)
 		}
 		v.staleR = v.staleR[:0]
-		// The ȒR check: ∃u≠t with *hybridClock⊲_t ⊑ R_{u,x}, via the begin clock's own
-		// component (see the package comment).
-		if ts.depth > 0 && ts.cb.At(t) <= b.hrxAt(v, t) {
+		if keep {
+			v.rxAbsVer = v.rx.Ver()
+		}
+		// The ȒR check: ∃u≠t with *hybridClock⊲_t ⊑ R_{u,x}, via the begin stamp (see
+		// the package comment).
+		if ts.depth > 0 && ts.begin <= b.hrxAt(v, t) {
 			b.viol = &Violation{
 				Index: b.n, Event: e, ActiveThread: e.Thread,
 				Check: CheckWriteRead, Algorithm: b.Name(),
 			}
 			break
 		}
-		// Absorb R_x. A pending snapshot of t's own is below C_t already.
-		if p := v.pendR; p != noSnap && b.snapOwner[p] != int32(t) {
-			b.settleR(v)
+		// Absorb R_x, skipping each part C_t provably holds already.
+		if p := v.pendR; p != noSnap {
+			if b.snapBelow(p, t) {
+				b.joinsSkipped++
+			} else {
+				b.settleR(v)
+			}
 		}
-		ts.c.Join(v.rx)
-		if !ts.foreign && v.rx.HasEntryOtherThan(t) {
-			ts.foreign = true
+		if v.rxAbs == int32(t) && v.rxAbsVer == v.rx.Ver() {
+			b.skipJoin(t)
+		} else {
+			b.absorb(t, v.rx)
+			v.rxAbs, v.rxAbsVer = int32(t), v.rx.Ver()
 		}
-		b.markThreadDirty(t, v.rx)
 		if ts.depth > 0 {
 			v.staleW = true // lazy: readers consult C_t while the txn runs
 		} else {
@@ -633,13 +721,13 @@ func (b *OptimizedHybrid) Process(e trace.Event) *Violation {
 		v.writeSlot = accessSlot{
 			thread: int32(t), wasInTxn: ts.depth > 0,
 			ctVer: ts.c.Ver(), rxVer: v.rx.Ver(), wVer: v.w.Ver(),
-			cbVer: ts.cb.Ver(), hrxAtT: v.hrx.At(t),
+			begin: ts.begin, hrxAtT: v.hrx.At(t),
 		}
 
 	case trace.Acquire:
 		l := b.ensureLock(int(e.Target))
 		if l.lastRel != int32(t) {
-			if b.checkAndGet(l.l, t, e, e.Thread, CheckAcquire, &l.slot) {
+			if b.checkAndGet(l.l, t, e, CheckAcquire, &l.slot) {
 				break
 			}
 		}
@@ -671,7 +759,7 @@ func (b *OptimizedHybrid) Process(e trace.Event) *Violation {
 		us := b.ensureThread(int(e.Target))
 		// See Basic: never-ran threads contribute no ≤CHB edges.
 		if us.ran {
-			if b.checkAndGet(us.c, t, e, e.Thread, CheckJoin, &us.joinSlot) {
+			if b.checkAndGet(us.c, t, e, CheckJoin, &us.joinSlot) {
 				break
 			}
 		}
@@ -693,7 +781,7 @@ func (b *OptimizedHybrid) Process(e trace.Event) *Violation {
 // is subsumed).
 func (b *OptimizedHybrid) handleEnd(t int, e trace.Event) {
 	ts := &b.threads[t]
-	ct, cbt := ts.c, ts.cb
+	ct := ts.c
 
 	if ts.foreign {
 		b.endsProcessed++
@@ -704,11 +792,11 @@ func (b *OptimizedHybrid) handleEnd(t int, e trace.Event) {
 		// lowest qualifying thread — the order the index sweep it replaces
 		// would discover (the checks and joins are independent across
 		// threads, so the split does not change any outcome).
-		own := cbt.At(t)
+		own := ts.begin
 		violAt := -1
 		for _, ui := range ts.dirtyThreads {
 			us := &b.threads[ui]
-			if us.c.At(t) >= own && us.depth > 0 && us.cb.Leq(ct) &&
+			if us.c.At(t) >= own && us.depth > 0 && us.begin <= ct.At(int(ui)) &&
 				(violAt < 0 || int(ui) < violAt) {
 				violAt = int(ui)
 			}

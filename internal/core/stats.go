@@ -11,8 +11,8 @@ package core
 // Engines are single-goroutine; snapshots are taken between events.
 type EngineStats struct {
 	// EpochHits / EpochMisses count checkAndGet invocations resolved by
-	// the FastTrack-style epoch fast path vs. falling through to the full
-	// O(width) Leq+Join.
+	// the FastTrack-style epoch fast path vs. falling through to the
+	// violation test and the O(width) join.
 	EpochHits   int64
 	EpochMisses int64
 	// EndsFull / EndsCollected count outermost end events that took the
@@ -36,6 +36,10 @@ type EngineStats struct {
 	// settled is the join work the deferral saved (or still holds).
 	FlushesDeferred int64
 	FlushesSettled  int64
+	// JoinsSkipped counts joins and settles skipped because an O(1) test
+	// (a snapshot's stamp, or a variable's R_x absorb epoch) proved the
+	// target already held the source.
+	JoinsSkipped int64
 }
 
 // EpochHitRate returns EpochHits/(EpochHits+EpochMisses), or 0 with no
@@ -60,6 +64,7 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.WidthPromotions += o.WidthPromotions
 	s.FlushesDeferred += o.FlushesDeferred
 	s.FlushesSettled += o.FlushesSettled
+	s.JoinsSkipped += o.JoinsSkipped
 }
 
 // StatsReporter is implemented by engines that expose introspection

@@ -181,7 +181,7 @@ func TestEpochFastPathStats(t *testing.T) {
 		t.Fatalf("unexpected violation: %v", v)
 	}
 	// After the first read absorbed W_x, every further read must hit the
-	// epoch slot: same source clock, same version, same begin clock.
+	// epoch slot: same source clock, same version, same begin stamp.
 	v := &eng.vars[x]
 	if v.slot.thread != int32(t2) || v.slot.src != eng.vars[x].w {
 		t.Fatalf("epoch slot not recorded: %+v", v.slot)

@@ -358,15 +358,18 @@ func readAllBinary(t *testing.T, data []byte) ([]trace.Event, error) {
 // records — yields the identical event sequence and terminal error.
 func TestFeederBinaryMatchesBinaryReaderAllChunkings(t *testing.T) {
 	bin, _ := binaryLog(t, 40, 11)
-	// Malformed variants: a bad op kind mid-stream, a truncated record, a
-	// truncated header.
+	// Malformed variants: a bad op kind mid-stream, a target with the sign
+	// bit set, a truncated record, a truncated header.
 	badKind := append([]byte(nil), bin...)
 	badKind[16+8*5+2] = 0xEE
+	signTarget := append([]byte(nil), bin...)
+	signTarget[16+8*7+7] |= 0x80 // target ≥ 2^31
 	truncRecord := bin[:len(bin)-3]
 	truncHeader := bin[:9]
 	inputs := map[string][]byte{
 		"clean":        bin,
 		"bad-kind":     badKind,
+		"sign-target":  signTarget,
 		"trunc-record": truncRecord,
 		"trunc-header": truncHeader,
 		"header-only":  bin[:16],

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"aerodrome/internal/trace"
 )
@@ -432,6 +433,8 @@ type Feeder struct {
 	mode   feedMode
 	// binHeader records that the 16-byte binary header has been consumed.
 	binHeader bool
+	// binRecords counts the binary records decoded so far.
+	binRecords int64
 }
 
 // NewFeeder returns an empty Feeder.
@@ -602,16 +605,13 @@ func (f *Feeder) readBatchBinary(dst []trace.Event) (int, error) {
 			}
 			return n, f.latch(fmt.Errorf("rapidio: truncated record: %w", ErrFormat))
 		}
-		kind := trace.OpKind(win[2])
-		if kind > trace.Join {
-			return n, f.latch(fmt.Errorf("rapidio: bad op kind %d: %w", win[2], ErrFormat))
+		ev, err := decodeRecord(win[:8], f.binRecords)
+		if err != nil {
+			return n, f.latch(err)
 		}
-		dst[n] = trace.Event{
-			Thread: trace.ThreadID(binary.LittleEndian.Uint16(win[0:2])),
-			Kind:   kind,
-			Target: int32(binary.LittleEndian.Uint32(win[4:8])),
-		}
+		dst[n] = ev
 		f.pos += 8
+		f.binRecords++
 		n++
 	}
 	return n, nil
@@ -795,6 +795,7 @@ type BinaryReader struct {
 	header bool
 	err    error
 	record [8]byte // scratch: io.ReadFull would heap-allocate a local
+	count  int64   // records decoded so far
 }
 
 // NewBinaryReader returns a BinaryReader over r.
@@ -828,15 +829,31 @@ func (br *BinaryReader) Read() (trace.Event, error) {
 		br.err = fmt.Errorf("rapidio: truncated record: %w", ErrFormat)
 		return trace.Event{}, br.err
 	}
+	ev, err := decodeRecord(rec[:], br.count)
+	if err != nil {
+		br.err = err
+		return trace.Event{}, err
+	}
+	br.count++
+	return ev, nil
+}
+
+// decodeRecord decodes rec, the n-th (0-based) 8-byte record of an ADB1
+// stream. Engines index dense tables by target, so a target of 2^31 or
+// more, which would turn into a negative index, is a format error.
+func decodeRecord(rec []byte, n int64) (trace.Event, error) {
 	kind := trace.OpKind(rec[2])
 	if kind > trace.Join {
-		br.err = fmt.Errorf("rapidio: bad op kind %d: %w", rec[2], ErrFormat)
-		return trace.Event{}, br.err
+		return trace.Event{}, fmt.Errorf("rapidio: bad op kind %d: %w", rec[2], ErrFormat)
+	}
+	target := binary.LittleEndian.Uint32(rec[4:8])
+	if target > math.MaxInt32 {
+		return trace.Event{}, fmt.Errorf("rapidio: record %d: target %#x is 2^31 or more: %w", n, target, ErrFormat)
 	}
 	return trace.Event{
 		Thread: trace.ThreadID(binary.LittleEndian.Uint16(rec[0:2])),
 		Kind:   kind,
-		Target: int32(binary.LittleEndian.Uint32(rec[4:8])),
+		Target: int32(target),
 	}, nil
 }
 

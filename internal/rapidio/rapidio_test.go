@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -274,6 +275,22 @@ func TestBinaryErrors(t *testing.T) {
 	br = NewBinaryReader(bytes.NewReader(raw))
 	if _, err := br.Read(); !errors.Is(err, ErrFormat) {
 		t.Fatalf("bad kind: %v", err)
+	}
+	// A target of 2^31 or more would be a negative engine index: a format
+	// error naming the record. 2^31-1 still decodes.
+	buf.Reset()
+	bw = NewBinaryWriter(&buf)
+	bw.Write(trace.Event{Thread: 0, Kind: trace.Read, Target: math.MaxInt32})
+	bw.Write(trace.Event{Thread: 0, Kind: trace.Read})
+	bw.Flush()
+	raw = buf.Bytes()
+	raw[16+8+7] = 0x80
+	br = NewBinaryReader(bytes.NewReader(raw))
+	if ev, err := br.Read(); err != nil || ev.Target != math.MaxInt32 {
+		t.Fatalf("target 2^31-1: %+v, %v", ev, err)
+	}
+	if _, err := br.Read(); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("target 2^31: %v", err)
 	}
 	// Next() returns false on errors.
 	br = NewBinaryReader(strings.NewReader("XXXX"))

@@ -133,6 +133,9 @@ func newMetrics() *metrics {
 	engineCounter("aerodromed_engine_flushes_settled_total",
 		"Pending end-of-transaction snapshots joined in on consultation.",
 		func(s aerodrome.EngineStats) int64 { return s.FlushesSettled })
+	engineCounter("aerodromed_engine_joins_skipped_total",
+		"Clock joins and settles skipped as provable no-ops.",
+		func(s aerodrome.EngineStats) int64 { return s.JoinsSkipped })
 	engineCounter("aerodromed_engine_sparse_promotions_total",
 		"Sparse read accumulators promoted to dense clocks.",
 		func(s aerodrome.EngineStats) int64 { return s.SparsePromotions })

@@ -159,7 +159,7 @@ func TestMetricsJSONSchema(t *testing.T) {
 	if !sort.StringsAreSorted(engineKeys) {
 		t.Errorf("engine keys out of order: %v", engineKeys)
 	}
-	for _, k := range []string{"ends_full", "epoch_hit_rate", "flushes_deferred", "flushes_settled"} {
+	for _, k := range []string{"ends_full", "epoch_hit_rate", "flushes_deferred", "flushes_settled", "joins_skipped"} {
 		if !slices.Contains(engineKeys, k) {
 			t.Errorf("engine section lacks %q: %v", k, engineKeys)
 		}
@@ -216,6 +216,7 @@ func TestMetricsPromMatchesJSON(t *testing.T) {
 		"aerodromed_engine_epoch_misses_total":                      float64(snap.Engine.EpochMisses),
 		"aerodromed_engine_flushes_deferred_total":                  float64(snap.Engine.FlushesDeferred),
 		"aerodromed_engine_flushes_settled_total":                   float64(snap.Engine.FlushesSettled),
+		"aerodromed_engine_joins_skipped_total":                     float64(snap.Engine.JoinsSkipped),
 		`aerodromed_stage_duration_seconds_count{stage="check"}`:    float64(snap.Stages["check"].Count),
 		`aerodromed_stage_duration_seconds_count{stage="finalize"}`: float64(snap.Stages["finalize"].Count),
 	} {
@@ -236,8 +237,8 @@ func TestMetricsPromMatchesJSON(t *testing.T) {
 			engineSeries = append(engineSeries, line[:strings.IndexByte(line, ' ')])
 		}
 	}
-	if len(engineSeries) != 10 || !sort.StringsAreSorted(engineSeries) {
-		t.Errorf("engine series not the ten counters in alphabetical order: %v", engineSeries)
+	if len(engineSeries) != 11 || !sort.StringsAreSorted(engineSeries) {
+		t.Errorf("engine series not the eleven counters in alphabetical order: %v", engineSeries)
 	}
 	// Histogram buckets must be cumulative and end at the count.
 	var lastBucket float64 = -1

@@ -344,6 +344,39 @@ func TestCheckRejectsUnknownAlgoAndBadBody(t *testing.T) {
 	}
 }
 
+// TestBinarySignTargetIs400: an ADB1 record whose target has the sign bit
+// set is a malformed body on /v1/check and on a session feed, not a panic
+// that drops the connection, and the server keeps serving afterwards.
+func TestBinarySignTargetIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	bad := []byte("ADB1\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x02\x00\x01\x00\x00\x80")
+	resp, err := http.Post(ts.URL+"/v1/check", "application/octet-stream", bytes.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/v1/check: HTTP %d, want 400", resp.StatusCode)
+	}
+	client := &Client{BaseURL: ts.URL}
+	sess, err := client.NewSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(ts.URL+"/v1/sessions/"+sess.ID+"/events", "application/octet-stream", bytes.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("session feed: HTTP %d, want 400", resp.StatusCode)
+	}
+	std := []byte("t0|begin|0\nt0|w(x)|0\nt0|end|0\n")
+	sameReport(t, "check after", postCheck(t, ts, std, ""), wantReport(t, std, aerodrome.Auto))
+	sameReport(t, "session after", feedSession(t, ts, std, "", 7), wantReport(t, std, aerodrome.Auto))
+}
+
 func TestBodyTooLargeIs413(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
 	big := strings.Repeat("t0|begin|0\nt0|end|0\n", 64)

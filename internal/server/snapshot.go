@@ -37,6 +37,7 @@ type EngineMetrics struct {
 	EpochMisses      int64   `json:"epoch_misses"`
 	FlushesDeferred  int64   `json:"flushes_deferred"`
 	FlushesSettled   int64   `json:"flushes_settled"`
+	JoinsSkipped     int64   `json:"joins_skipped"`
 	SparsePromotions int64   `json:"sparse_promotions"`
 	TreeDemotions    int64   `json:"tree_demotions"`
 	TreeRepromotions int64   `json:"tree_repromotions"`
@@ -52,6 +53,7 @@ func engineMetricsOf(s aerodrome.EngineStats) EngineMetrics {
 		EpochMisses:      s.EpochMisses,
 		FlushesDeferred:  s.FlushesDeferred,
 		FlushesSettled:   s.FlushesSettled,
+		JoinsSkipped:     s.JoinsSkipped,
 		SparsePromotions: s.SparsePromotions,
 		TreeDemotions:    s.TreeDemotions,
 		TreeRepromotions: s.TreeRepromotions,

@@ -8,9 +8,7 @@
 // thread, at which version), which lets Join and Leq skip entire subtrees
 // the target already dominates: the cost of an operation is proportional
 // to the number of entries that actually change, not to the total thread
-// count. Copies between a thread clock and its begin clock additionally
-// take the monotone-copy fast path (the destination is known to be ⊑ the
-// source, so the copy is a pruned join that adopts the source's version).
+// count.
 //
 // # Version streams instead of local clocks
 //
@@ -20,11 +18,11 @@
 // (HB, FastTrack, SHB, …) that increment a thread's local clock at every
 // release-style event, so a thread never publishes two different clock
 // states under the same local time. AeroDrome increments a thread's local
-// component only at transaction begins, while the clock both absorbs and
-// publishes knowledge between begins; the local component therefore cannot
-// version the clock's content. This implementation decouples the two: each
-// thread-owned clock maintains a private version counter, bumped on every
-// content mutation, and nodes carry
+// component only at transaction begins and ends, while the clock both
+// absorbs and publishes knowledge in between; the local component
+// therefore cannot version the clock's content. This implementation
+// decouples the two: each thread-owned clock maintains a private version
+// counter, bumped on every content mutation, and nodes carry
 //
 //	clk  — the semantic vector component for the node's thread (what At,
 //	       Leq and Join operate on), and
@@ -45,8 +43,8 @@
 //
 // The hybrid engine keeps tree clocks for the per-thread clocks but flat
 // vc.Clocks for the auxiliary accumulators, so trees must absorb flat
-// content (JoinFlat) and flat clocks must absorb trees (AbsorbIntoFlat,
-// LeqFlat). A flat source carries no version stream at all, so every entry
+// content (JoinFlat) and flat clocks must absorb trees (AbsorbIntoFlat).
+// A flat source carries no version stream at all, so every entry
 // a flat join raises or creates is unattributable: it gets ver 0 — "no
 // claim" — and re-attaches directly under the root, whose refreshed
 // whole-tree claim (owned roots) or vacuous one (inexact roots) covers it.
@@ -379,9 +377,7 @@ func (c *Clock) attach(p, v int32, aclk vc.Time) {
 
 // Join sets c to c ⊔ o. Subtrees of o whose version claims the target
 // already holds are skipped without being visited.
-func (c *Clock) Join(o *Clock) { c.join(o, true) }
-
-func (c *Clock) join(o *Clock, allowCopy bool) {
+func (c *Clock) Join(o *Clock) {
 	if o == c || o.root == nilNode {
 		return
 	}
@@ -401,10 +397,8 @@ func (c *Clock) join(o *Clock, allowCopy bool) {
 	// common shape of AeroDrome's end-event flushes — the ending
 	// transaction absorbed R_x at its write event, so its final clock
 	// dominates the accumulator it flushes into. (Owned clocks must keep
-	// their own root and version stream, so they never take this path, and
-	// MonotoneCopyFrom opts out: its target trails the source by one
-	// mutation, so the incremental walk beats the bulk copy.)
-	if allowCopy && c.owner < 0 && c.exact &&
+	// their own root and version stream, so they never take this path.)
+	if c.owner < 0 && c.exact &&
 		o.verOf(c.nodes[c.root].tid) >= c.nodes[c.root].ver {
 		c.alias(o)
 		c.exact = o.exact
@@ -541,28 +535,9 @@ func (c *Clock) CopyFrom(o *Clock) {
 	c.mut++
 }
 
-// MonotoneCopyFrom sets c to o under the guarantee c ⊑ o (begin clocks
-// copy the thread clock they chase). It runs as a pruned join — only the
-// entries where c is behind are touched — and, because the result equals o
-// exactly, adopts o's root claim so c stays as prunable as o itself.
-func (c *Clock) MonotoneCopyFrom(o *Clock) {
-	if o == c || o.root == nilNode {
-		return
-	}
-	own := c.owner
-	c.owner = -1 // join as auxiliary: do not spend a version on the copy
-	c.join(o, false)
-	c.owner = own
-	// The result equals o exactly, so when the trees share a root thread
-	// the copy can carry o's root claim (and exactness) over.
-	if c.nodes[c.root].tid == o.nodes[o.root].tid {
-		c.exact = o.exact
-		if v := o.nodes[o.root].ver; v > c.nodes[c.root].ver {
-			c.materialize()
-			c.nodes[c.root].ver = v
-		}
-	}
-}
+// NoteSkippedJoin is a no-op: it lets *Clock serve as an AeroDrome engine
+// clock representation, whose hybrid variant counts skipped joins.
+func (c *Clock) NoteSkippedJoin() {}
 
 // Leq reports whether c ⊑ o, skipping subtrees whose version claims o
 // already holds.
@@ -924,25 +899,8 @@ func (c *Clock) AbsorbIntoFlat(dst vc.Clock) (vc.Clock, int, bool) {
 	return dst, grew, changed
 }
 
-// LeqFlat reports whether c ⊑ o for a flat vector o. There is nothing to
-// prune against a flat target, so the cost is one comparison per stored
-// entry of c.
-func (c *Clock) LeqFlat(o vc.Clock) bool {
-	if len(c.nodes)*4 < int(c.maxTid)+1 {
-		for i := range c.nodes {
-			n := &c.nodes[i]
-			if n.clk > o.At(int(n.tid)) {
-				return false
-			}
-		}
-		return true
-	}
-	return c.flatView().Leq(o)
-}
-
-// DominatesFlat reports whether o ⊑ c for a flat vector o (the reverse
-// direction of LeqFlat): one tight two-slice comparison over the flat
-// view.
+// DominatesFlat reports whether o ⊑ c for a flat vector o: one tight
+// two-slice comparison over the flat view.
 func (c *Clock) DominatesFlat(o vc.Clock) bool {
 	return o.Leq(c.flatView())
 }

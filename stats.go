@@ -41,6 +41,9 @@ type EngineStats struct {
 	// snapshots later joined in because the full clock was consulted.
 	FlushesDeferred int64 `json:"flushes_deferred"`
 	FlushesSettled  int64 `json:"flushes_settled"`
+	// JoinsSkipped counts clock joins and settles the engine skipped
+	// because an O(1) test proved the target already held the source.
+	JoinsSkipped int64 `json:"joins_skipped"`
 }
 
 // EpochHitRate returns EpochHits/(EpochHits+EpochMisses), or 0 with no
@@ -65,6 +68,7 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.WidthPromotions += o.WidthPromotions
 	s.FlushesDeferred += o.FlushesDeferred
 	s.FlushesSettled += o.FlushesSettled
+	s.JoinsSkipped += o.JoinsSkipped
 }
 
 // Sub returns the counter-wise difference s − o: the activity between
@@ -81,6 +85,7 @@ func (s EngineStats) Sub(o EngineStats) EngineStats {
 		WidthPromotions:  s.WidthPromotions - o.WidthPromotions,
 		FlushesDeferred:  s.FlushesDeferred - o.FlushesDeferred,
 		FlushesSettled:   s.FlushesSettled - o.FlushesSettled,
+		JoinsSkipped:     s.JoinsSkipped - o.JoinsSkipped,
 	}
 }
 
@@ -96,6 +101,7 @@ func statsFromCore(s core.EngineStats) EngineStats {
 		WidthPromotions:  s.WidthPromotions,
 		FlushesDeferred:  s.FlushesDeferred,
 		FlushesSettled:   s.FlushesSettled,
+		JoinsSkipped:     s.JoinsSkipped,
 	}
 }
 

@@ -72,6 +72,28 @@ func TestCheckerStats(t *testing.T) {
 	}
 }
 
+// TestEngineStatsJoinsSkipped: a thread rewriting a variable it already
+// absorbed R_x of skips the re-absorb, and the public stats carry the count
+// through the conversion and through Add and Sub.
+func TestEngineStatsJoinsSkipped(t *testing.T) {
+	c := aerodrome.NewChecker(aerodrome.Optimized)
+	for r := 0; r < 10; r++ {
+		c.Begin(0)
+		c.Write(0, 0)
+		c.End(0)
+	}
+	s, ok := c.Stats()
+	if !ok || s.JoinsSkipped == 0 {
+		t.Fatalf("repeat writes skipped no joins: ok=%v %+v", ok, s)
+	}
+	var sum aerodrome.EngineStats
+	sum.Add(s)
+	sum.Add(s)
+	if sum.JoinsSkipped != 2*s.JoinsSkipped || sum.Sub(s) != s {
+		t.Fatalf("Add/Sub drop JoinsSkipped: sum %+v, one %+v", sum, s)
+	}
+}
+
 func TestIncrementalCheckerStats(t *testing.T) {
 	c, err := aerodrome.NewIncrementalChecker(aerodrome.Optimized)
 	if err != nil {
