@@ -21,24 +21,10 @@ const (
 	ReadOpt Algorithm = "readopt"
 	// Optimized is AeroDrome Algorithm 3 (lazy updates, update sets,
 	// transaction garbage collection) — the paper's evaluated configuration
-	// and the recommended default.
+	// and the recommended default. The names "auto", "hybrid" and
+	// "treeclock", which once chose other clock representations, are
+	// accepted as aliases of it and report the same engine.
 	Optimized Algorithm = "optimized"
-	// OptimizedTree is Optimized running on the tree-clock representation
-	// (internal/treeclock): joins and copies touch only the entries that
-	// actually change, which pays off at high thread counts.
-	OptimizedTree Algorithm = "treeclock"
-	// OptimizedHybrid is Optimized on the hybrid representation: tree
-	// clocks for the per-thread clocks, flat clocks for the auxiliary
-	// accumulators — the tree engine's win on thread-sharded workloads
-	// without its chain-workload penalty.
-	OptimizedHybrid Algorithm = "hybrid"
-	// Auto is Optimized with the clock representation picked by observed
-	// thread width: flat thread clocks below ~16 threads, tree clocks
-	// above, re-evaluated as threads appear, with hysteresis re-promotion
-	// for clocks that demoted during a churn phase. The choice is
-	// semantically invisible — verdicts and violation indices are
-	// identical to the other Optimized representations.
-	Auto Algorithm = "auto"
 	// Velodrome is the transaction-graph baseline with per-edge DFS cycle
 	// checks.
 	Velodrome Algorithm = "velodrome"
@@ -49,9 +35,9 @@ const (
 	DoubleChecker Algorithm = "doublechecker"
 )
 
-// Algorithms lists all supported algorithm names.
+// Algorithms lists the supported algorithms, one name per engine.
 func Algorithms() []Algorithm {
-	return []Algorithm{Basic, ReadOpt, Optimized, OptimizedTree, OptimizedHybrid, Auto, Velodrome, VelodromePK, DoubleChecker}
+	return []Algorithm{Basic, ReadOpt, Optimized, Velodrome, VelodromePK, DoubleChecker}
 }
 
 func newEngine(a Algorithm) (core.Engine, error) {
@@ -60,14 +46,8 @@ func newEngine(a Algorithm) (core.Engine, error) {
 		return core.NewBasic(), nil
 	case ReadOpt:
 		return core.NewReadOpt(), nil
-	case Optimized, "":
+	case Optimized, "", "auto", "hybrid", "treeclock":
 		return core.NewOptimized(), nil
-	case OptimizedTree:
-		return core.NewOptimizedTree(), nil
-	case OptimizedHybrid:
-		return core.NewOptimizedHybrid(), nil
-	case Auto:
-		return core.NewOptimizedAuto(), nil
 	case Velodrome:
 		return velodrome.New(), nil
 	case VelodromePK:
@@ -292,46 +272,6 @@ func CheckSTD(r io.Reader, a Algorithm) (*Report, error) {
 		Events:       n,
 		Algorithm:    eng.Name(),
 	}, nil
-}
-
-// coreAlgorithm maps public algorithm names onto internal/core variants.
-// Engines outside core (velodrome, velodrome-pk, doublechecker) have no
-// parallel partition path and report ok=false.
-func coreAlgorithm(a Algorithm) (core.Algorithm, bool) {
-	switch a {
-	case Basic:
-		return core.AlgoBasic, true
-	case ReadOpt:
-		return core.AlgoReadOpt, true
-	case Optimized, "":
-		return core.AlgoOptimized, true
-	case OptimizedTree:
-		return core.AlgoOptimizedTree, true
-	case OptimizedHybrid:
-		return core.AlgoOptimizedHybrid, true
-	case Auto:
-		return core.AlgoOptimizedAuto, true
-	}
-	return 0, false
-}
-
-// CheckSTDParallelIntra analyzes one STD trace log on up to `workers`
-// cores: the trace is partitioned into provably independent shards
-// (disjoint variables, locks and fork/join structure, see
-// internal/parcheck) and each shard is checked by its own engine in
-// parallel. When the partition cannot be proven sound — a single
-// connected component, or coordinator-thread clock flow crossing
-// shards — the trace is checked sequentially instead, so the report is
-// always byte-identical to CheckSTD: same verdict, same violation
-// EventIndex, same event count, same algorithm name.
-//
-// Unlike CheckSTD, the trace is materialized in memory (the partition
-// scan is a separate pass from checking). Algorithms without a core
-// engine (Velodrome, VelodromePK, DoubleChecker) and workers <= 1 fall
-// back to CheckSTD unchanged.
-func CheckSTDParallelIntra(r io.Reader, a Algorithm, workers int) (*Report, error) {
-	rep, _, err := CheckSTDParallelIntraStats(r, a, workers)
-	return rep, err
 }
 
 // CheckEvents analyzes a slice of events.

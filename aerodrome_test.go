@@ -236,12 +236,29 @@ func TestMonitorUnknownAlgorithmPanics(t *testing.T) {
 
 func TestAlgorithmsList(t *testing.T) {
 	got := aerodrome.Algorithms()
-	if len(got) != 9 {
+	if len(got) != 6 {
 		t.Fatalf("Algorithms() = %v", got)
 	}
+	names := map[string]bool{}
 	for _, a := range got {
-		if _, err := aerodrome.NewCheckerErr(a); err != nil {
+		c, err := aerodrome.NewCheckerErr(a)
+		if err != nil {
 			t.Fatalf("listed algorithm %q must construct: %v", a, err)
+		}
+		if names[c.Algorithm()] {
+			t.Fatalf("listed algorithm %q repeats engine %s", a, c.Algorithm())
+		}
+		names[c.Algorithm()] = true
+	}
+	// The names of the removed clock representations stay accepted and
+	// run the Algorithm 3 engine.
+	for _, a := range []aerodrome.Algorithm{"auto", "hybrid", "treeclock"} {
+		c, err := aerodrome.NewCheckerErr(a)
+		if err != nil {
+			t.Fatalf("alias %q must construct: %v", a, err)
+		}
+		if c.Algorithm() != "aerodrome-optimized" {
+			t.Fatalf("alias %q runs %s, want aerodrome-optimized", a, c.Algorithm())
 		}
 	}
 }

@@ -1,7 +1,8 @@
 package aerodrome_test
 
 // The benchmark harness: one benchmark family per paper table, one per
-// worked figure, plus the ablations called out in DESIGN.md. Run with
+// worked figure, plus the engine and cycle-detection ablations that
+// `experiments -run ablation` prints at full scale. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -90,9 +91,9 @@ func BenchmarkFigureTraces(b *testing.B) {
 }
 
 // BenchmarkAblationEngines compares the three AeroDrome variants of
-// Algorithm 1/2/3 on a GC-friendly chain workload (DESIGN.md E-A1): the
-// payoff of the read-clock reduction and the lazy/update-set/GC
-// optimizations.
+// Algorithm 1/2/3 on a GC-friendly chain workload (the chain-gc row of
+// `experiments -run ablation`): the payoff of the read-clock reduction and
+// the lazy/update-set/GC optimizations.
 func BenchmarkAblationEngines(b *testing.B) {
 	cfg := workload.Config{
 		Name: "ablation-chain", Threads: 8, Vars: benchVars, Locks: 8,
@@ -114,8 +115,9 @@ func BenchmarkAblationEngines(b *testing.B) {
 }
 
 // BenchmarkAblationCycleDetection compares Velodrome's per-edge DFS against
-// the Pearce–Kelly dynamic topological order (DESIGN.md E-A2) on the
-// retention workload where cycle checks dominate.
+// the Pearce–Kelly dynamic topological order (the hub-retention row of
+// `experiments -run ablation`) on the retention workload where cycle
+// checks dominate.
 func BenchmarkAblationCycleDetection(b *testing.B) {
 	cfg := workload.Config{
 		Name: "ablation-hub", Threads: 8, Vars: benchVars, Locks: 8,
@@ -192,33 +194,27 @@ func BenchmarkThroughput(b *testing.B) {
 }
 
 // BenchmarkThreadScaling measures the Optimized engine's per-event cost as
-// the thread count grows (T ∈ {8, 64, 256}) on both clock representations.
+// the thread count grows (T ∈ {8, 64, 256}).
 // This is the benchmark family behind BENCH_baseline.json/BENCH_after.json
 // (cmd/experiments -run bench): per-event cost that is linear in thread
 // count shows up as rows whose ns/event grow with T even though the trace
 // shape is otherwise fixed.
 func BenchmarkThreadScaling(b *testing.B) {
+	spec := bench.AeroDromeVariant(core.AlgoOptimized)
 	for _, cfg := range bench.ThreadScalingConfigs(benchEvents) {
 		cfg := cfg
-		for _, spec := range []bench.EngineSpec{
-			bench.AeroDromeVariant(core.AlgoOptimized),
-			bench.AeroDromeTree(),
-			bench.AeroDromeHybrid(),
-		} {
-			spec := spec
-			b.Run(cfg.Name+"/"+spec.Label, func(b *testing.B) {
-				b.ReportAllocs()
-				var events int64
-				for i := 0; i < b.N; i++ {
-					eng := spec.New()
-					v, n := core.Run(eng, workload.New(cfg))
-					if v != nil {
-						b.Fatalf("unexpected violation: %v", v)
-					}
-					events += n
+		b.Run(cfg.Name+"/"+spec.Label, func(b *testing.B) {
+			b.ReportAllocs()
+			var events int64
+			for i := 0; i < b.N; i++ {
+				eng := spec.New()
+				v, n := core.Run(eng, workload.New(cfg))
+				if v != nil {
+					b.Fatalf("unexpected violation: %v", v)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-			})
-		}
+				events += n
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
 	}
 }

@@ -5,23 +5,25 @@
 // Usage:
 //
 //	aerodrome [-algo optimized] [-format std] [-pipeline] [-stats] [trace-file]
-//	aerodrome [-algo optimized] -par N [trace-file]
 //	aerodrome [-algo optimized] -parallel N trace-file...
-//	aerodrome [-algo auto] -serve :8421
+//	aerodrome [-algo optimized] -serve :8421
 //	aerodrome [-algo A] -remote http://host:8421 [-incremental] [trace-file]
 //
 // With no file argument the trace is read from standard input. -pipeline
-// overlaps parsing and checking on separate goroutines; -par N checks ONE
-// trace on up to N cores by partitioning it into provably independent
-// shards (exact verdicts — unprovable traces replay sequentially, see
-// internal/parcheck); -parallel N checks several trace files concurrently,
-// one engine per trace, on N workers (N < 0 selects one per CPU; the
-// format of each file is sniffed). -stats adds engine introspection
-// lines after the check — the epoch fast-path hit rate and the clock
-// representation transitions behind the verdict (aerodrome engines
-// only; with -pipeline it also prints per-stage wall times). The exit
-// code is 0 when every trace is conflict serializable, 1 when a
-// violation was found, and 2 on usage or input errors.
+// overlaps parsing and checking on separate goroutines; -parallel N
+// checks several trace files concurrently, one engine per trace, on N
+// workers (N < 0 selects one per CPU; the format of each file is
+// sniffed). -stats adds engine introspection lines after the check — the
+// epoch fast-path hit rate, GC'd transaction ends and deferred and
+// skipped joins behind the verdict (aerodrome engines only; with
+// -pipeline it also prints per-stage wall times). The exit code is 0 when
+// every trace is conflict serializable, 1 when a violation was found, and
+// 2 on usage or input errors.
+//
+// -algo names one of basic, readopt, optimized, velodrome, velodrome-pk
+// and doublechecker. aerodrome, auto, hybrid and treeclock are aliases of
+// optimized: the last three once chose other clock representations and
+// stay accepted so existing scripts keep working.
 //
 // -serve runs the aerodromed service in-process on the given address
 // (equivalent to the aerodromed command with default limits; -algo sets
@@ -49,7 +51,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -57,7 +58,6 @@ import (
 	"aerodrome"
 	"aerodrome/internal/core"
 	"aerodrome/internal/doublechecker"
-	"aerodrome/internal/parcheck"
 	"aerodrome/internal/pipeline"
 	"aerodrome/internal/race"
 	"aerodrome/internal/rapidio"
@@ -67,19 +67,13 @@ import (
 )
 
 func newEngine(algo string) (core.Engine, error) {
-	switch algo {
+	switch normalizeAlgo(algo) {
 	case "basic":
 		return core.NewBasic(), nil
 	case "readopt":
 		return core.NewReadOpt(), nil
-	case "optimized", "aerodrome", "":
+	case "optimized", "":
 		return core.NewOptimized(), nil
-	case "treeclock":
-		return core.NewOptimizedTree(), nil
-	case "hybrid":
-		return core.NewOptimizedHybrid(), nil
-	case "auto":
-		return core.NewOptimizedAuto(), nil
 	case "velodrome":
 		return velodrome.New(), nil
 	case "velodrome-pk":
@@ -87,7 +81,7 @@ func newEngine(algo string) (core.Engine, error) {
 	case "doublechecker":
 		return doublechecker.New(0), nil
 	}
-	return nil, fmt.Errorf("unknown algorithm %q (want basic, readopt, optimized, treeclock, hybrid, auto, velodrome, velodrome-pk or doublechecker)", algo)
+	return nil, fmt.Errorf("unknown algorithm %q (want basic, readopt, optimized, velodrome, velodrome-pk or doublechecker)", algo)
 }
 
 func openSource(path, format string) (trace.Source, func() error, error) {
@@ -117,15 +111,14 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("aerodrome", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	algo := fs.String("algo", "optimized", "checking algorithm: basic, readopt, optimized, treeclock, hybrid, auto, velodrome, velodrome-pk, doublechecker")
+	algo := fs.String("algo", "optimized", "checking algorithm: basic, readopt, optimized, velodrome, velodrome-pk, doublechecker (aerodrome, auto, hybrid and treeclock are aliases of optimized)")
 	analysesFlag := fs.String("analyses", "", "analysis set over the same event stream: comma-separated from atomicity, hbrace (default atomicity); hbrace adds happens-before data-race detection")
 	format := fs.String("format", "std", "trace format: std (RAPID text) or bin (compact binary)")
 	quiet := fs.Bool("q", false, "suppress everything except the verdict line")
 	pipe := fs.Bool("pipeline", false, "pipeline parsing and checking on separate goroutines")
-	stats := fs.Bool("stats", false, "print engine introspection counters (epoch fast-path hit rate, clock promotions) after the check; aerodrome engines only")
+	stats := fs.Bool("stats", false, "print engine introspection counters (epoch fast-path hit rate, GC'd ends, deferred and skipped joins) after the check; aerodrome engines only")
 	parallel := fs.Int("parallel", 0, "check multiple trace files concurrently on this many workers (<0 = one per CPU); implies -pipeline, sniffs each file's format (-format and -q are ignored)")
-	par := fs.Int("par", 0, "check ONE trace on this many cores by speculative shard partitioning (<0 = one per CPU); exact verdicts — falls back to a sequential pass when the trace cannot be partitioned; aerodrome engines only")
-	serve := fs.String("serve", "", "run the aerodromed service on this address instead of checking a trace (server default algo is auto unless -algo is set)")
+	serve := fs.String("serve", "", "run the aerodromed service on this address instead of checking a trace (-algo sets the server's default algorithm)")
 	remote := fs.String("remote", "", "stream the trace to a running aerodromed at this base URL instead of checking locally (the server's default algorithm applies unless -algo is set)")
 	tenant := fs.String("tenant", "", "tenant name sent with -remote requests (the server's quota and metrics bucket)")
 	traceKey := fs.String("trace", "", "trace routing key sent with -remote requests (pins the request to one backend behind a shard router)")
@@ -144,10 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err) // the library error carries the aerodrome: prefix
 		return 2
 	}
-	// The flag default "optimized" is the local-check default; the server
-	// modes must be able to tell "unset" from an explicit choice, so the
-	// server-side defaults (-serve boots with auto, -remote defers to the
-	// remote server's configured default) are not silently overridden.
+	// The flag default "optimized" is the local-check default; -remote
+	// must be able to tell "unset" from an explicit choice, so the remote
+	// server's configured default is not silently overridden.
 	algoSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "algo" {
@@ -163,9 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if multiAnalyses {
 			fmt.Fprintln(stderr, "aerodrome: -serve has no default analysis set; clients declare analyses per request")
 			return 2
-		}
-		if !algoSet {
-			*algo = "auto"
 		}
 		return runServe(*serve, *algo, stderr)
 	}
@@ -185,17 +174,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		return runParallel(fs.Args(), *algo, *parallel, stdout, stderr)
-	}
-	if *par != 0 {
-		if fs.NArg() > 1 {
-			fmt.Fprintln(stderr, "usage: aerodrome -par N [trace-file]")
-			return 2
-		}
-		if multiAnalyses {
-			fmt.Fprintln(stderr, "aerodrome: -par runs the atomicity analysis only")
-			return 2
-		}
-		return runParIntra(fs.Arg(0), *algo, *par, *format, *quiet, stdout, stderr)
 	}
 	if fs.NArg() > 1 {
 		fmt.Fprintln(stderr, "usage: aerodrome [-algo A] [-format F] [-pipeline] [trace-file], or aerodrome -parallel N trace-file...")
@@ -313,9 +291,8 @@ func (s detectorSink) Process(e trace.Event) { s.d.Process(e) }
 func (s detectorSink) Done() bool            { return s.d.Violation() != nil }
 
 // printEngineStats renders the engine's introspection counters on one
-// line, mirroring the par: partition line. Engines without counters
-// (velodrome, doublechecker) print a note instead of silence, so -stats
-// never looks like it was ignored.
+// line. Engines without counters (velodrome, doublechecker) print a note
+// instead of silence, so -stats never looks like it was ignored.
 func printEngineStats(w io.Writer, eng core.Engine) {
 	r, ok := eng.(core.StatsReporter)
 	if !ok {
@@ -328,25 +305,27 @@ func printEngineStats(w io.Writer, eng core.Engine) {
 	if checks > 0 {
 		rate = 100 * float64(s.EpochHits) / float64(checks)
 	}
-	fmt.Fprintf(w, "engine:    epoch %d/%d hits (%.1f%%), ends %d full / %d collected, flushes %d deferred / %d settled, joins %d skipped, promotions %d sparse / %d width, tree %d demoted / %d repromoted\n",
+	fmt.Fprintf(w, "engine:    epoch %d/%d hits (%.1f%%), ends %d full / %d collected, flushes %d deferred / %d settled, joins %d skipped, promotions %d sparse\n",
 		s.EpochHits, checks, rate, s.EndsFull, s.EndsCollected,
-		s.FlushesDeferred, s.FlushesSettled, s.JoinsSkipped,
-		s.SparsePromotions, s.WidthPromotions, s.TreeDemotions, s.TreeRepromotions)
+		s.FlushesDeferred, s.FlushesSettled, s.JoinsSkipped, s.SparsePromotions)
 }
 
-// normalizeAlgo resolves the CLI-only alias "aerodrome" to the canonical
-// engine name, in one place for every front-end mode. The empty string
-// passes through: it means "caller's default" (the public API and the
-// remote server each resolve it themselves).
+// normalizeAlgo resolves the aliases of "optimized" — the CLI's own
+// "aerodrome", and "auto", "hybrid" and "treeclock", the names of removed
+// clock representations — to the canonical engine name, in one place for
+// every front-end mode. The empty string passes through: it means
+// "caller's default" (the public API and the remote server each resolve
+// it themselves).
 func normalizeAlgo(algo string) string {
-	if algo == "aerodrome" {
+	switch algo {
+	case "aerodrome", "auto", "hybrid", "treeclock":
 		return "optimized"
 	}
 	return algo
 }
 
 // runServe fronts the aerodromed daemon from the main CLI: same service,
-// default limits, same auto default engine; an explicit -algo overrides.
+// default limits, same default engine as aerodromed.
 // It blocks until SIGINT or SIGTERM, then drains gracefully.
 func runServe(addr, algo string, stderr io.Writer) int {
 	algo = normalizeAlgo(algo)
@@ -501,80 +480,6 @@ func feedSession(client *server.Client, r io.Reader, algo, analyses string, chun
 		}
 	}
 	return sess.Close()
-}
-
-// coreAlgo maps the CLI algorithm names onto internal/core variants; the
-// non-core checkers (velodrome, velodrome-pk, doublechecker) are not
-// partitionable and report ok=false.
-func coreAlgo(algo string) (core.Algorithm, bool) {
-	switch normalizeAlgo(algo) {
-	case "basic":
-		return core.AlgoBasic, true
-	case "readopt":
-		return core.AlgoReadOpt, true
-	case "optimized", "":
-		return core.AlgoOptimized, true
-	case "treeclock":
-		return core.AlgoOptimizedTree, true
-	case "hybrid":
-		return core.AlgoOptimizedHybrid, true
-	case "auto":
-		return core.AlgoOptimizedAuto, true
-	}
-	return 0, false
-}
-
-// runParIntra checks one trace with the speculative intra-trace
-// partitioner (internal/parcheck): independent shards of the variable,
-// lock and fork/join space run on their own engines in parallel, and
-// anything unprovable replays sequentially, so the verdict is always
-// identical to a plain run. The non-quiet output adds one line of
-// partition observability.
-func runParIntra(path, algo string, workers int, format string, quiet bool, stdout, stderr io.Writer) int {
-	ca, ok := coreAlgo(algo)
-	if !ok {
-		fmt.Fprintf(stderr, "aerodrome: -par supports the aerodrome engines (basic, readopt, optimized, treeclock, hybrid, auto), not %q\n", algo)
-		return 2
-	}
-	if workers < 0 {
-		workers = runtime.NumCPU()
-	}
-	src, closeSrc, err := openSource(path, format)
-	if err != nil {
-		fmt.Fprintln(stderr, "aerodrome:", err)
-		return 2
-	}
-	defer closeSrc()
-
-	start := time.Now()
-	events := trace.Collect(src).Events
-	if errSrc, ok := src.(interface{ Err() error }); ok {
-		if err := errSrc.Err(); err != nil {
-			fmt.Fprintln(stderr, "aerodrome:", err)
-			return 2
-		}
-	}
-	v, n, stats := parcheck.Check(events, ca, workers)
-	elapsed := time.Since(start)
-
-	if !quiet {
-		fmt.Fprintf(stdout, "algorithm: %s\nevents:    %d\ntime:      %v\n", ca, n, elapsed)
-		detail := ""
-		switch {
-		case stats.Conflict:
-			detail = fmt.Sprintf(" (cross-shard flow at event %d, replayed sequentially)", stats.ConflictIndex)
-		case stats.Replayed:
-			detail = " (not partitionable, ran sequentially)"
-		}
-		fmt.Fprintf(stdout, "par:       %d workers, %d shards, %d components, %d relays%s\n",
-			workers, stats.Shards, stats.Components, stats.Relays, detail)
-	}
-	if v != nil {
-		fmt.Fprintf(stdout, "result: NOT conflict serializable — %v\n", v)
-		return 1
-	}
-	fmt.Fprintf(stdout, "result: conflict serializable (no atomicity violation)\n")
-	return 0
 }
 
 // runParallel checks every file argument concurrently (one engine and one

@@ -2,11 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"aerodrome/internal/server"
 )
@@ -85,7 +91,7 @@ func TestQuietFlag(t *testing.T) {
 func TestPipelineFlag(t *testing.T) {
 	viol := writeTemp(t, "rho2.std", rho2STD)
 	ok := writeTemp(t, "rho1.std", rho1STD)
-	for _, algo := range []string{"optimized", "auto", "basic"} {
+	for _, algo := range []string{"optimized", "basic"} {
 		var out, errOut bytes.Buffer
 		if code := run([]string{"-pipeline", "-algo", algo, ok}, &out, &errOut); code != 0 {
 			t.Fatalf("%s: exit = %d\n%s%s", algo, code, out.String(), errOut.String())
@@ -145,60 +151,74 @@ func TestParallelMode(t *testing.T) {
 	}
 }
 
-// TestParIntraMode drives the -par intra-trace partitioner: verdicts
-// and exit codes identical to a plain run, a partition-observability
-// line in the default output, and the documented usage errors.
-func TestParIntraMode(t *testing.T) {
+// TestAlgoAliases: every name of the Algorithm 3 engine runs it, reports
+// it and prints the same verdict line; an unknown name is a usage error.
+func TestAlgoAliases(t *testing.T) {
 	viol := writeTemp(t, "rho2.std", rho2STD)
-	ok := writeTemp(t, "rho1.std", rho1STD)
-
+	var want string
+	for _, algo := range []string{"optimized", "aerodrome", "auto", "hybrid", "treeclock"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-algo", algo, viol}, &out, &errOut); code != 1 {
+			t.Fatalf("%s: exit = %d, want 1\n%s%s", algo, code, out.String(), errOut.String())
+		}
+		if !strings.Contains(out.String(), "algorithm: aerodrome-optimized\n") {
+			t.Fatalf("%s: output %q", algo, out.String())
+		}
+		verdict := out.String()[strings.Index(out.String(), "result:"):]
+		if want == "" {
+			want = verdict
+		} else if verdict != want {
+			t.Fatalf("%s: verdict %q, want %q", algo, verdict, want)
+		}
+	}
 	var out, errOut bytes.Buffer
-	code := run([]string{"-par", "4", viol}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\n%s%s", code, out.String(), errOut.String())
+	if code := run([]string{"-algo", "quantum", viol}, &out, &errOut); code != 2 {
+		t.Fatalf("unknown algo: exit = %d, want 2", code)
 	}
-	if !strings.Contains(out.String(), "NOT conflict serializable") ||
-		!strings.Contains(out.String(), "at event 5") {
-		t.Fatalf("output %q", out.String())
-	}
-	if !strings.Contains(out.String(), "par:") {
-		t.Fatalf("missing partition observability line: %q", out.String())
-	}
+}
 
-	out.Reset()
-	if code := run([]string{"-par", "-1", ok}, &out, &errOut); code != 0 {
-		t.Fatalf("exit = %d, want 0\n%s%s", code, out.String(), errOut.String())
+// TestServeDefaultAlgorithm boots -serve without -algo and requires the
+// in-process daemon to run the Algorithm 3 engine by default.
+func TestServeDefaultAlgorithm(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "conflict serializable") {
-		t.Fatalf("output %q", out.String())
+	addr := ln.Addr().String()
+	ln.Close()
+	var logs bytes.Buffer
+	exit := make(chan int, 1)
+	go func() { exit <- run([]string{"-serve", addr}, io.Discard, &logs) }()
+	var resp *http.Response
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if resp, err = http.Post("http://"+addr+"/v1/check", "text/plain", strings.NewReader(rho1STD)); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("-serve never answered: %v\n%s", err, logs.String())
+		}
 	}
-
-	// -q suppresses everything but the verdict.
-	out.Reset()
-	if code := run([]string{"-par", "2", "-q", ok}, &out, &errOut); code != 0 {
-		t.Fatalf("quiet exit = %d\n%s", code, errOut.String())
+	var rep struct {
+		Algorithm string `json:"algorithm"`
 	}
-	if strings.Contains(out.String(), "par:") || strings.Contains(out.String(), "events:") {
-		t.Fatalf("-q leaked detail: %q", out.String())
+	err = json.NewDecoder(resp.Body).Decode(&rep)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Non-core checkers cannot be partitioned: usage error, exit 2.
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-par", "2", "-algo", "velodrome", ok}, &out, &errOut); code != 2 {
-		t.Fatalf("velodrome -par: exit %d, want 2", code)
+	if rep.Algorithm != "aerodrome-optimized" {
+		t.Fatalf("-serve default algorithm %q, want aerodrome-optimized", rep.Algorithm)
 	}
-	if !strings.Contains(errOut.String(), "-par supports") {
-		t.Fatalf("stderr %q", errOut.String())
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
 	}
-
-	// More than one file is a usage error; malformed input exits 2.
-	if code := run([]string{"-par", "2", ok, viol}, &out, &errOut); code != 2 {
-		t.Fatalf("two files: exit %d, want 2", code)
-	}
-	bad := writeTemp(t, "bad.std", "garbage\n")
-	if code := run([]string{"-par", "2", bad}, &out, &errOut); code != 2 {
-		t.Fatalf("malformed trace: exit %d, want 2", code)
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("exit = %d after SIGTERM\n%s", code, logs.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatalf("-serve did not drain after SIGTERM\n%s", logs.String())
 	}
 }
 
@@ -206,7 +226,7 @@ func TestParIntraMode(t *testing.T) {
 // mode to render remote verdicts exactly like local checks, with the same
 // exit codes.
 func TestRemoteMode(t *testing.T) {
-	s, err := server.New(server.Config{})
+	s, err := server.New(server.Config{Algorithm: "readopt"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +245,9 @@ func TestRemoteMode(t *testing.T) {
 		!strings.Contains(out.String(), "result: conflict serializable") {
 		t.Fatalf("output %q", out.String())
 	}
-	// With -algo unset, the server's configured default (auto here) must
-	// apply rather than the CLI's local "optimized" flag default.
-	if !strings.Contains(out.String(), "auto") {
+	// With -algo unset, the server's configured default (readopt here)
+	// must apply rather than the CLI's local "optimized" flag default.
+	if !strings.Contains(out.String(), "aerodrome-readopt") {
 		t.Fatalf("server default algorithm not applied: %q", out.String())
 	}
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	aerodromed [-addr :8421] [-algo auto] [-max-sessions N]
+//	aerodromed [-addr :8421] [-algo optimized] [-max-sessions N]
 //	           [-max-checks N] [-max-body BYTES] [-session-ttl D]
 //	           [-tenant-sessions N] [-tenant-checks N] [-tenant-bytes-per-sec N]
 //	           [-log-level info] [-debug-addr ADDR] [-shutdown-timeout D]
@@ -81,7 +81,7 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 	fs := flag.NewFlagSet("aerodromed", flag.ContinueOnError)
 	fs.SetOutput(logw)
 	addr := fs.String("addr", ":8421", "listen address")
-	algo := fs.String("algo", "auto", "default checking algorithm for requests that do not name one")
+	algo := fs.String("algo", "optimized", "default checking algorithm for requests that do not name one")
 	maxSessions := fs.Int("max-sessions", 0, "max concurrent incremental sessions (0 = default 1024)")
 	maxChecks := fs.Int("max-checks", 0, "max concurrent /v1/check requests (0 = default 2x GOMAXPROCS)")
 	maxBody := fs.Int64("max-body", 0, "max request body bytes (0 = default 64 MiB)")

@@ -143,9 +143,9 @@ func TestServeCheckAndSigtermDrain(t *testing.T) {
 	if !rep.Serializable || rep.Events != 3 {
 		t.Fatalf("report %+v, want serializable with 3 events", rep)
 	}
-	// The daemon default is the auto engine.
-	if !strings.Contains(rep.Algorithm, "auto") {
-		t.Fatalf("algorithm %q, want the auto default", rep.Algorithm)
+	// The daemon default is the Algorithm 3 engine.
+	if rep.Algorithm != "aerodrome-optimized" {
+		t.Fatalf("algorithm %q, want the aerodrome-optimized default", rep.Algorithm)
 	}
 
 	// SIGTERM → graceful drain → exit 0.

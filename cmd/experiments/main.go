@@ -1,8 +1,8 @@
 // Command experiments regenerates the paper's evaluation: Table 1 (real
 // atomicity specifications), Table 2 (naïve specifications), the worked
-// Figures 5–7, and the ablation studies described in DESIGN.md. Output is
-// Markdown with the paper's own numbers inlined for comparison; see
-// EXPERIMENTS.md for a recorded run.
+// Figures 5–7, and ablations of the AeroDrome variants and of Velodrome's
+// cycle detection. Output is Markdown with the paper's own numbers inlined
+// for comparison.
 //
 // Usage:
 //
@@ -127,21 +127,11 @@ func benchJSON(stdout, stderr io.Writer, label, path string, events int64, runs 
 	if events > 200_000 {
 		events = 200_000
 	}
-	engines := []bench.EngineSpec{
-		bench.AeroDromeVariant(core.AlgoOptimized),
-		bench.AeroDromeTree(),
-		bench.AeroDromeHybrid(),
-		bench.AeroDromeVariant(core.AlgoOptimizedAuto),
-	}
+	engines := []bench.EngineSpec{bench.AeroDromeVariant(core.AlgoOptimized)}
 	cfgs := bench.ThreadScalingConfigs(events)
 	fmt.Fprintf(stderr, "measuring %d rows × %d engines (%d events, %d runs each)...\n",
 		len(cfgs), len(engines), events, runs)
 	rep := bench.MeasureReport(label, engines, cfgs, runs)
-	// Par rows: the speculative intra-trace parallel checker on the same
-	// grid — par-<pattern>-t<N> next to the single-core engines it is
-	// measured against (see internal/bench/par.go for the reading guide).
-	fmt.Fprintf(stderr, "measuring par rows (intra-trace parallel checker)...\n")
-	rep.Rows = append(rep.Rows, bench.MeasureParRows(events, runs)...)
 	// Ingest rows: parse+check over in-memory STD bytes, sequential vs
 	// pipelined readers on the default engine.
 	fmt.Fprintf(stderr, "measuring %d ingest rows (sequential vs pipelined)...\n", len(cfgs))

@@ -7,63 +7,32 @@
 //
 // The package also provides the Velodrome baseline (Flanagan–Freund–Yi,
 // PLDI 2008), a DoubleChecker-style two-phase analysis, trace generation
-// and I/O, and a benchmark harness regenerating the paper's evaluation; see
-// DESIGN.md for the system inventory and EXPERIMENTS.md for results.
+// and I/O, and a harness regenerating the paper's evaluation
+// (cmd/experiments).
 //
-// # Clock representations and sublinear hot paths
+// # Flat vector clocks and sublinear hot paths
 //
-// The evaluated engine (Algorithm 3, aerodrome.Optimized) runs on a
-// pluggable clock-representation layer with three instantiations:
-//
-//   - flat (aerodrome.Optimized, the default): dense vector clocks
-//     (internal/vc); every operation is a tight O(width) loop.
-//   - tree (aerodrome.OptimizedTree): tree clocks (internal/treeclock,
-//     after Mathur et al., ASPLOS 2022, adapted to AeroDrome's clock
-//     discipline via explicit version streams); joins, copies and
-//     comparisons skip subtrees the target already dominates.
-//   - hybrid (aerodrome.OptimizedHybrid): tree clocks for the per-thread
-//     clocks ℂ_t — where the publish-absorb discipline makes
-//     subtree-skipping pay — and flat clocks for the auxiliary
-//     accumulators (𝕎_x, ℝ_x, lock clocks and flush snapshots), which
-//     alias the thread clocks' flat views copy-on-write. Thread clocks whose
-//     workload defeats tree pruning (densely entangled chains, where
-//     every join races past most of the tree) demote themselves to the
-//     flat representation adaptively, so the hybrid tracks the better of
-//     the other two on both workload extremes.
-//
-// A fourth instantiation picks the representation adaptively:
-//
-//   - auto (aerodrome.Auto): structurally the hybrid engine, but thread
-//     clocks start flat and promote themselves to trees once the observed
-//     thread width crosses ~16 (re-evaluated as threads appear), so small
-//     traces pay flat's constants and wide ones get the tree wins without
-//     the caller choosing. Demoted thread clocks (in both hybrid and auto)
-//     re-promote with hysteresis: a streak of joins that change nothing —
-//     the signature of a sharded steady state after a chain burst — that
-//     doubles with each demotion, so phase-flapping workloads settle on
-//     flat instead of thrashing.
-//
-// The ȒR_x accumulators are sparse (vc.Sparse, thread→time pairs that
-// promote themselves to dense past a bench-swept threshold of 16 entries;
-// see vc.PromoteThreshold) in every representation.
-// On top of any representation the engine keeps its per-event cost
-// sublinear in thread count: an active-transaction registry replaces the
-// all-thread update-set scans, per-thread released/dirty lock lists
-// replace the end-event lock-table sweeps, and FastTrack-style epoch fast
-// paths skip already-absorbed clock checks entirely. BENCH_baseline.json
-// and BENCH_after.json at the repository root record the resulting
+// The evaluated engine (Algorithm 3, aerodrome.Optimized) runs on dense
+// vector clocks (internal/vc), the representation the paper's Theorem 4
+// bound is stated for: every operation is a tight O(width) loop, and each
+// clock also keeps its nonzero-entry count and a mutation counter for the
+// fast paths below. The ȒR_x accumulators are sparse (vc.Sparse,
+// thread→time pairs that promote themselves to dense past a bench-swept
+// threshold of 16 entries; see vc.PromoteThreshold). The engine keeps its
+// per-event cost sublinear in thread count: an active-transaction registry
+// replaces the all-thread update-set scans, per-thread released/dirty lock
+// lists replace the end-event lock-table sweeps, and FastTrack-style epoch
+// fast paths skip already-absorbed clock checks entirely.
+// BENCH_baseline.json and BENCH_after.json at the repository root record
 // ns/event and allocs/event on a thread-scaling grid (T ∈ {8, 64, 256}),
 // produced by `experiments -run bench`; both files must come from the
-// same machine session to be comparable. At T=256 the hybrid runs about
-// 2× faster than flat on thread-sharded workloads and matches flat on
-// chain workloads (where tree clocks alone are >2× slower); flat remains
-// the default pending soak time for the hybrid.
+// same machine session to be comparable.
 //
-// In every representation the end-of-transaction flushes are deferred:
-// Algorithm 3's laziness carries on past the end event. A full-propagation
-// end copies C_t once into a pooled, immutable snapshot. Every variable in
-// its update sets then records a pending (owner, snapshot) pair instead of
-// paying three O(width) joins. The represented 𝕎_x and ℝ_x are the stored
+// The end-of-transaction flushes are deferred: Algorithm 3's laziness
+// carries on past the end event. A full-propagation end copies C_t once
+// into a pooled, immutable snapshot. Every variable in its update sets
+// then records a pending (owner, snapshot) pair instead of paying three
+// O(width) joins. The represented 𝕎_x and ℝ_x are the stored
 // clocks joined with the pending snapshot; the represented ȒR_x joins the
 // snapshot zeroed at its owner. A later end by the same owner supersedes a
 // pending snapshot without a join, because thread clocks only grow; a
@@ -110,33 +79,6 @@
 // violation index, same event count, enforced by a concurrency-
 // differential suite that runs under the race detector in CI and by a
 // dedicated fuzz target (FuzzPipelineDifferential).
-//
-// # Speculative intra-trace parallelism
-//
-// A single trace can also be checked on several cores without giving up
-// exactness (internal/parcheck; CheckSTDParallelIntra; `aerodrome -par N`).
-// The analysis is inherently sequential in general — every event may
-// observe clocks written by any earlier event — but most traces are not
-// general: a union-find pass over the trace groups threads, variables and
-// locks into connected components of the "touches" relation, components
-// are packed into S shards, and one ordinary engine per shard checks its
-// projection concurrently. Threads that only fork and join other threads
-// (the coordinator shape of every generated workload) would otherwise
-// fuse the whole trace into one component, so they are carved out as
-// relay threads and their fork/join events are replicated into the
-// shards of their counterparties. The speculation is audited, not
-// assumed: each relay carries a taint mask of the shards whose clocks
-// have flowed into it, and an event that would carry clocks from one
-// shard into another (a join from a tainted relay, observed from a
-// different shard) is a detected conflict — the whole trace is then
-// replayed on one engine, so verdicts, violation indices and event
-// counts are exact in every case. Conflict-free sharded runs and
-// replayed runs alike are pinned byte-identical to CheckSTD by a
-// differential suite (golden corpus, paper traces, scenario shapes,
-// fuzz seeds) and a dedicated fuzz target (FuzzParallelDifferential),
-// both under -race in CI. The par-* rows in BENCH_after.json measure
-// the partitioner against the sequential engines on the same grid;
-// wall-clock speedup requires actual cores (see internal/bench/par.go).
 //
 // For streams that arrive in pieces rather than behind an io.Reader — a
 // network session, a log follower — IncrementalChecker accepts arbitrary
@@ -190,8 +132,7 @@
 // are evicted after a TTL, and SIGTERM drains in-flight work before
 // exiting. GET /healthz flips to 503 while draining; GET /metrics serves
 // expvar-style JSON (sessions, checks, events/sec, verdicts, per-engine
-// selection counts — the observability for the server's `auto` engine
-// default — plus a per-tenant section). The CLI fronts a remote daemon via
+// selection counts, plus a per-tenant section). The CLI fronts a remote daemon via
 // `aerodrome -remote URL`. The httptest-based end-to-end suite replays the
 // golden corpus and the paper traces through both endpoints and pins them
 // byte-identical to sequential CheckSTD, under -race with ≥64 concurrent
@@ -275,8 +216,7 @@
 // check, feed, finalize on a backend; proxy, replay, failover on the
 // router) and an "engine" section surfacing the EngineStats
 // introspection counters (epoch fast-path hits/misses, GC'd ends,
-// deferred/settled flushes, skipped joins, sparse promotions, tree
-// demotions/re-promotions, width promotions)
+// deferred/settled flushes, skipped joins, sparse promotions)
 // aggregated across every check and session — and GET
 // /metrics?format=prom serves the same registry as Prometheus text
 // exposition (counters, gauges, cumulative histograms in seconds), so
@@ -291,24 +231,26 @@
 //
 // # Testing strategy
 //
-// A hybrid representation diverges structurally from the reference
-// algorithm in exactly the ways that are hard to eyeball, so the checker
-// is held to verdict equivalence at four levels:
+// The lazy engine diverges structurally from the reference algorithm in
+// exactly the ways that are hard to eyeball, so the checker is held to
+// verdict equivalence at several levels:
 //
-//   - Differential suites: every representation must produce bit-identical
-//     verdicts, violation indices, check kinds and GC decisions on the
+//   - Differential suites: Algorithm 3 must agree with Basic (Algorithm 1)
+//     on the verdict, with its detection point earlier or equal, on the
 //     paper's worked traces, on randomized well-formed traces (including
 //     lock-heavy and nested-critical-section shapes generated by
-//     internal/testutil), and on the benchmark workload patterns; Basic
-//     (Algorithm 1) anchors the verdicts, with the optimized detection
-//     point earlier or equal.
+//     internal/testutil), and on the benchmark workload patterns; ReadOpt
+//     must report Basic's exact violation event, and a cross-checker suite
+//     (internal/velodrome) pins every checker to Velodrome and, on small
+//     traces, to the serial oracle.
 //   - Native fuzzing: FuzzDifferentialEngines (internal/core) decodes
 //     arbitrary fuzz bytes into well-formed traces through a repairing
-//     byte-program VM (internal/testutil) and cross-checks all engines;
-//     the corpus is seeded with ρ1–ρ4, injected-violation workloads, the
-//     phase-shift (demote-then-repromote) shape, and the four scenario-zoo
-//     shapes (producer-consumer, barrier phases, lock convoy,
-//     quota-thrash) via their deterministic builders. A second target,
+//     byte-program VM (internal/testutil) and cross-checks Basic against
+//     the optimized engine; the corpus is seeded with ρ1–ρ4,
+//     injected-violation workloads, the phase-shift (chain burst, then
+//     sharded steady state) shape, and the four scenario-zoo shapes
+//     (producer-consumer, barrier phases, lock convoy, quota-thrash) via
+//     their deterministic builders. A second target,
 //     FuzzPipelineDifferential at the repository root, renders the same
 //     byte programs to STD logs and cross-checks the pipelined against
 //     the sequential ingestion path.
@@ -316,17 +258,16 @@
 //     pinned verdict/violation-index snapshots, replayed end-to-end
 //     through internal/rapidio — covering the parser-to-engine path —
 //     both sequentially and through the pipelined checker.
-//   - Concurrency differentials: the pipelined and parallel checkers are
-//     pinned to sequential CheckSTD across the golden corpus, paper
-//     traces and fuzz seeds, and a Monitor stress suite asserts exact
-//     event accounting and at-most-once OnViolation delivery; CI runs all
-//     of it under -race.
-//   - Representation unit tests: internal/treeclock drives randomized
-//     operation sequences (including the flat-interop and copy-on-write
-//     snapshot paths) in lockstep against internal/vc; white-box tests in
-//     internal/core pin the representation dynamics themselves (demotion
-//     during chain bursts, hysteresis re-promotion, the Auto width
-//     cutover).
+//   - Concurrency differentials: the pipelined checker and
+//     CheckFilesParallel are pinned to sequential CheckSTD across the
+//     golden corpus, paper traces and fuzz seeds, and a Monitor stress
+//     suite asserts exact event accounting and at-most-once OnViolation
+//     delivery; CI runs all of it under -race.
+//   - White-box replays: internal/core checks every O(1) shortcut of the
+//     optimized engine (snapshot stamps, absorb epochs, update-set marks)
+//     against the full computation it stands for after every event of the
+//     golden, fuzz-seed and random traces, and pins each deferred-flush
+//     rule and the snapshot-pool invariants.
 //
 // # Checking a trace
 //

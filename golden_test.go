@@ -72,12 +72,10 @@ func goldenConfigs() []workload.Config {
 	return out
 }
 
-// goldenEngines returns the engines the corpus replays, split into the two
-// detection-point classes.
-func goldenEngines() (basicClass, optimizedClass []core.Algorithm) {
-	return []core.Algorithm{core.AlgoBasic, core.AlgoReadOpt},
-		[]core.Algorithm{core.AlgoOptimized, core.AlgoOptimizedTree, core.AlgoOptimizedHybrid, core.AlgoOptimizedAuto}
-}
+// basicClass lists the engines that share Basic's detection point. The
+// corpus also replays core.AlgoOptimized, whose lazy detection point is
+// recorded separately.
+var basicClass = []core.Algorithm{core.AlgoBasic, core.AlgoReadOpt}
 
 // replaySTDPipelined replays one golden trace through the public pipelined
 // checker: the corpus pins the concurrent ingestion path to the same
@@ -165,11 +163,10 @@ func regenerateGolden(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// Validate the class assumptions (ReadOpt pinned to Basic's exact
-		// violation event, tree/hybrid to flat's) at generation time, so a
-		// change that breaks them is diagnosed here rather than by the
-		// freshly written snapshots failing on the next plain test run.
-		basicClass, optimizedClass := goldenEngines()
+		// Validate the class assumption (ReadOpt pinned to Basic's exact
+		// violation event) at generation time, so a change that breaks it
+		// is diagnosed here rather than by the freshly written snapshots
+		// failing on the next plain test run.
 		vBasic, n := replaySTD(t, path, basicClass[0])
 		for _, algo := range basicClass[1:] {
 			v, _ := replaySTD(t, path, algo)
@@ -178,14 +175,7 @@ func regenerateGolden(t *testing.T) {
 					cfg.Name, algo, basicClass[0], v, vBasic)
 			}
 		}
-		vOpt, _ := replaySTD(t, path, optimizedClass[0])
-		for _, algo := range optimizedClass[1:] {
-			v, _ := replaySTD(t, path, algo)
-			if !sameViolation(vOpt, v) {
-				t.Fatalf("%s: %v disagrees with %v at generation time (%v vs %v)",
-					cfg.Name, algo, optimizedClass[0], v, vOpt)
-			}
-		}
+		vOpt, _ := replaySTD(t, path, core.AlgoOptimized)
 		if (vBasic != nil) != (vOpt != nil) {
 			t.Fatalf("%s: basic and optimized disagree at generation time", cfg.Name)
 		}
@@ -224,7 +214,6 @@ func TestGoldenTraces(t *testing.T) {
 	if err := json.Unmarshal(raw, &expects); err != nil {
 		t.Fatal(err)
 	}
-	basicClass, optimizedClass := goldenEngines()
 	for _, cfg := range goldenConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
@@ -246,18 +235,16 @@ func TestGoldenTraces(t *testing.T) {
 					t.Fatalf("%v: processed %d events, want %d", algo, n, want.Events)
 				}
 			}
-			for _, algo := range optimizedClass {
-				v, n := replaySTD(t, path, algo)
-				if (v != nil) != want.Violation {
-					t.Fatalf("%v: verdict violation=%v, want %v", algo, v != nil, want.Violation)
-				}
-				if want.Violation && (v.Index != want.OptimizedIndex || v.Check.String() != want.OptimizedCheck) {
-					t.Fatalf("%v: violation (index %d, %s), want (index %d, %s)",
-						algo, v.Index, v.Check, want.OptimizedIndex, want.OptimizedCheck)
-				}
-				if !want.Violation && n != want.Events {
-					t.Fatalf("%v: processed %d events, want %d", algo, n, want.Events)
-				}
+			v, n := replaySTD(t, path, core.AlgoOptimized)
+			if (v != nil) != want.Violation {
+				t.Fatalf("optimized: verdict violation=%v, want %v", v != nil, want.Violation)
+			}
+			if want.Violation && (v.Index != want.OptimizedIndex || v.Check.String() != want.OptimizedCheck) {
+				t.Fatalf("optimized: violation (index %d, %s), want (index %d, %s)",
+					v.Index, v.Check, want.OptimizedIndex, want.OptimizedCheck)
+			}
+			if !want.Violation && n != want.Events {
+				t.Fatalf("optimized: processed %d events, want %d", n, want.Events)
 			}
 			hb := replayRaceSTD(t, path)
 			if !hb.Clean != want.Race {

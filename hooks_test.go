@@ -68,7 +68,7 @@ func TestCheckFilesParallelOrderAndTypedErrors(t *testing.T) {
 	writeFile(paths[4], serializableSTD)
 
 	for trial := 0; trial < 4; trial++ {
-		reports, err := aerodrome.CheckFilesParallel(paths, aerodrome.Auto, 4)
+		reports, err := aerodrome.CheckFilesParallel(paths, aerodrome.Optimized, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +117,8 @@ func TestMonitorEventFeed(t *testing.T) {
 		{Thread: 0, Kind: aerodrome.TxEnd},
 		{Thread: 1, Kind: aerodrome.TxEnd},
 	}
-	checker := aerodrome.NewChecker(aerodrome.Auto)
-	m := aerodrome.NewMonitor(aerodrome.WithAlgorithm(aerodrome.Auto))
+	checker := aerodrome.NewChecker(aerodrome.ReadOpt)
+	m := aerodrome.NewMonitor(aerodrome.WithAlgorithm(aerodrome.ReadOpt))
 	if got, want := m.Algorithm(), checker.Algorithm(); got != want {
 		t.Fatalf("Algorithm = %q, want %q", got, want)
 	}

@@ -35,17 +35,6 @@ func AeroDromeVariant(a core.Algorithm) EngineSpec {
 	return EngineSpec{Label: a.String(), New: func() core.Engine { return core.New(a) }}
 }
 
-// AeroDromeTree returns Algorithm 3 on the tree-clock representation.
-func AeroDromeTree() EngineSpec {
-	return AeroDromeVariant(core.AlgoOptimizedTree)
-}
-
-// AeroDromeHybrid returns Algorithm 3 on the hybrid representation (tree
-// thread clocks, flat auxiliary clocks).
-func AeroDromeHybrid() EngineSpec {
-	return AeroDromeVariant(core.AlgoOptimizedHybrid)
-}
-
 // Velodrome returns the baseline with per-edge DFS cycle checks.
 func Velodrome() EngineSpec {
 	return EngineSpec{Label: "velodrome", New: func() core.Engine { return velodrome.New() }}

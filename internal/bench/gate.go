@@ -3,10 +3,12 @@ package bench
 // The CI perf-regression gate. None of the repository's perf work (PR 1–4)
 // was protected by CI before this: a refactor could quietly triple the hot
 // path and every test would stay green. The gate re-measures a pinned,
-// fast row subset — the flat engine on sharded-t64 (pure checking) and
+// fast row subset — the Algorithm 3 engine on sharded-t64 (pure checking),
 // ingest-pipe on the same workload (tokenize+check, the path a service
-// request actually runs) — and compares ns/event and allocs/event against
-// the gate_rows baseline checked into BENCH_baseline.json.
+// request actually runs) and the engine again on sharded-t256 (the widest
+// sharded shape, where flat clocks cost the most per event) — and compares
+// ns/event and allocs/event against the gate_rows baseline checked into
+// BENCH_baseline.json.
 //
 // Thresholds are deliberately generous: CI machines differ from the box
 // that recorded the baseline, and same-machine numbers drift ~20% between
@@ -40,33 +42,30 @@ const (
 	gateRuns   = 3
 )
 
-// gateWorkload returns the pinned workload of the gate rows.
-func gateWorkload() workload.Config {
+// gateWorkload returns the named workload of the thread-scaling grid at
+// the gate's event budget.
+func gateWorkload(name string) workload.Config {
 	for _, cfg := range ThreadScalingConfigs(gateEvents) {
-		if cfg.Name == "sharded-t64" {
+		if cfg.Name == name {
 			return cfg
 		}
 	}
-	panic("bench: sharded-t64 missing from the thread-scaling grid")
+	panic("bench: " + name + " missing from the thread-scaling grid")
 }
 
-// MeasureGateRows measures the pinned gate subset: the flat Optimized
-// engine (engine-only), the pipelined ingest path, and the speculative
-// intra-trace parallel checker at four workers, all on sharded-t64.
-// The par row guards the partitioner's constant factors (scan, taint
-// tracking, projection) rather than a speedup claim — the 2× budget is
-// against this row's own baseline, which already absorbs whatever core
-// count the baseline machine had.
+// MeasureGateRows measures the pinned gate subset: the Optimized engine
+// (engine-only) and the pipelined ingest path on sharded-t64, and the
+// engine alone on sharded-t256.
 func MeasureGateRows() []BenchRow {
-	cfg := gateWorkload()
-	rows := []BenchRow{MeasureRow(AeroDromeVariant(core.AlgoOptimized), cfg, gateRuns)}
+	engine := AeroDromeVariant(core.AlgoOptimized)
+	cfg := gateWorkload("sharded-t64")
+	rows := []BenchRow{MeasureRow(engine, cfg, gateRuns)}
 	for _, r := range MeasureIngestRows(cfg, gateRuns) {
 		if r.Engine == IngestPipe {
 			rows = append(rows, r)
 		}
 	}
-	rows = append(rows, MeasureParRow(cfg, 4, gateRuns))
-	return rows
+	return append(rows, MeasureRow(engine, gateWorkload("sharded-t256"), gateRuns))
 }
 
 // gateAllocsOK applies the allocation budget. Rows can legitimately sit

@@ -60,9 +60,6 @@ type BenchRow struct {
 	EpochHits        int64   `json:"epoch_hits,omitempty"`
 	EpochMisses      int64   `json:"epoch_misses,omitempty"`
 	SparsePromotions int64   `json:"sparse_promotions,omitempty"`
-	TreeDemotions    int64   `json:"tree_demotions,omitempty"`
-	TreeRepromotions int64   `json:"tree_repromotions,omitempty"`
-	WidthPromotions  int64   `json:"width_promotions,omitempty"`
 }
 
 // BenchReport is the top-level JSON document.
@@ -153,9 +150,6 @@ func MeasureRow(spec EngineSpec, cfg workload.Config, runs int) BenchRow {
 		row.EpochHits = s.EpochHits
 		row.EpochMisses = s.EpochMisses
 		row.SparsePromotions = s.SparsePromotions
-		row.TreeDemotions = s.TreeDemotions
-		row.TreeRepromotions = s.TreeRepromotions
-		row.WidthPromotions = s.WidthPromotions
 	}
 	return row
 }

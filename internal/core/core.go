@@ -157,21 +157,16 @@ const (
 	// AlgoOptimized is Algorithm 3 (lazy updates, update sets, GC) on flat
 	// vector clocks.
 	AlgoOptimized
-	// AlgoOptimizedTree is Algorithm 3 on tree clocks (internal/treeclock):
-	// joins and copies touch only the subtrees that actually change.
-	AlgoOptimizedTree
-	// AlgoOptimizedHybrid is Algorithm 3 on the hybrid representation: tree
-	// clocks for the per-thread clocks (where the publish-absorb discipline
-	// makes subtree-skipping pay), flat clocks for the auxiliary
-	// accumulators (whose flush patterns defeat tree pruning).
-	AlgoOptimizedHybrid
-	// AlgoOptimizedAuto is Algorithm 3 with the representation picked by
-	// observed thread width: thread clocks start flat (flat wins below
-	// T≈16) and promote to trees once the width crosses the threshold,
-	// re-evaluated as threads appear; demoted clocks re-promote with
-	// hysteresis. Auxiliary accumulators are flat, as in the hybrid.
-	AlgoOptimizedAuto
 )
+
+// AlgoOptimizedAuto is AlgoOptimized.
+//
+// Deprecated: the width-adaptive engine it named is gone and "auto" runs
+// Algorithm 3 on flat clocks. The constant stays because the benchmark
+// module (benchmark/layers.go), which builds against this package and is
+// changed only on its own, bounds its loop over the Algorithm 1-3 engines
+// with it.
+const AlgoOptimizedAuto = AlgoOptimized
 
 // String names the variant.
 func (a Algorithm) String() string {
@@ -182,12 +177,6 @@ func (a Algorithm) String() string {
 		return "aerodrome-readopt"
 	case AlgoOptimized:
 		return "aerodrome-optimized"
-	case AlgoOptimizedTree:
-		return "aerodrome-treeclock"
-	case AlgoOptimizedHybrid:
-		return "aerodrome-hybrid"
-	case AlgoOptimizedAuto:
-		return "aerodrome-auto"
 	}
 	return fmt.Sprintf("algorithm(%d)", int(a))
 }
@@ -201,12 +190,6 @@ func New(a Algorithm) Engine {
 		return NewReadOpt()
 	case AlgoOptimized:
 		return NewOptimized()
-	case AlgoOptimizedTree:
-		return NewOptimizedTree()
-	case AlgoOptimizedHybrid:
-		return NewOptimizedHybrid()
-	case AlgoOptimizedAuto:
-		return NewOptimizedAuto()
 	}
 	panic("core: unknown algorithm")
 }

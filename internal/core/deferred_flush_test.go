@@ -1,12 +1,12 @@
 package core
 
-// Deferred end-of-transaction flushes (see OptimizedOn): handcrafted traces
+// Deferred end-of-transaction flushes (see Optimized): handcrafted traces
 // that drive each deferral rule through a verdict that depends on it, and a
 // pool-invariant sweep over random traces.
 //
 // Every handcrafted trace is pinned twice: the verdict must equal Basic's
-// (Algorithm 1, no laziness at all) and every Algorithm 3 instantiation
-// must report the violation index the eager-flush engine reported for it.
+// (Algorithm 1, no laziness at all) and the Algorithm 3 engine must report
+// the violation index the eager-flush engine reported for it.
 
 import (
 	"fmt"
@@ -35,30 +35,28 @@ func entangled(n int) (*trace.Builder, []trace.ThreadID) {
 }
 
 // pinDeferred asserts that Basic also reports tr as a violation, and that
-// every Algorithm 3 instantiation deferred at least one flush and reports
-// the violation at wantIndex with wantCheck, no later than Basic.
+// the Algorithm 3 engine deferred at least one flush and reports the
+// violation at wantIndex with wantCheck, no later than Basic.
 func pinDeferred(t *testing.T, tr *trace.Trace, wantIndex int64, wantCheck CheckKind) {
 	t.Helper()
 	vb, _ := Run(NewBasic(), tr.Cursor())
 	if vb == nil {
 		t.Fatal("Basic reports no violation")
 	}
-	for _, eng := range []Engine{NewOptimized(), NewOptimizedTree(), NewOptimizedHybrid(),
-		NewOptimizedAuto(), newOptimizedGenericFlat()} {
-		v, _ := Run(eng, tr.Cursor())
-		if eng.(StatsReporter).Stats().FlushesDeferred == 0 {
-			t.Errorf("%s deferred no flush", eng.Name())
-		}
-		if v == nil || v.Index != wantIndex || v.Check != wantCheck {
-			t.Errorf("%s: violation = %+v, want %v at index %d", eng.Name(), v, wantCheck, wantIndex)
-		}
-		if v != nil && v.Index > vb.Index {
-			t.Errorf("%s: index %d after Basic's %d", eng.Name(), v.Index, vb.Index)
-		}
+	eng := NewOptimized()
+	v, _ := Run(eng, tr.Cursor())
+	if eng.Stats().FlushesDeferred == 0 {
+		t.Error("no flush deferred")
+	}
+	if v == nil || v.Index != wantIndex || v.Check != wantCheck {
+		t.Errorf("violation = %+v, want %v at index %d", v, wantCheck, wantIndex)
+	}
+	if v != nil && v.Index > vb.Index {
+		t.Errorf("index %d after Basic's %d", v.Index, vb.Index)
 	}
 }
 
-// runPrefix feeds the first n events of tr to a fresh flat engine.
+// runPrefix feeds the first n events of tr to a fresh engine.
 func runPrefix(t *testing.T, tr *trace.Trace, n int) *Optimized {
 	t.Helper()
 	eng := NewOptimized()
@@ -204,50 +202,16 @@ func TestDeferredHRCheckReadsPendingSnapshot(t *testing.T) {
 	pinDeferred(t, tr, 9, CheckWriteRead)
 }
 
-// poolView is the deferred-flush pool state of one engine instantiation.
-type poolView struct {
-	snaps        int
-	refs, free   []int32
-	pendW, pendR []int32
-}
-
-func flatPool(e *Optimized) poolView {
-	p := poolView{snaps: len(e.snaps), refs: e.snapRefs, free: e.snapFree}
-	for i := range e.vars {
-		p.pendW = append(p.pendW, e.vars[i].pendW)
-		p.pendR = append(p.pendR, e.vars[i].pendR)
-	}
-	return p
-}
-
-func hybridPool(e *OptimizedHybrid) poolView {
-	p := poolView{snaps: len(e.snaps), refs: e.snapRefs, free: e.snapFree}
-	for i := range e.vars {
-		p.pendW = append(p.pendW, e.vars[i].pendW)
-		p.pendR = append(p.pendR, e.vars[i].pendR)
-	}
-	return p
-}
-
-func treePool(e *OptimizedTree) poolView {
-	p := poolView{snaps: len(e.snaps), refs: e.snapRefs, free: e.snapFree}
-	for i := range e.vars {
-		p.pendW = append(p.pendW, e.vars[i].pendW)
-		p.pendR = append(p.pendR, e.vars[i].pendR)
-	}
-	return p
-}
-
-// check asserts the pool invariants: each snapshot's refcount equals the
-// number of pending slots naming it, the free list holds exactly the
+// checkPool asserts the pool invariants: each snapshot's refcount equals
+// the number of pending slots naming it, the free list holds exactly the
 // unreferenced snapshots, and the pool never grew past the peak number of
 // pending slots (tracked in *peak) plus the one being filled.
-func (p poolView) check(t *testing.T, ctx string, peak *int) {
+func checkPool(t *testing.T, ctx string, e *Optimized, peak *int) {
 	t.Helper()
-	count := make([]int32, p.snaps)
+	count := make([]int32, len(e.snaps))
 	pending := 0
-	for _, slots := range [][]int32{p.pendW, p.pendR} {
-		for _, s := range slots {
+	for i := range e.vars {
+		for _, s := range []int32{e.vars[i].pendW, e.vars[i].pendR} {
 			if s != noSnap {
 				count[s]++
 				pending++
@@ -255,23 +219,23 @@ func (p poolView) check(t *testing.T, ctx string, peak *int) {
 		}
 	}
 	for s := range count {
-		if p.refs[s] != count[s] {
-			t.Fatalf("%s: snapshot %d refcount %d, %d slots name it", ctx, s, p.refs[s], count[s])
+		if e.snapRefs[s] != count[s] {
+			t.Fatalf("%s: snapshot %d refcount %d, %d slots name it", ctx, s, e.snapRefs[s], count[s])
 		}
 	}
-	onFree := make([]bool, p.snaps)
-	for _, s := range p.free {
-		if p.refs[s] != 0 || onFree[s] {
-			t.Fatalf("%s: free-list entry %d has refcount %d (duplicate %v)", ctx, s, p.refs[s], onFree[s])
+	onFree := make([]bool, len(e.snaps))
+	for _, s := range e.snapFree {
+		if e.snapRefs[s] != 0 || onFree[s] {
+			t.Fatalf("%s: free-list entry %d has refcount %d (duplicate %v)", ctx, s, e.snapRefs[s], onFree[s])
 		}
 		onFree[s] = true
 	}
-	if len(p.free) != p.snaps-countNonzero(count) {
-		t.Fatalf("%s: %d free entries, %d unreferenced snapshots", ctx, len(p.free), p.snaps-countNonzero(count))
+	if unref := len(e.snaps) - countNonzero(count); len(e.snapFree) != unref {
+		t.Fatalf("%s: %d free entries, %d unreferenced snapshots", ctx, len(e.snapFree), unref)
 	}
 	*peak = max(*peak, pending)
-	if p.snaps > *peak+1 {
-		t.Fatalf("%s: pool holds %d snapshots, peak pending slots %d", ctx, p.snaps, *peak)
+	if len(e.snaps) > *peak+1 {
+		t.Fatalf("%s: pool holds %d snapshots, peak pending slots %d", ctx, len(e.snaps), *peak)
 	}
 }
 
@@ -286,50 +250,27 @@ func countNonzero(xs []int32) int {
 }
 
 func TestDeferredPoolInvariants(t *testing.T) {
-	type inst struct {
-		name string
-		eng  func() (Engine, func() poolView)
-	}
-	for _, in := range []inst{
-		{"flat", func() (Engine, func() poolView) {
-			e := NewOptimized()
-			return e, func() poolView { return flatPool(e) }
-		}},
-		{"tree", func() (Engine, func() poolView) {
-			e := NewOptimizedTree()
-			return e, func() poolView { return treePool(e) }
-		}},
-		{"hybrid", func() (Engine, func() poolView) {
-			e := NewOptimizedHybrid()
-			return e, func() poolView { return hybridPool(e) }
-		}},
-		{"auto", func() (Engine, func() poolView) {
-			e := newOptimizedAutoWidth(3)
-			return e, func() poolView { return hybridPool(e) }
-		}},
-	} {
-		t.Run(in.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(4242))
-			deferred := int64(0)
-			for iter := 0; iter < 150; iter++ {
-				tr := testutil.RandomTrace(r, testutil.GenOpts{
-					Threads: 2 + r.Intn(5), Vars: 1 + r.Intn(6), Locks: 1 + r.Intn(2),
-					Steps: 20 + r.Intn(150), TxnBias: r.Intn(10),
-				})
-				eng, view := in.eng()
-				peak := 0
-				for i, e := range tr.Events {
-					v := eng.Process(e)
-					view().check(t, fmt.Sprintf("%s iter %d event %d", in.name, iter, i), &peak)
-					if v != nil {
-						break
-					}
+	t.Run("flat", func(t *testing.T) {
+		r := rand.New(rand.NewSource(4242))
+		deferred := int64(0)
+		for iter := 0; iter < 150; iter++ {
+			tr := testutil.RandomTrace(r, testutil.GenOpts{
+				Threads: 2 + r.Intn(5), Vars: 1 + r.Intn(6), Locks: 1 + r.Intn(2),
+				Steps: 20 + r.Intn(150), TxnBias: r.Intn(10),
+			})
+			eng := NewOptimized()
+			peak := 0
+			for i, e := range tr.Events {
+				v := eng.Process(e)
+				checkPool(t, fmt.Sprintf("iter %d event %d", iter, i), eng, &peak)
+				if v != nil {
+					break
 				}
-				deferred += eng.(StatsReporter).Stats().FlushesDeferred
 			}
-			if deferred == 0 {
-				t.Fatal("random traces never deferred a flush")
-			}
-		})
-	}
+			deferred += eng.Stats().FlushesDeferred
+		}
+		if deferred == 0 {
+			t.Fatal("random traces never deferred a flush")
+		}
+	})
 }

@@ -2,10 +2,10 @@ package core
 
 // Native Go fuzzing of engine agreement: fuzz inputs decode into
 // well-formed traces through internal/testutil's byte-program VM, and the
-// reference Algorithm 1 engine plus all three clock representations of the
-// Algorithm 3 engine must agree. The corpus is seeded with the paper's
-// worked traces (ρ1–ρ4) and one injected-violation workload per tracegen
-// -inject mode, each encoded losslessly into the byte format.
+// reference Algorithm 1 engine and the Algorithm 3 engine must agree. The
+// corpus is seeded with the paper's worked traces (ρ1–ρ4) and one
+// injected-violation workload per tracegen -inject mode, each encoded
+// losslessly into the byte format.
 //
 // Run long with:
 //
@@ -49,9 +49,8 @@ func fuzzSeeds(f testing.TB) [][]byte {
 		}
 		seeds = append(seeds, enc)
 	}
-	// The phase-shift shape seeds the corpus with demote-then-repromote
-	// dynamics, so mutations explore around the representation-switch
-	// boundaries of the hybrid and Auto engines.
+	// The phase-shift shape seeds a chain burst followed by a sharded
+	// steady state, so mutations explore around the change of shape.
 	phase := testutil.PhaseShiftTrace(testutil.PhaseShiftOpts{
 		Threads: 5, BurstRounds: 4, SteadyRounds: 12, OpsPerTxn: 3,
 	})
@@ -90,55 +89,15 @@ func fuzzSeeds(f testing.TB) [][]byte {
 }
 
 // FuzzDifferentialEngines decodes fuzz bytes into a well-formed trace and
-// fails on any divergence between the engines: the Basic reference and the
-// optimized engine must agree on the verdict (with the optimized detection
-// point earlier or equal — laziness never reports later), and the flat,
-// tree and hybrid representations of the optimized engine must agree
-// bit-for-bit on verdict, violation index, check kind, events processed,
-// and GC decisions.
+// fails on any divergence between the Basic reference and the optimized
+// engine: they must agree on the verdict, with the optimized detection
+// point earlier or equal — laziness never reports later.
 func FuzzDifferentialEngines(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := testutil.TraceFromBytes(data)
-
-		basic := NewBasic()
-		vBasic, _ := Run(basic, tr.Cursor())
-
-		reps := allRepEngines()
-		ref := reps[0]
-		vRef, nRef := Run(ref.eng, tr.Cursor())
-		refFull, refColl := ref.stats()
-
-		// Basic vs optimized: same verdict, detection point ≤ Basic's.
-		if (vBasic != nil) != (vRef != nil) {
-			t.Fatalf("verdict divergence: basic violation=%v optimized violation=%v\nbasic=%v optimized=%v",
-				vBasic != nil, vRef != nil, vBasic, vRef)
-		}
-		if vBasic != nil && vRef.Index > vBasic.Index {
-			t.Fatalf("optimized detected later than basic: %d > %d", vRef.Index, vBasic.Index)
-		}
-
-		// Representations: bit-identical observable behavior.
-		for _, rep := range reps[1:] {
-			v, n := Run(rep.eng, tr.Cursor())
-			if (vRef != nil) != (v != nil) {
-				t.Fatalf("verdict divergence: %s violation=%v %s violation=%v",
-					ref.name, vRef != nil, rep.name, v != nil)
-			}
-			if vRef != nil && (vRef.Index != v.Index || vRef.Check != v.Check) {
-				t.Fatalf("violation divergence: %s (index %d, %v) %s (index %d, %v)",
-					ref.name, vRef.Index, vRef.Check, rep.name, v.Index, v.Check)
-			}
-			if nRef != n {
-				t.Fatalf("processed divergence: %s %d %s %d", ref.name, nRef, rep.name, n)
-			}
-			full, coll := rep.stats()
-			if refFull != full || refColl != coll {
-				t.Fatalf("GC divergence: %s (%d,%d) %s (%d,%d)",
-					ref.name, refFull, refColl, rep.name, full, coll)
-			}
-		}
+		assertBasicAgreement(t, "fuzz", func() trace.Source { return tr.Cursor() })
 	})
 }

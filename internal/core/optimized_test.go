@@ -59,9 +59,8 @@ func TestGCStatsPureChain(t *testing.T) {
 	if v, _ := Run(eng, b.Build().Cursor()); v != nil {
 		t.Fatalf("unexpected violation: %v", v)
 	}
-	full, collected := eng.EndStats()
-	if full != 0 || collected != 50 {
-		t.Fatalf("EndStats = (%d,%d), want all 50 collected", full, collected)
+	if s := eng.Stats(); s.EndsFull != 0 || s.EndsCollected != 50 {
+		t.Fatalf("ends (%d full, %d collected), want all 50 collected", s.EndsFull, s.EndsCollected)
 	}
 }
 
@@ -79,11 +78,10 @@ func TestGCStatsTaintedChain(t *testing.T) {
 	if v, _ := Run(eng, b.Build().Cursor()); v != nil {
 		t.Fatalf("unexpected violation: %v", v)
 	}
-	full, collected := eng.EndStats()
 	// t1's first transaction is clean (nothing read); t2's transactions and
 	// t1's later ones (which absorb t2's writes via W_x) are all tainted.
-	if full < 35 {
-		t.Fatalf("EndStats = (%d,%d): expected mostly full-path ends", full, collected)
+	if s := eng.Stats(); s.EndsFull < 35 {
+		t.Fatalf("ends (%d full, %d collected): expected mostly full-path ends", s.EndsFull, s.EndsCollected)
 	}
 }
 
@@ -194,4 +192,139 @@ func TestOptimizedLockEndPropagation(t *testing.T) {
 		Acquire(t2, l).Release(t2, l).
 		Begin(t2).Read(t2, x).Write(t2, x).End(t2)
 	runAllEngines(t, b.Build(), false, "lock end propagation")
+}
+
+// TestEpochFastPathStats is a white-box check that the epoch fast path is
+// not only sound but actually taken: repeated reads of the same variable
+// under an unchanged write clock must not touch the reader's clock.
+func TestEpochFastPathStats(t *testing.T) {
+	b := trace.NewBuilder()
+	t1, t2 := b.Thread("t1"), b.Thread("t2")
+	x := b.Var("x")
+	b.Write(t1, x) // unary write: flushes W_x
+	b.Begin(t2)
+	for i := 0; i < 50; i++ {
+		b.Read(t2, x)
+	}
+	b.End(t2)
+	eng := NewOptimized()
+	if v, _ := Run(eng, b.Build().Cursor()); v != nil {
+		t.Fatalf("unexpected violation: %v", v)
+	}
+	// After the first read absorbed W_x, every further read must hit the
+	// epoch slot: same source clock, same version, same begin stamp.
+	v := &eng.vars[x]
+	if v.slot.thread != int32(t2) || v.slot.src != eng.vars[x].w {
+		t.Fatalf("epoch slot not recorded: %+v", v.slot)
+	}
+	if got := eng.vars[x].w.Ver(); v.slot.srcVer != got {
+		t.Fatalf("epoch slot version stale: slot %d clock %d", v.slot.srcVer, got)
+	}
+}
+
+// TestRepromotionStaleClaimTrace replays the regression trace of a
+// version-stream bug in the hybrid clock representation this package once
+// had: thread 0 absorbs thread 1's live clock, t1's clock then moves on
+// through a chain burst and a long private steady state, and finally a
+// three-transaction cycle T7→T1→T0→T7 closes through content t0 can only
+// learn from t1's clock as it is now. On flat clocks t0 enters the cycle
+// holding a stale epoch about C_t1 (y's slot, at an old version); epochs
+// are kept per variable, lock and thread, so the phase-D read of v1 goes
+// through a fresh slot, and the trace pins the verdict: every engine must
+// take the join that carries t7's begin stamp and report the violation
+// where Basic does.
+func TestRepromotionStaleClaimTrace(t *testing.T) {
+	b := trace.NewBuilder()
+	const n = 8
+	th := make([]trace.ThreadID, n)
+	for i := range th {
+		th[i] = b.Thread("t" + string(rune('0'+i)))
+	}
+	y, v1, w7, q0 := b.Var("y"), b.Var("v1"), b.Var("w7"), b.Var("q0")
+	tok := make([]trace.VarID, n)
+	priv := make([]trace.VarID, n)
+	for i := range tok {
+		tok[i] = b.Var("tok" + string(rune('0'+i)))
+		priv[i] = b.Var("priv" + string(rune('0'+i)))
+	}
+	for i := 1; i < n; i++ {
+		b.Fork(th[0], th[i])
+	}
+	// A: pump t1's clock version well past the epoch t0 is about to
+	// record, then let t0 absorb t1's live clock mid-transaction.
+	for i := 0; i < 120; i++ {
+		b.Begin(th[1])
+		b.Write(th[1], y)
+		b.End(th[1])
+	}
+	b.Begin(th[1])
+	b.Write(th[1], y)
+	b.Begin(th[0])
+	b.Read(th[0], y) // t0 ⊔= C_t1 (live): epoch recorded in y's slot
+	b.End(th[0])
+	b.End(th[1])
+	// B: chain burst among t1..t6.
+	for r := 0; r < 8; r++ {
+		for w := 1; w <= 6; w++ {
+			prev := w - 1
+			if prev < 1 {
+				prev = 6
+			}
+			b.Begin(th[w])
+			b.Read(th[w], tok[prev])
+			b.Write(th[w], tok[w])
+			b.End(th[w])
+		}
+	}
+	// C: sharded steady state on t1's private variables.
+	for r := 0; r < 30; r++ {
+		b.Begin(th[1])
+		b.Write(th[1], priv[1])
+		b.Read(th[1], priv[1])
+		b.Write(th[1], priv[2])
+		b.End(th[1])
+	}
+	// D: the exposing cycle. t7's begin stamp travels t7→t1→t0 only
+	// through t1's current clock.
+	b.Begin(th[7])
+	b.Write(th[7], w7)
+	b.Begin(th[1])
+	b.Read(th[1], w7) // t1 ⊔= C_t7 (live)
+	b.Write(th[1], v1)
+	b.Begin(th[0])
+	b.Read(th[0], v1) // t0 ⊔= C_t1 (live): the join a stale epoch would skip
+	b.Write(th[0], q0)
+	b.Read(th[7], q0) // cycle closes: violation in every correct engine
+	b.End(th[7])
+	b.End(th[1])
+	b.End(th[0])
+	tr := b.Build()
+
+	// The fixture must leave t0 holding an out-of-date epoch about C_t1
+	// right before D, or it guards nothing.
+	probe := NewOptimized()
+	cur := tr.Cursor()
+	for i := 0; i < len(tr.Events)-12; i++ {
+		e, _ := cur.Next()
+		probe.Process(e)
+	}
+	slot := probe.vars[y].slot
+	if slot.thread != int32(th[0]) || slot.src != probe.threads[th[1]].c {
+		t.Fatalf("fixture rot: y's epoch slot %+v does not name t0 absorbing C_t1", slot)
+	}
+	if slot.srcVer >= probe.threads[th[1]].c.Ver() {
+		t.Fatalf("fixture rot: t0's epoch about C_t1 (version %d) is not stale (now %d)",
+			slot.srcVer, probe.threads[th[1]].c.Ver())
+	}
+
+	vb, _ := Run(NewBasic(), tr.Cursor())
+	if vb == nil {
+		t.Fatal("fixture rot: the exposing cycle no longer violates")
+	}
+	for _, algo := range []Algorithm{AlgoReadOpt, AlgoOptimized} {
+		v, _ := Run(New(algo), tr.Cursor())
+		if v == nil || v.Index != vb.Index || v.Check != vb.Check {
+			t.Fatalf("%v: violation = %+v, want %v at index %d as Basic", algo, v, vb.Check, vb.Index)
+		}
+	}
 }

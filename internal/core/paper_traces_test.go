@@ -208,7 +208,7 @@ func TestOptimizedEarlierOnRho3(t *testing.T) {
 // still active) AeroDrome reports nothing — Theorem 3 only promises
 // detection when all but at most one witness transaction is complete. The
 // graph-based oracle does consider this prefix non-serializable; the
-// difference is pinned down here and discussed in DESIGN.md.
+// difference is pinned down here.
 func TestTruncatedRho3NoReport(t *testing.T) {
 	full := testutil.Rho3()
 	prefix := &trace.Trace{}

@@ -1,11 +1,10 @@
 package core
 
 // Differential coverage for the PR 7 scenario-zoo trace shapes
-// (producer-consumer, barrier phases, lock convoy, quota-thrash): every
-// clock representation of the Optimized engine must agree bit-for-bit on
-// the workload generators' streams — clean and with every injected
-// violation — and the Basic reference must agree on the verdict with a
-// detection point no earlier than the optimized engines'. The same
+// (producer-consumer, barrier phases, lock convoy, quota-thrash): on the
+// workload generators' streams — clean and with every injected violation —
+// the Basic reference and the Optimized engine must agree on the verdict,
+// with a detection point no earlier than the optimized engine's. The same
 // shapes' deterministic testutil builders run through the identical
 // comparison, so both the rng-driven and the builder paths are pinned.
 
@@ -53,7 +52,6 @@ func TestShapePatternAgreementAcrossEngines(t *testing.T) {
 				}
 				tr := trace.Collect(workload.New(cfg))
 				src := func() trace.Source { return tr.Cursor() }
-				assertRepAgreement(t, cfg.Name, src)
 				assertBasicAgreement(t, cfg.Name, src)
 			})
 		}
@@ -81,7 +79,6 @@ func TestShapeBuilderAgreementAcrossEngines(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			src := func() trace.Source { return tc.tr.Cursor() }
-			assertRepAgreement(t, tc.name, src)
 			assertBasicAgreement(t, tc.name, src)
 			if v, _ := Run(NewBasic(), tc.tr.Cursor()); v != nil {
 				t.Fatalf("builder shape must be serializable, got %v", v)

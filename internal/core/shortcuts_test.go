@@ -1,9 +1,8 @@
 package core
 
-// White-box replay of the O(1) shortcuts of OptimizedOn: after every event
+// White-box replay of the O(1) shortcuts of Optimized: after every event
 // each shortcut must give the answer of the full computation it stands
-// for. The replay runs the generic engine, the source of the generated
-// flat and hybrid specializations, on every representation.
+// for.
 
 import (
 	"fmt"
@@ -25,7 +24,7 @@ import (
 //  2. rx ⊑ C_rxAbs for every variable whose absorb epoch is live;
 //  3. every update-set mark agrees with the update sets themselves: a
 //     running transaction is listed for x exactly when x is in its set.
-func checkShortcuts[C clockRep[C]](t *testing.T, ctx string, b *OptimizedOn[C]) {
+func checkShortcuts(t *testing.T, ctx string, b *Optimized) {
 	t.Helper()
 	clocks := make([]vc.Clock, len(b.threads))
 	for u := range b.threads {
@@ -77,7 +76,7 @@ func checkShortcuts[C clockRep[C]](t *testing.T, ctx string, b *OptimizedOn[C]) 
 
 // replayShortcuts feeds tr to eng, checking the shortcuts after every event
 // until the first violation (the handler that reports one stops midway).
-func replayShortcuts[C clockRep[C]](t *testing.T, ctx string, eng *OptimizedOn[C], tr *trace.Trace) {
+func replayShortcuts(t *testing.T, ctx string, eng *Optimized, tr *trace.Trace) {
 	t.Helper()
 	for i, e := range tr.Events {
 		if eng.Process(e) != nil {
@@ -85,13 +84,6 @@ func replayShortcuts[C clockRep[C]](t *testing.T, ctx string, eng *OptimizedOn[C
 		}
 		checkShortcuts(t, fmt.Sprintf("%s event %d", ctx, i), eng)
 	}
-}
-
-// newOptimizedGenericAuto instantiates the generic engine with the Auto
-// engine's width-adaptive thread clocks.
-func newOptimizedGenericAuto(threshold int) *OptimizedOn[*hybridClock] {
-	a := newOptimizedAutoWidth(threshold)
-	return &OptimizedOn[*hybridClock]{newClock: a.newClock, newAux: a.newAux, name: a.name, repStats: a.repStats}
 }
 
 // shortcutCorpus is the replay input: the fuzz corpus seeds, the golden
@@ -132,13 +124,9 @@ func TestShortcutsMatchFullComputation(t *testing.T) {
 	corpus := shortcutCorpus(t)
 	var skipped int64
 	for name, tr := range corpus {
-		flat := newOptimizedGenericFlat()
-		replayShortcuts(t, "flat "+name, flat, tr)
-		tree := NewOptimizedTree()
-		replayShortcuts(t, "tree "+name, tree, tr)
-		replayShortcuts(t, "hybrid "+name, newOptimizedGenericHybrid(), tr)
-		replayShortcuts(t, "auto "+name, newOptimizedGenericAuto(3), tr)
-		skipped += flat.joinsSkipped + tree.joinsSkipped
+		eng := NewOptimized()
+		replayShortcuts(t, name, eng, tr)
+		skipped += eng.joinsSkipped
 	}
 	if skipped == 0 {
 		t.Fatal("the corpus never took a shortcut")

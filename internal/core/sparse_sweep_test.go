@@ -87,9 +87,9 @@ func BenchmarkSparsePromoteThreshold(b *testing.B) {
 }
 
 // TestSparsePromoteThresholdSemanticInvariance sweeps the threshold across
-// its extremes and requires bit-identical outcomes from every engine on
-// read-heavy, phase-shift and injected-violation traces: the knob may only
-// move constants, never verdicts, indices or GC decisions.
+// its extremes and requires bit-identical outcomes from the Algorithm 3
+// engine on read-heavy, phase-shift and injected-violation traces: the
+// knob may only move constants, never verdicts or indices.
 func TestSparsePromoteThresholdSemanticInvariance(t *testing.T) {
 	defer func(old int) { vc.PromoteThreshold = old }(vc.PromoteThreshold)
 	traces := map[string]*trace.Trace{
@@ -117,20 +117,15 @@ func TestSparsePromoteThresholdSemanticInvariance(t *testing.T) {
 		var want outcome
 		for i, threshold := range []int{1, 4, 12, 16, 32, 1 << 20} {
 			vc.PromoteThreshold = threshold
-			for _, rep := range allRepEngines() {
-				v, n := Run(rep.eng, tr.Cursor())
-				got := outcome{violated: v != nil, n: n}
-				if v != nil {
-					got.index, got.check = v.Index, v.Check
-				}
-				if i == 0 && rep.name == "flat" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("%s: threshold %d engine %s: outcome %+v, want %+v",
-						name, threshold, rep.name, got, want)
-				}
+			v, n := Run(NewOptimized(), tr.Cursor())
+			got := outcome{violated: v != nil, n: n}
+			if v != nil {
+				got.index, got.check = v.Index, v.Check
+			}
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: threshold %d: outcome %+v, want %+v", name, threshold, got, want)
 			}
 		}
 	}

@@ -2,7 +2,7 @@ package core
 
 // Engine introspection: counters for the internal rates the engines'
 // optimizations stand on — epoch fast-path hits, sparse-accumulator
-// promotions, hybrid representation transitions, GC'd transaction ends.
+// promotions, GC'd transaction ends, deferred and skipped joins.
 // The tuning work in ROADMAP items 1 and 5 needs these rates observable
 // in production (/metrics), in the CLI (-stats) and on bench rows, not
 // just derivable in a debugger.
@@ -22,14 +22,13 @@ type EngineStats struct {
 	// SparsePromotions counts ȒR_x accumulators (vc.Sparse) that
 	// outgrew the association list and promoted to dense clocks.
 	SparsePromotions int64
-	// TreeDemotions / TreeRepromotions count hybrid thread clocks
-	// demoting tree→flat under join churn and re-promoting after the
-	// hysteresis quiet streak; WidthPromotions counts Auto thread clocks
-	// promoting flat→tree when the observed width crossed the threshold.
-	// All three are zero for the uniform flat/tree engines.
-	TreeDemotions    int64
-	TreeRepromotions int64
-	WidthPromotions  int64
+	// WidthPromotions is always zero.
+	//
+	// Deprecated: it counted the removed width-adaptive engine's flat→tree
+	// promotions. The field stays because the benchmark module
+	// (benchmark/layers.go), which builds against this package and is
+	// changed only on its own, still reads it.
+	WidthPromotions int64
 	// FlushesDeferred counts end-event W_x/R_x flushes recorded as pending
 	// snapshots instead of joins; FlushesSettled counts pending snapshots
 	// later joined in because the full clock was consulted. Deferred minus
@@ -59,9 +58,6 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.EndsFull += o.EndsFull
 	s.EndsCollected += o.EndsCollected
 	s.SparsePromotions += o.SparsePromotions
-	s.TreeDemotions += o.TreeDemotions
-	s.TreeRepromotions += o.TreeRepromotions
-	s.WidthPromotions += o.WidthPromotions
 	s.FlushesDeferred += o.FlushesDeferred
 	s.FlushesSettled += o.FlushesSettled
 	s.JoinsSkipped += o.JoinsSkipped
@@ -72,14 +68,4 @@ func (s *EngineStats) Add(o EngineStats) {
 // ReadOpt have no fast paths to count.
 type StatsReporter interface {
 	Stats() EngineStats
-}
-
-// repStats is the hybrid-representation transition accounting, shared
-// between an engine and every thread clock its constructor hands out
-// (thread clocks outlive any single call site, so the counters cannot
-// live on the engine struct alone).
-type repStats struct {
-	demotions       int64
-	repromotions    int64
-	widthPromotions int64
 }

@@ -1,8 +1,7 @@
 package core
 
 // White-box tests for the engine introspection counters (EngineStats):
-// the rates must track the representation dynamics the other white-box
-// suites pin, and stay coherent (hits+misses cover every guarded check,
+// the rates must stay coherent (hits+misses cover every guarded check,
 // ends split exactly into full/collected).
 
 import (
@@ -20,26 +19,30 @@ func TestStatsEpochAndEndCounters(t *testing.T) {
 		Events: 20000, OpsPerTxn: 4, Pattern: workload.PatternSharded,
 		TxnFraction: 0.5, Inject: workload.ViolationNone, Seed: 7,
 	}
-	for _, eng := range []Engine{NewOptimized(), NewOptimizedTree(), NewOptimizedHybrid(), NewOptimizedAuto()} {
-		v, n := Run(eng, workload.New(cfg))
-		if v != nil {
-			t.Fatalf("%s: unexpected violation %v", eng.Name(), v)
+	tr := trace.Collect(workload.New(cfg))
+	eng := NewOptimized()
+	v, n := Run(eng, tr.Cursor())
+	if v != nil {
+		t.Fatalf("unexpected violation %v", v)
+	}
+	s := eng.Stats()
+	if s.EpochHits == 0 {
+		t.Errorf("no epoch fast-path hits over %d events", n)
+	}
+	if s.EpochMisses == 0 {
+		t.Error("no epoch misses — every first absorb is a miss")
+	}
+	if rate := s.EpochHitRate(); rate <= 0 || rate >= 1 {
+		t.Errorf("hit rate %v outside (0,1)", rate)
+	}
+	ends := int64(0)
+	for _, e := range tr.Events {
+		if e.Kind == trace.End {
+			ends++
 		}
-		s := eng.(StatsReporter).Stats()
-		if s.EpochHits == 0 {
-			t.Errorf("%s: no epoch fast-path hits over %d events", eng.Name(), n)
-		}
-		if s.EpochMisses == 0 {
-			t.Errorf("%s: no epoch misses — every first absorb is a miss", eng.Name())
-		}
-		if rate := s.EpochHitRate(); rate <= 0 || rate >= 1 {
-			t.Errorf("%s: hit rate %v outside (0,1)", eng.Name(), rate)
-		}
-		full, collected := eng.(interface{ EndStats() (int64, int64) }).EndStats()
-		if s.EndsFull != full || s.EndsCollected != collected {
-			t.Errorf("%s: Stats ends (%d,%d) disagree with EndStats (%d,%d)",
-				eng.Name(), s.EndsFull, s.EndsCollected, full, collected)
-		}
+	}
+	if s.EndsFull+s.EndsCollected != ends {
+		t.Errorf("ends %d full + %d collected, want the trace's %d ends", s.EndsFull, s.EndsCollected, ends)
 	}
 }
 
@@ -82,53 +85,14 @@ func TestStatsSparsePromotions(t *testing.T) {
 	}
 }
 
-func TestStatsRepresentationTransitions(t *testing.T) {
-	// The phase-shift fixture demotes hybrid thread clocks in the chain
-	// burst and re-promotes them in the sharded steady state.
-	eng := NewOptimizedHybrid()
-	if v, _ := Run(eng, phaseShift().Cursor()); v != nil {
-		t.Fatalf("unexpected violation: %v", v)
-	}
-	s := eng.Stats()
-	if s.TreeDemotions == 0 {
-		t.Fatalf("phase shift demoted nothing: %+v", s)
-	}
-	if s.TreeRepromotions == 0 {
-		t.Fatalf("steady state re-promoted nothing: %+v", s)
-	}
-	if s.WidthPromotions != 0 {
-		t.Fatalf("plain hybrid counted Auto width promotions: %+v", s)
-	}
-
-	// Auto with a small threshold crosses the width cutover and counts it.
-	auto := newOptimizedAutoWidth(4)
-	if v, _ := Run(auto, phaseShift().Cursor()); v != nil {
-		t.Fatalf("unexpected violation: %v", v)
-	}
-	if s := auto.Stats(); s.WidthPromotions == 0 {
-		t.Fatalf("auto(threshold=4) on 8 threads counted no width promotions: %+v", s)
-	}
-
-	// Uniform engines report zero representation transitions.
-	flat := NewOptimized()
-	if v, _ := Run(flat, phaseShift().Cursor()); v != nil {
-		t.Fatalf("unexpected violation: %v", v)
-	}
-	if s := flat.Stats(); s.TreeDemotions != 0 || s.TreeRepromotions != 0 || s.WidthPromotions != 0 {
-		t.Fatalf("flat engine reports representation transitions: %+v", s)
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
 	a := EngineStats{EpochHits: 1, EpochMisses: 2, EndsFull: 3, EndsCollected: 4,
-		SparsePromotions: 5, TreeDemotions: 6, TreeRepromotions: 7, WidthPromotions: 8,
-		FlushesDeferred: 9, FlushesSettled: 10, JoinsSkipped: 11}
+		SparsePromotions: 5, FlushesDeferred: 9, FlushesSettled: 10, JoinsSkipped: 11}
 	var sum EngineStats
 	sum.Add(a)
 	sum.Add(a)
 	if sum.EpochHits != 2 || sum.EpochMisses != 4 || sum.EndsFull != 6 ||
 		sum.EndsCollected != 8 || sum.SparsePromotions != 10 ||
-		sum.TreeDemotions != 12 || sum.TreeRepromotions != 14 || sum.WidthPromotions != 16 ||
 		sum.FlushesDeferred != 18 || sum.FlushesSettled != 20 || sum.JoinsSkipped != 22 {
 		t.Fatalf("Add drifted: %+v", sum)
 	}

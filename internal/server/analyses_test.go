@@ -70,7 +70,7 @@ func postCheckAnalyses(t *testing.T, ts *httptest.Server, body []byte, analyses 
 
 func TestCheckAnalysesDualVerdicts(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	want, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(dualSTD), aerodrome.Auto,
+	want, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(dualSTD), aerodrome.Optimized,
 		[]aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestSessionCreateUnknownAnalysisRejected(t *testing.T) {
 
 func TestSessionDualAnalysis(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	want, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(dualSTD), aerodrome.Auto,
+	want, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(dualSTD), aerodrome.Optimized,
 		[]aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestSessionDefaultSetWireUnchanged(t *testing.T) {
 // the per-analysis verdicts must flow back.
 func TestRouterSessionAnalysesPassthrough(t *testing.T) {
 	c := newTestCluster(t, 2, Config{})
-	want, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(dualSTD), aerodrome.Auto,
+	want, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(dualSTD), aerodrome.Optimized,
 		[]aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace})
 	if err != nil {
 		t.Fatal(err)

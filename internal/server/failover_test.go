@@ -518,7 +518,7 @@ func TestClientTimeout(t *testing.T) {
 func TestClientRingFallback(t *testing.T) {
 	_, backendTS := newTestServer(t, Config{})
 	std := []byte("t1|begin|0\nt1|w(x)|1\nt1|end|0\n")
-	want := wantReport(t, std, aerodrome.Auto)
+	want := wantReport(t, std, aerodrome.Optimized)
 
 	// A "router" that publishes the ring but fails every check.
 	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -43,8 +43,7 @@ type metrics struct {
 
 	// engineMu guards insertion into engines; the counters themselves are
 	// atomic. Keyed by engine name, counting how often each engine was
-	// selected (one per /v1/check and one per session) — the observability
-	// for the `auto` default.
+	// selected (one per /v1/check and one per session).
 	engineMu sync.Mutex
 	engines  map[string]*atomic.Int64
 
@@ -139,15 +138,6 @@ func newMetrics() *metrics {
 	engineCounter("aerodromed_engine_sparse_promotions_total",
 		"Sparse read accumulators promoted to dense clocks.",
 		func(s aerodrome.EngineStats) int64 { return s.SparsePromotions })
-	engineCounter("aerodromed_engine_tree_demotions_total",
-		"Hybrid thread clocks demoted tree-to-flat under join churn.",
-		func(s aerodrome.EngineStats) int64 { return s.TreeDemotions })
-	engineCounter("aerodromed_engine_tree_repromotions_total",
-		"Hybrid thread clocks re-promoted after the hysteresis quiet streak.",
-		func(s aerodrome.EngineStats) int64 { return s.TreeRepromotions })
-	engineCounter("aerodromed_engine_width_promotions_total",
-		"Auto thread clocks promoted flat-to-tree on observed width.",
-		func(s aerodrome.EngineStats) int64 { return s.WidthPromotions })
 
 	stage := func(name string) *obs.Histogram {
 		h := &obs.Histogram{}

@@ -107,7 +107,7 @@ func TestRouterCheckGoldenAndPaperTraces(t *testing.T) {
 	}
 	served := map[string]bool{}
 	for name, std := range traces {
-		want := wantReport(t, std, aerodrome.Auto) // backend default algo is auto
+		want := wantReport(t, std, aerodrome.Optimized) // the backend default
 		rep, backend := postCheckKeyed(t, c.routerTS, std, name)
 		served[backend] = true
 		sameReport(t, name+"/std", rep, want)
@@ -303,7 +303,7 @@ func TestRouterBackendDiesMidSession(t *testing.T) {
 	if len(std) == 0 {
 		t.Fatal("golden trace sharded-cross missing")
 	}
-	want := wantReport(t, std, aerodrome.Auto)
+	want := wantReport(t, std, aerodrome.Optimized)
 	half := len(std) / 2
 	feedChunk := func(rs routedSession, chunk []byte) *http.Response {
 		t.Helper()

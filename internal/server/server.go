@@ -45,9 +45,7 @@ import (
 // Config tunes the server. The zero value selects the defaults.
 type Config struct {
 	// Algorithm is the default checking algorithm for requests that do not
-	// name one. Defaults to aerodrome.Auto: the server cannot know the
-	// thread width of the next trace, which is exactly the case the
-	// width-adaptive representation exists for.
+	// name one. Defaults to aerodrome.Optimized, the paper's Algorithm 3.
 	Algorithm aerodrome.Algorithm
 	// MaxSessions caps concurrent incremental sessions (default 1024);
 	// session creation beyond it is answered 429.
@@ -90,7 +88,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Algorithm == "" {
-		c.Algorithm = aerodrome.Auto
+		c.Algorithm = aerodrome.Optimized
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024

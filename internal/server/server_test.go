@@ -152,10 +152,10 @@ func TestServeCheckGoldenAndPaperTraces(t *testing.T) {
 		traces[name] = data
 	}
 	for name, std := range traces {
-		want := wantReport(t, std, aerodrome.Auto) // server default is auto
+		want := wantReport(t, std, aerodrome.Optimized) // the server default
 		sameReport(t, name+"/std", postCheck(t, ts, std, ""), want)
 		sameReport(t, name+"/bin", postCheck(t, ts, toBinary(t, std), ""), want)
-		for _, algo := range []aerodrome.Algorithm{aerodrome.Basic, aerodrome.Optimized, aerodrome.OptimizedHybrid} {
+		for _, algo := range []aerodrome.Algorithm{aerodrome.Basic, aerodrome.Optimized} {
 			w := wantReport(t, std, algo)
 			sameReport(t, name+"/"+string(algo), postCheck(t, ts, std, string(algo)), w)
 		}
@@ -195,7 +195,7 @@ func TestSessionIncrementalGoldenAndPaperTraces(t *testing.T) {
 		traces[name] = data
 	}
 	for name, std := range traces {
-		want := wantReport(t, std, aerodrome.Auto)
+		want := wantReport(t, std, aerodrome.Optimized)
 		// 997 splits lines mid-token; the tiny chunk hits every boundary
 		// on the small paper traces.
 		chunk := 997
@@ -344,6 +344,49 @@ func TestCheckRejectsUnknownAlgoAndBadBody(t *testing.T) {
 	}
 }
 
+// TestAlgoAliasesAndDefault: a request that names no algorithm runs the
+// Algorithm 3 engine, and so does every alias of it, on /v1/check and on
+// session create; /metrics counts every one of them under that engine's
+// name. An unknown name is still a 400 on both endpoints.
+func TestAlgoAliasesAndDefault(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	std := []byte("t1|begin|0\nt2|begin|0\nt1|w(x)|0\nt2|r(x)|0\nt2|w(y)|0\nt1|r(y)|0\nt1|end|0\nt2|end|0\n")
+	want := wantReport(t, std, aerodrome.Optimized)
+	if want.Algorithm != "aerodrome-optimized" || want.Serializable {
+		t.Fatalf("reference report %+v", want)
+	}
+	names := []string{"", "optimized", "auto", "hybrid", "treeclock"}
+	for _, algo := range names {
+		sameReport(t, "check algo="+algo, postCheck(t, ts, std, algo), want)
+		sameReport(t, "session algo="+algo, feedSession(t, ts, std, algo, 16), want)
+	}
+	for _, path := range []string{"/v1/check?algo=quantum", "/v1/sessions?algo=quantum"} {
+		resp, err := http.Post(ts.URL+path, "text/plain", bytes.NewReader(std))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s: HTTP %d, want 400", path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		EngineSelections map[string]int64 `json:"engine_selections"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&m)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.EngineSelections; len(got) != 1 || got["aerodrome-optimized"] != int64(2*len(names)) {
+		t.Fatalf("engine_selections = %v, want only aerodrome-optimized: %d", got, 2*len(names))
+	}
+}
+
 // TestBinarySignTargetIs400: an ADB1 record whose target has the sign bit
 // set is a malformed body on /v1/check and on a session feed, not a panic
 // that drops the connection, and the server keeps serving afterwards.
@@ -373,8 +416,8 @@ func TestBinarySignTargetIs400(t *testing.T) {
 		t.Fatalf("session feed: HTTP %d, want 400", resp.StatusCode)
 	}
 	std := []byte("t0|begin|0\nt0|w(x)|0\nt0|end|0\n")
-	sameReport(t, "check after", postCheck(t, ts, std, ""), wantReport(t, std, aerodrome.Auto))
-	sameReport(t, "session after", feedSession(t, ts, std, "", 7), wantReport(t, std, aerodrome.Auto))
+	sameReport(t, "check after", postCheck(t, ts, std, ""), wantReport(t, std, aerodrome.Optimized))
+	sameReport(t, "session after", feedSession(t, ts, std, "", 7), wantReport(t, std, aerodrome.Optimized))
 }
 
 func TestBodyTooLargeIs413(t *testing.T) {

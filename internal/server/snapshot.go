@@ -39,9 +39,6 @@ type EngineMetrics struct {
 	FlushesSettled   int64   `json:"flushes_settled"`
 	JoinsSkipped     int64   `json:"joins_skipped"`
 	SparsePromotions int64   `json:"sparse_promotions"`
-	TreeDemotions    int64   `json:"tree_demotions"`
-	TreeRepromotions int64   `json:"tree_repromotions"`
-	WidthPromotions  int64   `json:"width_promotions"`
 }
 
 func engineMetricsOf(s aerodrome.EngineStats) EngineMetrics {
@@ -55,9 +52,6 @@ func engineMetricsOf(s aerodrome.EngineStats) EngineMetrics {
 		FlushesSettled:   s.FlushesSettled,
 		JoinsSkipped:     s.JoinsSkipped,
 		SparsePromotions: s.SparsePromotions,
-		TreeDemotions:    s.TreeDemotions,
-		TreeRepromotions: s.TreeRepromotions,
-		WidthPromotions:  s.WidthPromotions,
 	}
 }
 
@@ -96,8 +90,7 @@ type MetricsSnapshot struct {
 	// Engine aggregates introspection counters settled from finished
 	// checks and from sessions at feed/finalize boundaries.
 	Engine EngineMetrics `json:"engine"`
-	// EngineSelections counts checks and sessions per engine name — the
-	// observability for the `auto` default.
+	// EngineSelections counts checks and sessions per engine name.
 	EngineSelections map[string]int64 `json:"engine_selections"`
 	EventsPerSecond  float64          `json:"events_per_second"`
 	EventsTotal      int64            `json:"events_total"`

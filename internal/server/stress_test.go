@@ -40,10 +40,10 @@ func TestConcurrentSessionStress(t *testing.T) {
 	}
 	var cases []tc
 	for name, std := range goldenSTD(t) {
-		cases = append(cases, tc{name, std, wantReport(t, std, aerodrome.Auto)})
+		cases = append(cases, tc{name, std, wantReport(t, std, aerodrome.Optimized)})
 	}
 	for name, std := range paperSTD(t) {
-		cases = append(cases, tc{name, std, wantReport(t, std, aerodrome.Auto)})
+		cases = append(cases, tc{name, std, wantReport(t, std, aerodrome.Optimized)})
 	}
 
 	const workers = 96

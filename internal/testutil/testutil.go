@@ -98,7 +98,7 @@ type GenOpts struct {
 	TxnBias int
 	// LockBias, when positive, funnels extra probability into lock
 	// acquire/release operations: the lock-heavy shapes whose dense
-	// release-acquire entanglement defeats tree-clock pruning.
+	// release-acquire entanglement widens every thread clock.
 	LockBias int
 	// MaxHeldLocks bounds how many locks a thread holds at once. Values
 	// above 1 produce properly nested critical sections (locks release in
@@ -267,13 +267,11 @@ type PhaseShiftOpts struct {
 	Threads int
 	// BurstRounds is the number of chain-burst rounds: every thread, in
 	// order, runs a transaction that reads the previous thread's token and
-	// writes its own — the densely entangled shape whose joins race past
-	// most of a tree clock and demote hybrid thread clocks to flat.
+	// writes its own — the densely entangled shape.
 	BurstRounds int
 	// SteadyRounds is the number of sharded steady-state rounds that
 	// follow: every thread runs a transaction over its private variables
-	// only — the shape where tree clocks win and demoted clocks should
-	// re-promote once their joins quiet down.
+	// only — the shape whose joins change nothing.
 	SteadyRounds int
 	// OpsPerTxn is the number of private accesses per steady-state
 	// transaction (default 4).
@@ -283,9 +281,8 @@ type PhaseShiftOpts struct {
 // PhaseShiftTrace builds the deterministic phase-shift shape: a chain
 // burst followed by a sharded steady state. The trace is conflict
 // serializable (token conflicts point forward only; steady-state accesses
-// are thread-private), so it isolates the representation dynamics —
-// demotion during the burst, hysteresis re-promotion during the steady
-// state — from verdict changes.
+// are thread-private), so it exercises the change of shape without a
+// verdict change.
 func PhaseShiftTrace(o PhaseShiftOpts) *trace.Trace {
 	if o.Threads < 2 {
 		o.Threads = 2
@@ -313,7 +310,7 @@ func PhaseShiftTrace(o PhaseShiftOpts) *trace.Trace {
 	// fork edge seeds every worker clock with a foreign component, so end
 	// events take the full-propagation path and the burst actually
 	// entangles the clocks (a forkless ring is garbage-collected whole and
-	// never exercises the representation dynamics).
+	// never propagates a clock).
 	for i := 1; i < o.Threads; i++ {
 		b.Fork(threads[0], threads[i])
 	}

@@ -6,7 +6,6 @@ package velodrome_test
 //
 //	index(velodrome-dfs) == index(velodrome-pk)       (same edge insertion)
 //	index(basic)        == index(readopt)             (exact equivalence)
-//	index(optimized)    == index(treeclock)           (representation-invariant)
 //	index(velodrome)    ≤ index(optimized) ≤ index(basic)
 //
 // Velodrome detects at cycle formation (the earliest sound point);
@@ -40,7 +39,6 @@ func runAllCheckers(tr *trace.Trace) []result {
 		core.NewOptimized(),
 		velodrome.New(),
 		velodrome.New(velodrome.WithStrategy("pearce-kelly")),
-		core.NewOptimizedTree(),
 	}
 	out := make([]result, len(engines))
 	for i, eng := range engines {
@@ -64,7 +62,7 @@ func describe(tr *trace.Trace) string {
 func checkAgreement(t *testing.T, tr *trace.Trace, iter int, withOracle bool) {
 	t.Helper()
 	rs := runAllCheckers(tr)
-	basic, readopt, opt, vdfs, vpk, optTree := rs[0], rs[1], rs[2], rs[3], rs[4], rs[5]
+	basic, readopt, opt, vdfs, vpk := rs[0], rs[1], rs[2], rs[3], rs[4]
 
 	for _, r := range rs[1:] {
 		if r.viol != basic.viol {
@@ -85,10 +83,6 @@ func checkAgreement(t *testing.T, tr *trace.Trace, iter int, withOracle bool) {
 	if basic.index != readopt.index {
 		t.Fatalf("iter %d: basic index %d != readopt index %d\n%s",
 			iter, basic.index, readopt.index, describe(tr))
-	}
-	if opt.index != optTree.index {
-		t.Fatalf("iter %d: optimized index %d != treeclock index %d\n%s",
-			iter, opt.index, optTree.index, describe(tr))
 	}
 	if vdfs.index != vpk.index {
 		t.Fatalf("iter %d: velodrome dfs %d != pk %d\n%s",

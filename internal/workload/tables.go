@@ -6,8 +6,8 @@ package workload
 // down by the harness cap, because the originals (up to 2.8B events / 181M
 // variables) come from hours-long RoadRunner logs. The *dynamics* of each
 // row — transaction retention in Velodrome's graph, absorption frequency,
-// violation position, verdict — are what the configurations preserve; see
-// DESIGN.md §5 for the substitution rationale.
+// violation position, verdict — are what the configurations preserve.
+// TestRowVerdictsMatchPaper pins each row's verdict to the paper's.
 
 // PaperRow pairs a workload configuration with the paper's reported
 // numbers, so the harness can print paper-vs-measured tables.

@@ -48,11 +48,8 @@ const (
 	// transactions at all) and tsp (312M events, 9 transactions).
 	PatternSharded Pattern = "sharded"
 	// PatternPhase is a phase-changing workload: a chain burst (densely
-	// entangled token passing, the shape that demotes hybrid tree clocks
-	// to flat) for the first PhaseSplit of the body, then a sharded steady
-	// state (thread-private accesses, where tree clocks win and demoted
-	// clocks should re-promote). Exercises the hysteresis levers of the
-	// adaptive clock representations.
+	// entangled token passing) for the first PhaseSplit of the body, then
+	// a sharded steady state (thread-private accesses).
 	PatternPhase Pattern = "phase"
 	// PatternProducerConsumer splits the workers into producers and
 	// consumers over a bounded ring of slot variables: each round one
@@ -75,8 +72,7 @@ const (
 	// a short critical section over a single shared variable, then private
 	// work outside the lock. The dense release→acquire chain entangles all
 	// thread clocks through a single lock clock — the convoy shape that
-	// defeats tree-clock pruning and keeps the lock's clock permanently
-	// hot.
+	// keeps the lock's clock permanently hot.
 	PatternConvoy Pattern = "convoy"
 	// PatternThrash is the adversarial admission shape: bursts of tiny
 	// one-write transactions, each touching a fresh, never-reused

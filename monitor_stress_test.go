@@ -29,7 +29,7 @@ func TestMonitorConcurrentStressSerializable(t *testing.T) {
 	)
 	var calls atomic.Int32
 	m := aerodrome.NewMonitor(
-		aerodrome.WithAlgorithm(aerodrome.Auto),
+		aerodrome.WithAlgorithm(aerodrome.Optimized),
 		aerodrome.OnViolation(func(*aerodrome.Violation) { calls.Add(1) }),
 	)
 	var wg sync.WaitGroup

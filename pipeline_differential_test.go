@@ -28,12 +28,9 @@ import (
 )
 
 // pipelineAlgos are the algorithms the differential suite replays. The
-// pipeline is engine-agnostic; one engine per detection-point class plus
-// the adaptive representations keeps the suite fast while covering every
-// dispatch shape.
-var pipelineAlgos = []aerodrome.Algorithm{
-	aerodrome.Basic, aerodrome.Optimized, aerodrome.OptimizedHybrid, aerodrome.Auto,
-}
+// pipeline is engine-agnostic; one engine per detection-point class keeps
+// the suite fast while covering every dispatch shape.
+var pipelineAlgos = []aerodrome.Algorithm{aerodrome.Basic, aerodrome.Optimized}
 
 // requireSameReport fails unless the two reports are observationally
 // identical.
@@ -88,10 +85,6 @@ func newInternalEngine(a aerodrome.Algorithm) core.Engine {
 	switch a {
 	case aerodrome.Basic:
 		return core.NewBasic()
-	case aerodrome.OptimizedHybrid:
-		return core.NewOptimizedHybrid()
-	case aerodrome.Auto:
-		return core.NewOptimizedAuto()
 	default:
 		return core.NewOptimized()
 	}
@@ -284,8 +277,6 @@ func FuzzPipelineDifferential(f *testing.F) {
 		if err := rapidio.WriteTrace(&std, tr); err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range []aerodrome.Algorithm{aerodrome.Optimized, aerodrome.Auto} {
-			assertPipelinedMatchesSequential(t, "fuzz", std.Bytes(), a)
-		}
+		assertPipelinedMatchesSequential(t, "fuzz", std.Bytes(), aerodrome.Optimized)
 	})
 }

@@ -109,15 +109,15 @@ func requireAtomicityByteIdentity(t *testing.T, ctx string, single, dual *aerodr
 // multi-analysis surface makes.
 func assertDualAnalysis(t *testing.T, name string, std []byte) {
 	t.Helper()
-	single, err := aerodrome.CheckSTD(bytes.NewReader(std), aerodrome.Auto)
+	single, err := aerodrome.CheckSTD(bytes.NewReader(std), aerodrome.Optimized)
 	if err != nil {
 		t.Fatalf("%s: single: %v", name, err)
 	}
-	dual, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(std), aerodrome.Auto, dualSet)
+	dual, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(std), aerodrome.Optimized, dualSet)
 	if err != nil {
 		t.Fatalf("%s: dual: %v", name, err)
 	}
-	piped, err := aerodrome.CheckReaderPipelinedAnalyses(bytes.NewReader(std), aerodrome.Auto, dualSet)
+	piped, err := aerodrome.CheckReaderPipelinedAnalyses(bytes.NewReader(std), aerodrome.Optimized, dualSet)
 	if err != nil {
 		t.Fatalf("%s: dual pipelined: %v", name, err)
 	}
@@ -129,7 +129,7 @@ func assertDualAnalysis(t *testing.T, name string, std []byte) {
 	requireAtomicityByteIdentity(t, name+" dual-pipelined", single, piped)
 
 	// The default set must remain literally the single-analysis path.
-	def, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(std), aerodrome.Auto, nil)
+	def, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(std), aerodrome.Optimized, nil)
 	if err != nil {
 		t.Fatalf("%s: default-set: %v", name, err)
 	}

@@ -124,8 +124,8 @@ leg_single() {
     local trace f local_out remote_out local_norm remote_norm
     for trace in sharded-none sharded-cross chain-lock phase-delayed; do
         f="testdata/golden/$trace.std"
-        local_out=$("$CLI" -q -algo auto "$f" 2>/dev/null || true)
-        remote_out=$("$CLI" -q -algo auto -remote "$BASE" "$f" 2>/dev/null || true)
+        local_out=$("$CLI" -q "$f" 2>/dev/null || true)
+        remote_out=$("$CLI" -q -remote "$BASE" "$f" 2>/dev/null || true)
         local_norm=$(normalize "$local_out" "$local_out")
         remote_norm=$(normalize "$remote_out" "$remote_out")
         if [ "$local_norm" != "$remote_norm" ]; then
@@ -236,8 +236,8 @@ leg_sharded() {
     local trace f local_out remote_out local_norm remote_norm
     for trace in sharded-none sharded-cross; do
         f="testdata/golden/$trace.std"
-        local_out=$("$CLI" -q -algo auto "$f" 2>/dev/null || true)
-        remote_out=$("$CLI" -q -algo auto -remote "$RBASE" -trace "$trace" "$f" 2>/dev/null || true)
+        local_out=$("$CLI" -q "$f" 2>/dev/null || true)
+        remote_out=$("$CLI" -q -remote "$RBASE" -trace "$trace" "$f" 2>/dev/null || true)
         local_norm=$(normalize "$local_out" "$local_out")
         remote_norm=$(normalize "$remote_out" "$remote_out")
         if [ "$local_norm" != "$remote_norm" ]; then
@@ -361,7 +361,7 @@ chaos_worker() {
     local prefix="$1" trace="$2" want="$3" iters="$4"
     local f="testdata/golden/$trace.std" got norm i
     for i in $(seq 1 "$iters"); do
-        got=$("$CLI" -q -algo auto -remote "$RBASE" -trace "$prefix-$i" \
+        got=$("$CLI" -q -remote "$RBASE" -trace "$prefix-$i" \
             -incremental -chunk-bytes 512 -retries 8 -timeout 10s "$f" \
             2>"$TMPDIR_E2E/$prefix-$i.err" || true)
         norm=$(normalize "$got" "$got")
@@ -399,9 +399,9 @@ leg_chaos() {
 
     # Local ground truth, computed once per trace.
     local lc ln WANT_CROSS WANT_NONE
-    lc=$("$CLI" -q -algo auto testdata/golden/sharded-cross.std 2>/dev/null || true)
+    lc=$("$CLI" -q testdata/golden/sharded-cross.std 2>/dev/null || true)
     WANT_CROSS=$(normalize "$lc" "$lc")
-    ln=$("$CLI" -q -algo auto testdata/golden/sharded-none.std 2>/dev/null || true)
+    ln=$("$CLI" -q testdata/golden/sharded-none.std 2>/dev/null || true)
     WANT_NONE=$(normalize "$ln" "$ln")
 
     # -- Phase A: kill -9 a backend under load -------------------------------

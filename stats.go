@@ -5,17 +5,14 @@ import (
 	"time"
 
 	"aerodrome/internal/core"
-	"aerodrome/internal/parcheck"
 	"aerodrome/internal/pipeline"
 	"aerodrome/internal/rapidio"
-	"aerodrome/internal/trace"
 )
 
 // EngineStats is a snapshot of the introspection counters behind one
 // checker's engine: the rates its optimizations stand on. All counters
 // are zero for engines without the corresponding machinery (Velodrome
-// and DoubleChecker report nothing; the flat and tree engines have no
-// representation transitions to count).
+// and DoubleChecker report nothing).
 type EngineStats struct {
 	// EpochHits / EpochMisses count conflict checks resolved by the
 	// FastTrack-style epoch fast path vs. falling through to the full
@@ -29,13 +26,6 @@ type EngineStats struct {
 	// SparsePromotions counts sparse read accumulators that outgrew the
 	// association list and promoted to dense clocks.
 	SparsePromotions int64 `json:"sparse_promotions"`
-	// TreeDemotions / TreeRepromotions count hybrid thread clocks
-	// demoting tree→flat under join churn and re-promoting after the
-	// hysteresis quiet streak; WidthPromotions counts Auto thread clocks
-	// promoting flat→tree when the observed width crossed the threshold.
-	TreeDemotions    int64 `json:"tree_demotions"`
-	TreeRepromotions int64 `json:"tree_repromotions"`
-	WidthPromotions  int64 `json:"width_promotions"`
 	// FlushesDeferred counts end-of-transaction clock flushes recorded as
 	// pending snapshots instead of joins; FlushesSettled counts pending
 	// snapshots later joined in because the full clock was consulted.
@@ -63,9 +53,6 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.EndsFull += o.EndsFull
 	s.EndsCollected += o.EndsCollected
 	s.SparsePromotions += o.SparsePromotions
-	s.TreeDemotions += o.TreeDemotions
-	s.TreeRepromotions += o.TreeRepromotions
-	s.WidthPromotions += o.WidthPromotions
 	s.FlushesDeferred += o.FlushesDeferred
 	s.FlushesSettled += o.FlushesSettled
 	s.JoinsSkipped += o.JoinsSkipped
@@ -80,9 +67,6 @@ func (s EngineStats) Sub(o EngineStats) EngineStats {
 		EndsFull:         s.EndsFull - o.EndsFull,
 		EndsCollected:    s.EndsCollected - o.EndsCollected,
 		SparsePromotions: s.SparsePromotions - o.SparsePromotions,
-		TreeDemotions:    s.TreeDemotions - o.TreeDemotions,
-		TreeRepromotions: s.TreeRepromotions - o.TreeRepromotions,
-		WidthPromotions:  s.WidthPromotions - o.WidthPromotions,
 		FlushesDeferred:  s.FlushesDeferred - o.FlushesDeferred,
 		FlushesSettled:   s.FlushesSettled - o.FlushesSettled,
 		JoinsSkipped:     s.JoinsSkipped - o.JoinsSkipped,
@@ -96,9 +80,6 @@ func statsFromCore(s core.EngineStats) EngineStats {
 		EndsFull:         s.EndsFull,
 		EndsCollected:    s.EndsCollected,
 		SparsePromotions: s.SparsePromotions,
-		TreeDemotions:    s.TreeDemotions,
-		TreeRepromotions: s.TreeRepromotions,
-		WidthPromotions:  s.WidthPromotions,
 		FlushesDeferred:  s.FlushesDeferred,
 		FlushesSettled:   s.FlushesSettled,
 		JoinsSkipped:     s.JoinsSkipped,
@@ -182,71 +163,4 @@ func checkPipelinedStats(src pipeline.BatchSource, a Algorithm) (*Report, CheckS
 		Algorithm:    eng.Name(),
 	}
 	return rep, cs, nil
-}
-
-// ParallelStats describes what CheckSTDParallelIntra's partitioner did
-// with a trace: how far the speculative sharding got and whether the
-// verdict came from parallel shards or a sequential replay.
-type ParallelStats struct {
-	// Shards is the number of engines that actually ran; 1 means the
-	// trace was checked sequentially.
-	Shards int `json:"shards"`
-	// Components is the number of independent components the scan found.
-	Components int `json:"components"`
-	// Relays is the number of relay (pure coordinator) threads.
-	Relays int `json:"relays"`
-	// Replicated counts relay–relay events copied into every shard.
-	Replicated int64 `json:"replicated"`
-	// Conflict reports that cross-shard clock flow forced a sequential
-	// replay; ConflictIndex is the global index of the offending event
-	// (-1 when Conflict is false).
-	Conflict      bool  `json:"conflict"`
-	ConflictIndex int64 `json:"conflict_index"`
-	// Replayed reports that the verdict came from a sequential pass
-	// (conflict, degenerate partition, or workers <= 1).
-	Replayed bool `json:"replayed"`
-}
-
-func parallelStatsFromInternal(s parcheck.Stats) ParallelStats {
-	return ParallelStats{
-		Shards:        s.Shards,
-		Components:    s.Components,
-		Relays:        s.Relays,
-		Replicated:    s.Replicated,
-		Conflict:      s.Conflict,
-		ConflictIndex: s.ConflictIndex,
-		Replayed:      s.Replayed,
-	}
-}
-
-// CheckSTDParallelIntraStats is CheckSTDParallelIntra returning the
-// partitioner's statistics alongside the report. When the algorithm has
-// no parallel partition path (or workers <= 1) the check runs
-// sequentially and the stats report Shards=1, Replayed=true.
-func CheckSTDParallelIntraStats(r io.Reader, a Algorithm, workers int) (*Report, ParallelStats, error) {
-	algo, ok := coreAlgorithm(a)
-	if !ok || workers <= 1 {
-		rep, err := CheckSTD(r, a)
-		return rep, ParallelStats{Shards: 1, ConflictIndex: -1, Replayed: true}, err
-	}
-	rd := rapidio.NewReader(r)
-	var events []trace.Event
-	for {
-		e, more := rd.Next()
-		if !more {
-			break
-		}
-		events = append(events, e)
-	}
-	if err := rd.Err(); err != nil {
-		return nil, ParallelStats{}, err
-	}
-	v, n, stats := parcheck.Check(events, algo, workers)
-	rep := &Report{
-		Serializable: v == nil,
-		Violation:    fromInternal(v),
-		Events:       n,
-		Algorithm:    algo.String(),
-	}
-	return rep, parallelStatsFromInternal(stats), nil
 }

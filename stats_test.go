@@ -28,21 +28,6 @@ func statsLog(threads, rounds int) string {
 	return b.String()
 }
 
-// privateLog builds a perfectly partitionable STD log: every thread
-// touches only its own variables.
-func privateLog(threads, rounds int) string {
-	var b strings.Builder
-	for r := 0; r < rounds; r++ {
-		for t := 1; t <= threads; t++ {
-			fmt.Fprintf(&b, "t%d|begin|0\n", t)
-			fmt.Fprintf(&b, "t%d|w(x%d)|0\n", t, t)
-			fmt.Fprintf(&b, "t%d|r(x%d)|0\n", t, t)
-			fmt.Fprintf(&b, "t%d|end|0\n", t)
-		}
-	}
-	return b.String()
-}
-
 func TestCheckerStats(t *testing.T) {
 	c := aerodrome.NewChecker(aerodrome.Optimized)
 	c.Begin(0)
@@ -177,29 +162,5 @@ func TestCheckReaderPipelinedStats(t *testing.T) {
 	}
 	if e := cs.Engine; e.FlushesDeferred != 12 || e.FlushesSettled != 11 {
 		t.Fatalf("flushes deferred %d, settled %d; want 12 and 11", e.FlushesDeferred, e.FlushesSettled)
-	}
-}
-
-func TestCheckSTDParallelIntraStats(t *testing.T) {
-	rep, ps, err := aerodrome.CheckSTDParallelIntraStats(
-		strings.NewReader(privateLog(4, 50)), aerodrome.Optimized, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Serializable {
-		t.Fatalf("privateLog must be serializable: %+v", rep.Violation)
-	}
-	// Fully thread-private variables partition perfectly.
-	if ps.Shards < 2 || ps.Components < 2 || ps.Replayed {
-		t.Fatalf("private-variable trace did not partition: %+v", ps)
-	}
-	// The sequential fallback still reports coherent stats.
-	_, ps, err = aerodrome.CheckSTDParallelIntraStats(
-		strings.NewReader(privateLog(4, 50)), aerodrome.Velodrome, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Shards != 1 || !ps.Replayed {
-		t.Fatalf("velodrome fallback stats off: %+v", ps)
 	}
 }

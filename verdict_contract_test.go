@@ -37,15 +37,13 @@ func TestBatchVerdictContract(t *testing.T) {
 		}
 		want := fmt.Sprintf("index %d, %s, thread %d, %d events",
 			ref.Violation.EventIndex, ref.Violation.Check, ref.Violation.Thread, ref.Events)
-		for _, a := range []aerodrome.Algorithm{aerodrome.Optimized, aerodrome.Auto} {
-			rep := check(a)
-			got := "clean"
-			if v := rep.Violation; v != nil {
-				got = fmt.Sprintf("index %d, %s, thread %d, %d events", v.EventIndex, v.Check, v.Thread, rep.Events)
-			}
-			if got != want {
-				t.Errorf("%d threads: %s reports %s, Velodrome %s", threads, a, got, want)
-			}
+		rep := check(aerodrome.Optimized)
+		got := "clean"
+		if v := rep.Violation; v != nil {
+			got = fmt.Sprintf("index %d, %s, thread %d, %d events", v.EventIndex, v.Check, v.Thread, rep.Events)
+		}
+		if got != want {
+			t.Errorf("%d threads: optimized reports %s, Velodrome %s", threads, got, want)
 		}
 	}
 }
