@@ -4,21 +4,23 @@
 //
 // Usage:
 //
-//	aerodrome [-algo optimized] [-format std] [-pipeline] [-stats] [trace-file]
+//	aerodrome [-algo optimized] [-format std] [-stats] [trace-file]
 //	aerodrome [-algo optimized] -parallel N trace-file...
 //	aerodrome [-algo optimized] -serve :8421
 //	aerodrome [-algo A] -remote http://host:8421 [-incremental] [trace-file]
 //
-// With no file argument the trace is read from standard input. -pipeline
-// overlaps parsing and checking on separate goroutines; -parallel N
+// With no file argument the trace is read from standard input. A local
+// check parses on one goroutine and checks on another (internal/pipeline),
+// with the verdict, violation index and event count of a sequential
+// check; -pipeline is still accepted and changes nothing. -parallel N
 // checks several trace files concurrently, one engine per trace, on N
 // workers (N < 0 selects one per CPU; the format of each file is
-// sniffed). -stats adds engine introspection lines after the check — the
-// epoch fast-path hit rate, GC'd transaction ends and deferred and
-// skipped joins behind the verdict (aerodrome engines only; with
-// -pipeline it also prints per-stage wall times). The exit code is 0 when
-// every trace is conflict serializable, 1 when a violation was found, and
-// 2 on usage or input errors.
+// sniffed). -stats adds introspection lines after the check — the epoch
+// fast-path hit rate, GC'd transaction ends and deferred and skipped joins
+// behind the verdict (aerodrome engines only), then the parse and check
+// stage times. The exit code is 0 when every trace is conflict
+// serializable, 1 when a violation was found, and 2 on usage or input
+// errors.
 //
 // -algo names one of basic, readopt, optimized, velodrome, velodrome-pk
 // and doublechecker. aerodrome, auto, hybrid and treeclock are aliases of
@@ -84,7 +86,7 @@ func newEngine(algo string) (core.Engine, error) {
 	return nil, fmt.Errorf("unknown algorithm %q (want basic, readopt, optimized, velodrome, velodrome-pk or doublechecker)", algo)
 }
 
-func openSource(path, format string) (trace.Source, func() error, error) {
+func openSource(path, format string) (pipeline.BatchSource, func() error, error) {
 	var r io.Reader = os.Stdin
 	closer := func() error { return nil }
 	if path != "" && path != "-" {
@@ -115,9 +117,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analysesFlag := fs.String("analyses", "", "analysis set over the same event stream: comma-separated from atomicity, hbrace (default atomicity); hbrace adds happens-before data-race detection")
 	format := fs.String("format", "std", "trace format: std (RAPID text) or bin (compact binary)")
 	quiet := fs.Bool("q", false, "suppress everything except the verdict line")
-	pipe := fs.Bool("pipeline", false, "pipeline parsing and checking on separate goroutines")
-	stats := fs.Bool("stats", false, "print engine introspection counters (epoch fast-path hit rate, GC'd ends, deferred and skipped joins) after the check; aerodrome engines only")
-	parallel := fs.Int("parallel", 0, "check multiple trace files concurrently on this many workers (<0 = one per CPU); implies -pipeline, sniffs each file's format (-format and -q are ignored)")
+	fs.Bool("pipeline", false, "no effect, kept so existing scripts work: every local check parses and checks on separate goroutines")
+	stats := fs.Bool("stats", false, "print engine introspection counters (epoch fast-path hit rate, GC'd ends, deferred and skipped joins; aerodrome engines only) and the parse and check stage times after the check")
+	parallel := fs.Int("parallel", 0, "check multiple trace files concurrently on this many workers (<0 = one per CPU); sniffs each file's format (-format and -q are ignored)")
 	serve := fs.String("serve", "", "run the aerodromed service on this address instead of checking a trace (-algo sets the server's default algorithm)")
 	remote := fs.String("remote", "", "stream the trace to a running aerodromed at this base URL instead of checking locally (the server's default algorithm applies unless -algo is set)")
 	tenant := fs.String("tenant", "", "tenant name sent with -remote requests (the server's quota and metrics bucket)")
@@ -176,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runParallel(fs.Args(), *algo, *parallel, stdout, stderr)
 	}
 	if fs.NArg() > 1 {
-		fmt.Fprintln(stderr, "usage: aerodrome [-algo A] [-format F] [-pipeline] [trace-file], or aerodrome -parallel N trace-file...")
+		fmt.Fprintln(stderr, "usage: aerodrome [-algo A] [-format F] [trace-file], or aerodrome -parallel N trace-file...")
 		return 2
 	}
 
@@ -188,9 +190,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The hbrace analysis rides the same event stream as the atomicity
 	// engine — one parse, two verdicts.
 	var det *race.Detector
+	var sinks []pipeline.Sink
 	for _, k := range analysisSet {
 		if k == aerodrome.AnalysisHBRace {
 			det = race.New()
+			sinks = append(sinks, detectorSink{det})
 		}
 	}
 	src, closeSrc, err := openSource(fs.Arg(0), *format)
@@ -201,59 +205,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer closeSrc()
 
 	start := time.Now()
-	var v *core.Violation
-	var n int64
 	var stages pipeline.StageStats
-	if *pipe {
-		// Both rapidio readers implement the batch API behind trace.Source;
-		// a future format that doesn't must fail as a usage error, not a
-		// panic.
-		bs, ok := src.(pipeline.BatchSource)
-		if !ok {
-			fmt.Fprintf(stderr, "aerodrome: -pipeline does not support format %q\n", *format)
-			return 2
-		}
-		var sinks []pipeline.Sink
-		if det != nil {
-			sinks = append(sinks, detectorSink{det})
-		}
-		var perr error
-		v, n, perr = pipeline.RunMulti(eng, sinks, bs, pipeline.Config{Stats: &stages})
-		if perr != nil {
-			fmt.Fprintln(stderr, "aerodrome:", perr)
-			return 2
-		}
-	} else if det == nil {
-		v, n = core.Run(eng, src)
-	} else {
-		// Sequential dual-analysis sweep: each analysis latches at its own
-		// first violation; the stream stops once both have.
-		for v == nil || det.Violation() == nil {
-			e, ok := src.Next()
-			if !ok {
-				break
-			}
-			if v == nil {
-				v = eng.Process(e)
-			}
-			if det.Violation() == nil {
-				det.Process(e)
-			}
-		}
-		if v == nil {
-			v = eng.Violation()
-		}
-		n = eng.Processed()
-	}
+	v, n, err := pipeline.RunMulti(eng, sinks, src, pipeline.Config{Stats: &stages})
 	elapsed := time.Since(start)
-
-	if !*pipe {
-		if errSrc, ok := src.(interface{ Err() error }); ok {
-			if err := errSrc.Err(); err != nil {
-				fmt.Fprintln(stderr, "aerodrome:", err)
-				return 2
-			}
-		}
+	if err != nil {
+		fmt.Fprintln(stderr, "aerodrome:", err)
+		return 2
 	}
 
 	if !*quiet {
@@ -262,9 +219,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *stats {
 		// An explicit -stats request prints even under -q.
 		printEngineStats(stdout, eng)
-		if *pipe {
-			fmt.Fprintf(stdout, "stages:    parse %v, check %v\n", stages.ParseTime(), stages.CheckTime())
-		}
+		fmt.Fprintf(stdout, "stages:    parse %v, check %v\n", stages.ParseTime(), stages.CheckTime())
 	}
 	code := 0
 	if v != nil {

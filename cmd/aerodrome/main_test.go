@@ -3,17 +3,21 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"aerodrome"
+	"aerodrome/internal/rapidio"
 	"aerodrome/internal/server"
 )
 
@@ -88,32 +92,37 @@ func TestQuietFlag(t *testing.T) {
 	}
 }
 
+// TestPipelineFlag: -pipeline is still accepted, for the scripts that
+// pass it, and changes nothing but the timings.
 func TestPipelineFlag(t *testing.T) {
 	viol := writeTemp(t, "rho2.std", rho2STD)
-	ok := writeTemp(t, "rho1.std", rho1STD)
-	for _, algo := range []string{"optimized", "basic"} {
-		var out, errOut bytes.Buffer
-		if code := run([]string{"-pipeline", "-algo", algo, ok}, &out, &errOut); code != 0 {
-			t.Fatalf("%s: exit = %d\n%s%s", algo, code, out.String(), errOut.String())
-		}
-		if !strings.Contains(out.String(), "events:    10") {
-			t.Fatalf("%s: event count missing: %q", algo, out.String())
-		}
-		out.Reset()
-		if code := run([]string{"-pipeline", "-algo", algo, viol}, &out, &errOut); code != 1 {
-			t.Fatalf("%s: exit = %d, want 1\n%s", algo, code, out.String())
-		}
-		if !strings.Contains(out.String(), "NOT conflict serializable") {
-			t.Fatalf("%s: output %q", algo, out.String())
-		}
-	}
-	// Malformed input still exits 2 through the pipeline.
+	dual := writeTemp(t, "dual.std", dualSTD)
 	bad := writeTemp(t, "bad.std", "garbage\n")
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-pipeline", bad}, &out, &errOut); code != 2 {
-		t.Fatalf("malformed trace: exit %d", code)
+	for _, args := range [][]string{
+		{viol},
+		{"-algo", "basic", "-stats", viol},
+		{"-analyses", "atomicity,hbrace", dual},
+		{bad},
+	} {
+		var outs, errs [2]string
+		var codes [2]int
+		for i, pipeArgs := range [][]string{nil, {"-pipeline"}} {
+			var out, errOut bytes.Buffer
+			codes[i] = run(append(pipeArgs, args...), &out, &errOut)
+			outs[i] = timings.ReplaceAllString(out.String(), "")
+			errs[i] = errOut.String()
+		}
+		if codes[0] != codes[1] || outs[0] != outs[1] || errs[0] != errs[1] {
+			t.Fatalf("%v: -pipeline changed the outcome: exit %d vs %d\n%s%s\nvs\n%s%s",
+				args, codes[0], codes[1], outs[0], errs[0], outs[1], errs[1])
+		}
 	}
 }
+
+// timings matches the text of the output lines that differ between two
+// runs of the same check: the wall time and, under -stats, the stage
+// times.
+var timings = regexp.MustCompile(`(?m)^(time|stages):.*$`)
 
 func TestParallelMode(t *testing.T) {
 	ok := writeTemp(t, "rho1.std", rho1STD)
@@ -299,18 +308,15 @@ func TestErrors(t *testing.T) {
 }
 
 // TestBinarySignTargetRejected: a 24-byte ADB1 input whose one record has
-// target 0x80000001 is a parse error (exit 2) on the sequential and the
-// pipelined path, not a negative-index panic inside the engine.
+// target 0x80000001 is a parse error (exit 2), not a negative-index panic
+// inside the engine.
 func TestBinarySignTargetRejected(t *testing.T) {
 	rec := []byte("ADB1\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
 		"\x00\x00\x02\x00\x01\x00\x00\x80")
 	path := writeTemp(t, "sign.bin", string(rec))
-	for _, pipeArgs := range [][]string{nil, {"-pipeline"}} {
-		var out, errOut bytes.Buffer
-		args := append(append([]string{"-format", "bin"}, pipeArgs...), path)
-		if code := run(args, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "record 0") {
-			t.Fatalf("%v: exit %d, stderr %q", args, code, errOut.String())
-		}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-format", "bin", path}, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "record 0") {
+		t.Fatalf("exit %d, stderr %q", code, errOut.String())
 	}
 }
 
@@ -334,18 +340,15 @@ t3|w(z)|0
 
 func TestAnalysesFlagLocal(t *testing.T) {
 	path := writeTemp(t, "dual.std", dualSTD)
-	for _, pipeArgs := range [][]string{nil, {"-pipeline"}} {
-		var out, errOut bytes.Buffer
-		args := append(append([]string{}, pipeArgs...), "-analyses", "atomicity,hbrace", path)
-		if code := run(args, &out, &errOut); code != 1 {
-			t.Fatalf("%v: exit = %d, want 1\n%s%s", pipeArgs, code, out.String(), errOut.String())
-		}
-		if !strings.Contains(out.String(), "NOT conflict serializable") {
-			t.Fatalf("%v: atomicity verdict missing: %q", pipeArgs, out.String())
-		}
-		if !strings.Contains(out.String(), "hbrace: data race") || !strings.Contains(out.String(), "write-write") {
-			t.Fatalf("%v: hbrace verdict missing: %q", pipeArgs, out.String())
-		}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-analyses", "atomicity,hbrace", path}, &out, &errOut); code != 1 {
+		t.Fatalf("exit = %d, want 1\n%s%s", code, out.String(), errOut.String())
+	}
+	if !strings.Contains(out.String(), "NOT conflict serializable") {
+		t.Fatalf("atomicity verdict missing: %q", out.String())
+	}
+	if !strings.Contains(out.String(), "hbrace: data race") || !strings.Contains(out.String(), "write-write") {
+		t.Fatalf("hbrace verdict missing: %q", out.String())
 	}
 	// A fully lock-protected trace is clean under both analyses. (rho1 is
 	// serializable yet racy — its accesses are unsynchronized — so it can't
@@ -361,7 +364,7 @@ t2|r(x)|0
 t2|rel(l)|0
 t2|end|0
 `)
-	var out, errOut bytes.Buffer
+	out.Reset()
 	if code := run([]string{"-analyses", "hbrace", clean}, &out, &errOut); code != 0 {
 		t.Fatalf("clean dual: exit = %d\n%s%s", code, out.String(), errOut.String())
 	}
@@ -409,5 +412,177 @@ func TestAnalysesFlagRemote(t *testing.T) {
 			!strings.Contains(out.String(), "hbrace: violation") {
 			t.Fatalf("%v: output %q", extra, out.String())
 		}
+	}
+}
+
+// wantLines renders what the CLI must print for a library report of the
+// same trace: the events line and one verdict line per analysis, as
+// patterns (the CLI's violation text also quotes the event, which the
+// report does not carry).
+func wantLines(rep *aerodrome.Report) []*regexp.Regexp {
+	line := func(parts ...string) *regexp.Regexp {
+		for i := range parts {
+			parts[i] = regexp.QuoteMeta(parts[i])
+		}
+		return regexp.MustCompile(`(?m)^` + strings.Join(parts, `.*`) + `$`)
+	}
+	want := []*regexp.Regexp{line(fmt.Sprintf("events:    %d", rep.Events))}
+	if v := rep.Violation; v != nil {
+		want = append(want, line(
+			fmt.Sprintf("result: NOT conflict serializable — %s: conflict serializability violation at event %d (", v.Algorithm, v.EventIndex),
+			fmt.Sprintf("): %s check against thread t%d's active transaction", v.Check, v.Thread)))
+	} else {
+		want = append(want, line("result: conflict serializable (no atomicity violation)"))
+	}
+	for _, ar := range rep.Analyses {
+		if ar.Analysis != string(aerodrome.AnalysisHBRace) {
+			continue
+		}
+		if v := ar.Violation; v != nil {
+			want = append(want, line(
+				fmt.Sprintf("hbrace: data race — %s: data race at event %d (", v.Algorithm, v.EventIndex),
+				fmt.Sprintf("): %s on x%d races thread t%d (%d events)", v.Check, *v.Target, *v.OtherThread, ar.Events)))
+		} else {
+			want = append(want, line(fmt.Sprintf("hbrace: race free (%d events)", ar.Events)))
+		}
+	}
+	return want
+}
+
+// wantCode is the exit code of a check that produced rep.
+func wantCode(rep *aerodrome.Report) int {
+	for _, ar := range rep.Analyses {
+		if !ar.Clean {
+			return 1
+		}
+	}
+	if !rep.Serializable {
+		return 1
+	}
+	return 0
+}
+
+// requireMatches runs the CLI on args and requires its events line,
+// verdict lines and exit code to be those of the library's sequential
+// report rep.
+func requireMatches(t *testing.T, args []string, rep *aerodrome.Report) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	code := run(args, &out, &errOut)
+	if want := wantCode(rep); code != want {
+		t.Errorf("%v: exit %d, want %d\n%s%s", args, code, want, out.String(), errOut.String())
+	}
+	for _, re := range wantLines(rep) {
+		if !re.MatchString(out.String()) {
+			t.Errorf("%v: no line matches %s:\n%s", args, re, out.String())
+		}
+	}
+}
+
+// TestLocalCheckMatchesLibrary pins the CLI's one local path, which
+// parses and checks on separate goroutines, to the library's sequential
+// checkers over the golden corpus: with the default analysis against
+// CheckSTD, and with atomicity plus hbrace against CheckSTDAnalyses.
+func TestLocalCheckMatchesLibrary(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/golden/*.std")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("golden corpus: %v (%d files)", err, len(paths))
+	}
+	dual := []aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := aerodrome.CheckSTD(bytes.NewReader(data), aerodrome.Optimized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireMatches(t, []string{path}, rep)
+		rep, err = aerodrome.CheckSTDAnalyses(bytes.NewReader(data), aerodrome.Optimized, dual)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireMatches(t, []string{"-analyses", "atomicity,hbrace", path}, rep)
+	}
+}
+
+// TestLocalCheckStdin: with no file argument the trace is read from
+// standard input.
+func TestLocalCheckStdin(t *testing.T) {
+	f, err := os.Open(writeTemp(t, "rho2.std", rho2STD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdin
+	os.Stdin = f
+	defer func() { os.Stdin = saved }()
+	rep, err := aerodrome.CheckSTD(strings.NewReader(rho2STD), aerodrome.Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireMatches(t, nil, rep)
+}
+
+// TestLocalCheckBinary: a golden trace re-encoded in the ADB1 binary
+// format checks under -format bin exactly like its STD original.
+func TestLocalCheckBinary(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/golden/chain-cross.std")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := aerodrome.CheckSTD(bytes.NewReader(data), aerodrome.Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Serializable {
+		t.Fatal("chain-cross.std must carry a violation")
+	}
+	var bin bytes.Buffer
+	rd, bw := rapidio.NewReader(bytes.NewReader(data)), rapidio.NewBinaryWriter(&bin)
+	for e, ok := rd.Next(); ok; e, ok = rd.Next() {
+		if err := bw.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rd.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	requireMatches(t, []string{"-format", "bin", writeTemp(t, "chain-cross.bin", bin.String())}, rep)
+}
+
+// TestLocalCheckParseErrors: a sequential check stops reading at the
+// first violation, so a malformed line after it leaves the verdict
+// standing (exit 1); a malformed line before any violation is an input
+// error (exit 2) and no verdict is printed.
+func TestLocalCheckParseErrors(t *testing.T) {
+	var out, errOut bytes.Buffer
+	after := writeTemp(t, "after.std", rho2STD+"garbage\n")
+	if code := run([]string{after}, &out, &errOut); code != 1 || errOut.Len() != 0 ||
+		!strings.Contains(out.String(), "NOT conflict serializable") {
+		t.Fatalf("malformed line after the violation: exit %d\n%s%s", code, out.String(), errOut.String())
+	}
+	out.Reset()
+	before := writeTemp(t, "before.std", "garbage\n"+rho2STD)
+	if code := run([]string{before}, &out, &errOut); code != 2 || out.Len() != 0 ||
+		!strings.Contains(errOut.String(), "aerodrome: rapidio: line 1") {
+		t.Fatalf("malformed line before the violation: exit %d\n%s%s", code, out.String(), errOut.String())
+	}
+}
+
+// TestStatsPrintsStages: -stats prints the engine counters and the parse
+// and check stage times.
+func TestStatsPrintsStages(t *testing.T) {
+	path := writeTemp(t, "rho1.std", rho1STD)
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-stats", path}, &out, &errOut); code != 0 {
+		t.Fatalf("exit = %d\n%s%s", code, out.String(), errOut.String())
+	}
+	if !strings.Contains(out.String(), "\nengine:    epoch ") || !strings.Contains(out.String(), "\nstages:    parse ") {
+		t.Fatalf("-stats output %q", out.String())
 	}
 }

@@ -74,11 +74,15 @@
 // steady state allocation-free, and the checker's first violation stops
 // the producer early. CheckReaderPipelined and CheckBinaryReaderPipelined
 // expose it per trace; CheckFilesParallel checks N traces concurrently,
-// one independent engine and pipeline per file. The pipelined paths are
-// observationally identical to the sequential ones: same verdict, same
-// violation index, same event count, enforced by a concurrency-
-// differential suite that runs under the race detector in CI and by a
-// dedicated fuzz target (FuzzPipelineDifferential).
+// one independent engine and pipeline per file. The aerodrome command
+// checks every local trace through it, and aerodromed's /v1/check does
+// too. The pipelined paths are observationally identical to the
+// sequential ones: same verdict, same violation index, same event count,
+// enforced by a concurrency-differential suite that runs under the race
+// detector in CI and by a dedicated fuzz target
+// (FuzzPipelineDifferential). CheckSTD and the other sequential entry
+// points stay single-goroutine on purpose: they are the reference those
+// suites compare against.
 //
 // For streams that arrive in pieces rather than behind an io.Reader — a
 // network session, a log follower — IncrementalChecker accepts arbitrary

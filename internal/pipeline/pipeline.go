@@ -10,11 +10,13 @@
 //   - Bounded depth: the channel holds at most Depth batches, so a fast
 //     parser cannot run away from a slow checker (backpressure) and memory
 //     stays O(Depth·BatchSize) regardless of trace size.
-//   - Zero steady-state allocations: all Depth batch buffers are allocated
-//     up front and recycled through a free list; after warm-up the
-//     pipeline itself allocates nothing per event.
-//   - Early exit: the checker latches at the first violation, signals the
-//     producer via the stop channel, and drains; the producer never blocks
+//   - Zero steady-state allocations: at most Depth batch buffers exist,
+//     each allocated on first use and then recycled through a free list;
+//     after warm-up the pipeline itself allocates nothing per event, and a
+//     trace that fits in one batch pays for one buffer.
+//   - Early exit: once the checker has latched at its first violation, and
+//     every extra analysis sink at its own, the consumer signals the
+//     producer via the stop channel and drains; the producer never blocks
 //     forever on a full channel.
 //   - Observational equivalence: verdict, violation index and event count
 //     are identical to running the same engine over the same stream
@@ -84,6 +86,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Sink is one analysis, such as the happens-before race detector,
+// consuming the shared event stream beside the primary engine. Process
+// feeds the next event; Done reports that the analysis has latched a
+// verdict and no longer needs events. Implementations must tolerate
+// Process calls after Done (the batch granularity of the pipeline can
+// overshoot by a few events) by ignoring them, exactly like a latched
+// core.Engine.
+type Sink interface {
+	Process(e trace.Event)
+	Done() bool
+}
+
+// allDone reports whether every extra sink has latched.
+func allDone(sinks []Sink) bool {
+	for _, s := range sinks {
+		if !s.Done() {
+			return false
+		}
+	}
+	return true
+}
+
 // Run drives eng over src with parsing pipelined on a separate goroutine.
 // It returns the violation (nil if the trace is accepted), the number of
 // events consumed, and the parse error that ended the stream, if any.
@@ -91,13 +115,26 @@ func (c Config) withDefaults() Config {
 // sequential checker stops reading at the violation, and Run is defined
 // to be observationally identical to it.
 func Run(eng core.Engine, src BatchSource, cfg Config) (*core.Violation, int64, error) {
+	return RunMulti(eng, nil, src, cfg)
+}
+
+// RunMulti is Run with extra analysis sinks sharing the parsed stream: one
+// parse, N verdicts. The primary engine's verdict, violation index and
+// event count are those of Run on the same input, because the engine
+// latches at its first violation and stops counting. Each sink sees every
+// event from the start of the stream up to its own latch point, so sink
+// violation indices are global trace indices. Parsing stops early only
+// when the engine has latched AND every sink is done. A parse error is
+// reported only if some analysis was still live when it was reached; once
+// all have latched, the rest of the stream is discarded unread.
+func RunMulti(eng core.Engine, extra []Sink, src BatchSource, cfg Config) (*core.Violation, int64, error) {
 	cfg = cfg.withDefaults()
 
 	full := make(chan []trace.Event, cfg.Depth)
 	free := make(chan []trace.Event, cfg.Depth)
 	stop := make(chan struct{})
 	for i := 0; i < cfg.Depth; i++ {
-		free <- make([]trace.Event, cfg.BatchSize)
+		free <- nil // allocated by the producer on first use
 	}
 
 	// The producer writes srcErr before closing full; the close ordering
@@ -112,11 +149,14 @@ func Run(eng core.Engine, src BatchSource, cfg Config) (*core.Violation, int64, 
 			case <-stop:
 				return
 			}
+			if buf == nil {
+				buf = make([]trace.Event, cfg.BatchSize)
+			}
 			var parseStart time.Time
 			if cfg.Stats != nil {
 				parseStart = time.Now()
 			}
-			n, err := src.ReadBatch(buf[:cap(buf)])
+			n, err := src.ReadBatch(buf)
 			if cfg.Stats != nil {
 				cfg.Stats.ParseNanos.Add(int64(time.Since(parseStart)))
 			}
@@ -137,31 +177,42 @@ func Run(eng core.Engine, src BatchSource, cfg Config) (*core.Violation, int64, 
 	}()
 
 	var viol *core.Violation
-	stopped := false
+	done := false // the engine and every sink have latched
 	for evs := range full {
-		if viol == nil {
+		if !done {
 			var checkStart time.Time
 			if cfg.Stats != nil {
 				checkStart = time.Now()
 			}
 			for _, e := range evs {
-				if v := eng.Process(e); v != nil {
-					viol = v
+				if viol == nil {
+					viol = eng.Process(e)
+				}
+				for _, s := range extra {
+					if !s.Done() {
+						s.Process(e)
+					}
+				}
+				if viol != nil && allDone(extra) {
+					done = true
 					break
 				}
 			}
 			if cfg.Stats != nil {
 				cfg.Stats.CheckNanos.Add(int64(time.Since(checkStart)))
 			}
-			if viol != nil && !stopped {
-				stopped = true
+			if done {
 				close(stop) // unblock the producer; keep draining full
 			}
 		}
 		free <- evs[:cap(evs)]
 	}
-	if viol != nil {
+	if done {
+		// Any later parse error sits in the discarded tail.
 		return viol, eng.Processed(), nil
 	}
-	return eng.Violation(), eng.Processed(), srcErr
+	if viol == nil {
+		viol = eng.Violation()
+	}
+	return viol, eng.Processed(), srcErr
 }

@@ -103,6 +103,12 @@ type RouterDaemonConfig struct {
 // in flight finish under the shutdown deadline, and the backends — which
 // drain on their own SIGTERM — keep the session state.
 func RunRouterDaemon(ctx context.Context, cfg RouterDaemonConfig) error {
+	// The router and the serve loop each build a slog handler, and a
+	// handler locks only its own writes: one lock around the shared
+	// writer keeps the two from writing to it at once.
+	if cfg.Log != nil {
+		cfg.Log = &lockedWriter{w: cfg.Log}
+	}
 	rcfg := cfg.Router
 	if rcfg.Log == nil {
 		rcfg.Log = cfg.Log

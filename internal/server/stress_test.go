@@ -154,6 +154,10 @@ func TestCheckAdmissionControl(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrentChecks: 1})
 
 	pr, pw := io.Pipe()
+	// Registered after newTestServer's cleanup, so it runs first: a test
+	// that fails before releasing the body must not leave the handler
+	// reading it while the server's Close waits.
+	t.Cleanup(func() { pw.Close() })
 	done := make(chan error, 1)
 	go func() {
 		resp, err := http.Post(ts.URL+"/v1/check", "text/plain", pr)

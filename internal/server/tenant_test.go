@@ -82,6 +82,10 @@ func TestTenantCheckQuota(t *testing.T) {
 	_, ts := newTestServer(t, Config{TenantQuota: TenantQuota{MaxConcurrentChecks: 1}})
 
 	pr, pw := io.Pipe()
+	// Registered after newTestServer's cleanup, so it runs first: a test
+	// that fails before releasing the body must not leave the handler
+	// reading it while the server's Close waits.
+	t.Cleanup(func() { pw.Close() })
 	done := make(chan error, 1)
 	go func() {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/check", pr)
