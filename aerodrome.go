@@ -1,11 +1,13 @@
 package aerodrome
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 
 	"aerodrome/internal/core"
 	"aerodrome/internal/doublechecker"
+	"aerodrome/internal/pipeline"
 	"aerodrome/internal/rapidio"
 	"aerodrome/internal/trace"
 	"aerodrome/internal/velodrome"
@@ -40,22 +42,50 @@ func Algorithms() []Algorithm {
 	return []Algorithm{Basic, ReadOpt, Optimized, Velodrome, VelodromePK, DoubleChecker}
 }
 
-func newEngine(a Algorithm) (core.Engine, error) {
-	switch a {
-	case Basic:
-		return core.NewBasic(), nil
-	case ReadOpt:
-		return core.NewReadOpt(), nil
-	case Optimized, "", "auto", "hybrid", "treeclock":
-		return core.NewOptimized(), nil
-	case Velodrome:
-		return velodrome.New(), nil
-	case VelodromePK:
-		return velodrome.New(velodrome.WithStrategy("pearce-kelly")), nil
-	case DoubleChecker:
-		return doublechecker.New(0), nil
+// engines maps every accepted algorithm name to its engine's constructor.
+// The empty name and "auto", "hybrid" and "treeclock" select Optimized.
+var engines = map[Algorithm]func() core.Engine{
+	Basic:         func() core.Engine { return core.NewBasic() },
+	ReadOpt:       func() core.Engine { return core.NewReadOpt() },
+	Optimized:     newOptimized,
+	"":            newOptimized,
+	"auto":        newOptimized,
+	"hybrid":      newOptimized,
+	"treeclock":   newOptimized,
+	Velodrome:     func() core.Engine { return velodrome.New() },
+	VelodromePK:   func() core.Engine { return velodrome.New(velodrome.WithStrategy("pearce-kelly")) },
+	DoubleChecker: func() core.Engine { return doublechecker.New(0) },
+}
+
+func newOptimized() core.Engine { return core.NewOptimized() }
+
+// engineFor returns the constructor of the engine a names.
+func engineFor(a Algorithm) (func() core.Engine, error) {
+	if mk, ok := engines[a]; ok {
+		return mk, nil
 	}
 	return nil, fmt.Errorf("aerodrome: unknown algorithm %q", a)
+}
+
+// Options selects what a check runs. The zero value runs Optimized with
+// the atomicity analysis alone.
+type Options struct {
+	// Algorithm is the atomicity engine (Optimized when empty).
+	Algorithm Algorithm
+	// Analyses is the analysis set run over the one parsed stream. Empty
+	// means just AnalysisAtomicity, whose report carries no Analyses
+	// entries and is byte-identical to a single-analysis check.
+	Analyses []AnalysisKind
+}
+
+// Validate reports the first unknown name in o: an analysis, then the
+// algorithm.
+func (o Options) Validate() error {
+	if _, err := normalizeAnalyses(o.Analyses); err != nil {
+		return err
+	}
+	_, err := engineFor(o.Algorithm)
+	return err
 }
 
 // EventKind enumerates trace operations in the public API.
@@ -150,23 +180,14 @@ type Checker struct {
 }
 
 // NewChecker returns a checker using the given algorithm (Optimized when
-// empty). It panics on unknown algorithm names; use NewCheckerErr to
-// validate user input.
+// empty). It panics on an unknown algorithm name; Options.Validate checks
+// user input first.
 func NewChecker(a Algorithm) *Checker {
-	c, err := NewCheckerErr(a)
+	mk, err := engineFor(a)
 	if err != nil {
 		panic(err)
 	}
-	return c
-}
-
-// NewCheckerErr is NewChecker with error reporting.
-func NewCheckerErr(a Algorithm) (*Checker, error) {
-	eng, err := newEngine(a)
-	if err != nil {
-		return nil, err
-	}
-	return &Checker{eng: eng}, nil
+	return &Checker{eng: mk()}
 }
 
 // Event feeds one event and returns the violation declared at it, if any.
@@ -247,39 +268,70 @@ type Report struct {
 	// Algorithm names the engine used.
 	Algorithm string `json:"algorithm"`
 	// Analyses carries per-analysis verdicts when the check ran a
-	// non-default analysis set (see CheckSTDAnalyses); it is omitted — and
+	// non-default analysis set (see Options.Analyses); it is omitted — and
 	// the report is byte-identical to the single-analysis wire format —
 	// when only atomicity was requested. The atomicity entry, when
 	// present, mirrors the top-level fields exactly.
 	Analyses []AnalysisReport `json:"analyses,omitempty"`
 }
 
-// CheckSTD analyzes a trace log in the RAPID STD text format
-// ("thread|op(target)|loc" lines) using the given algorithm.
-func CheckSTD(r io.Reader, a Algorithm) (*Report, error) {
-	eng, err := newEngine(a)
+// Check checks one whole trace and returns its report and where the
+// check spent its time. The format is sniffed once: a stream whose first
+// four bytes are the ADB1 magic is read as compact binary, anything else
+// as STD text, so an STD trace that begins with the four bytes "ADB1" is
+// read as binary. Parsing runs on its own goroutine, pipelined against
+// checking (internal/pipeline), and the verdict, violation index and event
+// count equal CheckSTD's on the same trace. Invalid options are rejected
+// before any byte is read.
+func Check(r io.Reader, o Options) (*Report, CheckStats, error) {
+	run, err := newCheckRun(o)
+	if err != nil {
+		return nil, CheckStats{}, err
+	}
+	br := bufio.NewReaderSize(r, 1<<16)
+	// A Peek error is left for the parser to meet again, so the read error
+	// that ended the stream (a body limit, a deadline) is the one reported.
+	head, _ := br.Peek(4)
+	var src pipeline.BatchSource
+	if rapidio.IsBinary(head) {
+		src = rapidio.NewBinaryReader(br)
+	} else {
+		src = rapidio.NewReader(br)
+	}
+	var stages pipeline.StageStats
+	v, n, err := pipeline.RunMulti(run.eng, run.sinks(), src, pipeline.Config{Stats: &stages})
+	if err != nil {
+		return nil, CheckStats{}, err
+	}
+	cs := CheckStats{ParseTime: stages.ParseTime(), CheckTime: stages.CheckTime()}
+	cs.Engine, cs.HasEngineStats = engineStatsOf(run.eng)
+	return run.report(fromInternal(v), n), cs, nil
+}
+
+// CheckSTD checks a trace log in the RAPID STD text format
+// ("thread|op(target)|loc" lines) on the calling goroutine, one event at a
+// time: the sequential reference the pipelined paths are tested against.
+// Each analysis stops at its own first violation, and reading stops once
+// every analysis has, so a parse error after that point is not reported.
+func CheckSTD(r io.Reader, o Options) (*Report, error) {
+	run, err := newCheckRun(o)
 	if err != nil {
 		return nil, err
 	}
-	rd := rapidio.NewReader(r)
-	v, n := core.Run(eng, rd)
-	if err := rd.Err(); err != nil {
+	v, n, err := runSequential(run, rapidio.NewReader(r))
+	if err != nil {
 		return nil, err
 	}
-	return &Report{
-		Serializable: v == nil,
-		Violation:    fromInternal(v),
-		Events:       n,
-		Algorithm:    eng.Name(),
-	}, nil
+	return run.report(fromInternal(v), n), nil
 }
 
 // CheckEvents analyzes a slice of events.
 func CheckEvents(events []Event, a Algorithm) (*Report, error) {
-	eng, err := newEngine(a)
+	mk, err := engineFor(a)
 	if err != nil {
 		return nil, err
 	}
+	eng := mk()
 	var v *core.Violation
 	var n int64
 	for _, e := range events {

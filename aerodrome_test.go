@@ -103,9 +103,35 @@ func TestForkJoinAcquireRelease(t *testing.T) {
 	}
 }
 
-func TestNewCheckerErrUnknown(t *testing.T) {
-	if _, err := aerodrome.NewCheckerErr("bogus"); err == nil {
-		t.Fatalf("unknown algorithm must error")
+// TestOptionsValidate pins the option errors every entry point reports:
+// an unknown analysis before an unknown algorithm, each with its text.
+func TestOptionsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		o    aerodrome.Options
+		want string
+	}{
+		{aerodrome.Options{}, ""},
+		{aerodrome.Options{Algorithm: "auto", Analyses: []aerodrome.AnalysisKind{"hbrace", "atomicity", "hbrace"}}, ""},
+		{aerodrome.Options{Algorithm: "bogus"}, `aerodrome: unknown algorithm "bogus"`},
+		{aerodrome.Options{Analyses: []aerodrome.AnalysisKind{"bogus"}}, `aerodrome: unknown analysis "bogus" (valid: atomicity, hbrace)`},
+		{aerodrome.Options{Algorithm: "x", Analyses: []aerodrome.AnalysisKind{"y"}}, `aerodrome: unknown analysis "y" (valid: atomicity, hbrace)`},
+	} {
+		got := ""
+		if err := tc.o.Validate(); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Fatalf("%+v: Validate() = %q, want %q", tc.o, got, tc.want)
+		}
+		if tc.want == "" {
+			continue
+		}
+		if _, _, err := aerodrome.Check(strings.NewReader("t0|begin|0\n"), tc.o); err == nil || err.Error() != tc.want {
+			t.Fatalf("%+v: Check error %v, want %q", tc.o, err, tc.want)
+		}
+		if _, err := aerodrome.NewIncrementalChecker(tc.o); err == nil || err.Error() != tc.want {
+			t.Fatalf("%+v: NewIncrementalChecker error %v, want %q", tc.o, err, tc.want)
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -134,27 +160,25 @@ t1|r(y)|0
 t1|end|0
 t2|end|0
 `
-	rep, err := aerodrome.CheckSTD(strings.NewReader(log), aerodrome.Optimized)
+	rep, err := aerodrome.CheckSTD(strings.NewReader(log), aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Serializable {
 		t.Fatalf("STD rho2 must violate")
 	}
-	if _, err := aerodrome.CheckSTD(strings.NewReader("garbage"), aerodrome.Optimized); err == nil {
+	if _, err := aerodrome.CheckSTD(strings.NewReader("garbage"), aerodrome.Options{Algorithm: aerodrome.Optimized}); err == nil {
 		t.Fatalf("malformed STD must error")
 	}
-	if _, err := aerodrome.CheckSTD(strings.NewReader(log), "bogus"); err == nil {
+	if _, err := aerodrome.CheckSTD(strings.NewReader(log), aerodrome.Options{Algorithm: "bogus"}); err == nil {
 		t.Fatalf("unknown algorithm must error")
 	}
 }
 
 func TestMonitorBasics(t *testing.T) {
 	var cbViolation *aerodrome.Violation
-	m := aerodrome.NewMonitor(
-		aerodrome.WithAlgorithm(aerodrome.Optimized),
-		aerodrome.OnViolation(func(v *aerodrome.Violation) { cbViolation = v }),
-	)
+	m := aerodrome.NewMonitor(aerodrome.Options{Algorithm: aerodrome.Optimized},
+		func(v *aerodrome.Violation) { cbViolation = v })
 	t1 := m.Thread("t1")
 	t2 := m.Thread("t2")
 	if m.Thread("t1") != t1 {
@@ -182,7 +206,7 @@ func TestMonitorBasics(t *testing.T) {
 }
 
 func TestMonitorForkJoinLocks(t *testing.T) {
-	m := aerodrome.NewMonitor()
+	m := aerodrome.NewMonitor(aerodrome.Options{}, nil)
 	main := m.Thread("main")
 	child, v := main.Fork("child")
 	if v != nil {
@@ -201,7 +225,7 @@ func TestMonitorForkJoinLocks(t *testing.T) {
 func TestMonitorConcurrentUse(t *testing.T) {
 	// Hammer the monitor from several goroutines on disjoint state: no
 	// violation, no race (run with -race in CI).
-	m := aerodrome.NewMonitor()
+	m := aerodrome.NewMonitor(aerodrome.Options{}, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -231,7 +255,7 @@ func TestMonitorUnknownAlgorithmPanics(t *testing.T) {
 			t.Fatalf("unknown algorithm must panic")
 		}
 	}()
-	aerodrome.NewMonitor(aerodrome.WithAlgorithm("bogus"))
+	aerodrome.NewMonitor(aerodrome.Options{Algorithm: "bogus"}, nil)
 }
 
 func TestAlgorithmsList(t *testing.T) {
@@ -241,10 +265,10 @@ func TestAlgorithmsList(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, a := range got {
-		c, err := aerodrome.NewCheckerErr(a)
-		if err != nil {
-			t.Fatalf("listed algorithm %q must construct: %v", a, err)
+		if err := (aerodrome.Options{Algorithm: a}).Validate(); err != nil {
+			t.Fatalf("listed algorithm %q must validate: %v", a, err)
 		}
+		c := aerodrome.NewChecker(a)
 		if names[c.Algorithm()] {
 			t.Fatalf("listed algorithm %q repeats engine %s", a, c.Algorithm())
 		}
@@ -253,10 +277,10 @@ func TestAlgorithmsList(t *testing.T) {
 	// The names of the removed clock representations stay accepted and
 	// run the Algorithm 3 engine.
 	for _, a := range []aerodrome.Algorithm{"auto", "hybrid", "treeclock"} {
-		c, err := aerodrome.NewCheckerErr(a)
-		if err != nil {
-			t.Fatalf("alias %q must construct: %v", a, err)
+		if err := (aerodrome.Options{Algorithm: a}).Validate(); err != nil {
+			t.Fatalf("alias %q must validate: %v", a, err)
 		}
+		c := aerodrome.NewChecker(a)
 		if c.Algorithm() != "aerodrome-optimized" {
 			t.Fatalf("alias %q runs %s, want aerodrome-optimized", a, c.Algorithm())
 		}

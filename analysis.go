@@ -2,7 +2,6 @@ package aerodrome
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"aerodrome/internal/core"
@@ -60,12 +59,12 @@ func ParseAnalyses(s string) ([]AnalysisKind, error) {
 		}
 		set = append(set, AnalysisKind(name))
 	}
-	return NormalizeAnalyses(set)
+	return normalizeAnalyses(set)
 }
 
-// NormalizeAnalyses validates and deduplicates an analysis set, preserving
+// normalizeAnalyses validates and deduplicates an analysis set, preserving
 // first-mention order. An empty set selects the default ["atomicity"].
-func NormalizeAnalyses(set []AnalysisKind) ([]AnalysisKind, error) {
+func normalizeAnalyses(set []AnalysisKind) ([]AnalysisKind, error) {
 	if len(set) == 0 {
 		return []AnalysisKind{AnalysisAtomicity}, nil
 	}
@@ -115,33 +114,100 @@ type AnalysisReport struct {
 // AnalysisReport.
 type analysisSink interface {
 	pipeline.Sink
-	kind() AnalysisKind
 	analysisReport() AnalysisReport
 }
 
-// newAnalysisSinks builds the extra (non-atomicity) sinks for an analysis
-// set, in set order. The atomicity analysis is carried by the core engine
-// itself, not a sink.
-func newAnalysisSinks(set []AnalysisKind) []analysisSink {
-	var out []analysisSink
+// checkRun is what one Options value runs: the atomicity engine plus one
+// sink per extra analysis, in set order. newCheckRun is the one place
+// every checking entry point turns Options into them.
+type checkRun struct {
+	eng    core.Engine
+	set    []AnalysisKind
+	extras []analysisSink
+}
+
+func newCheckRun(o Options) (checkRun, error) {
+	set, err := normalizeAnalyses(o.Analyses)
+	if err != nil {
+		return checkRun{}, err
+	}
+	mk, err := engineFor(o.Algorithm)
+	if err != nil {
+		return checkRun{}, err
+	}
+	run := checkRun{eng: mk(), set: set}
 	for _, k := range set {
 		if k == AnalysisHBRace {
-			out = append(out, &raceSink{d: race.New()})
+			run.extras = append(run.extras, &raceSink{d: race.New()})
 		}
+	}
+	return run, nil
+}
+
+// sinks upcasts the extra analyses to the pipeline's Sink interface.
+func (c checkRun) sinks() []pipeline.Sink {
+	if len(c.extras) == 0 {
+		return nil
+	}
+	out := make([]pipeline.Sink, len(c.extras))
+	for i, s := range c.extras {
+		out[i] = s
 	}
 	return out
 }
 
-// pipelineSinks upcasts to the pipeline's Sink interface.
-func pipelineSinks(extras []analysisSink) []pipeline.Sink {
-	if len(extras) == 0 {
-		return nil
+// done reports whether every extra analysis has latched.
+func (c checkRun) done() bool {
+	for _, s := range c.extras {
+		if !s.Done() {
+			return false
+		}
 	}
-	out := make([]pipeline.Sink, len(extras))
-	for i, s := range extras {
-		out[i] = s
+	return true
+}
+
+// analyses assembles per-analysis reports in set order around the given
+// atomicity entry.
+func (c checkRun) analyses(atomicity AnalysisReport) []AnalysisReport {
+	out := make([]AnalysisReport, 0, len(c.set))
+	next := 0
+	for _, k := range c.set {
+		if k == AnalysisAtomicity {
+			out = append(out, atomicity)
+			continue
+		}
+		out = append(out, c.extras[next].analysisReport())
+		next++
 	}
 	return out
+}
+
+// report renders a finished check. Per-analysis entries are attached only
+// for a non-default set, so the default report keeps the single-analysis
+// wire format.
+func (c checkRun) report(v *Violation, events int64) *Report {
+	rep := &Report{
+		Serializable: v == nil,
+		Violation:    v,
+		Events:       events,
+		Algorithm:    c.eng.Name(),
+	}
+	if !defaultAnalysisSet(c.set) {
+		rep.Analyses = c.analyses(atomicityReport(v, events, rep.Algorithm))
+	}
+	return rep
+}
+
+// atomicityReport renders the atomicity verdict as an AnalysisReport; it
+// mirrors the report's legacy top-level fields.
+func atomicityReport(v *Violation, events int64, algorithm string) AnalysisReport {
+	return AnalysisReport{
+		Analysis:  string(AnalysisAtomicity),
+		Clean:     v == nil,
+		Violation: v,
+		Events:    events,
+		Algorithm: algorithm,
+	}
 }
 
 // raceSink adapts the happens-before race detector to the analysis-sink
@@ -152,7 +218,6 @@ type raceSink struct {
 
 func (s *raceSink) Process(e trace.Event) { s.d.Process(e) }
 func (s *raceSink) Done() bool            { return s.d.Violation() != nil }
-func (s *raceSink) kind() AnalysisKind    { return AnalysisHBRace }
 
 func (s *raceSink) analysisReport() AnalysisReport {
 	v := s.d.Violation()
@@ -182,89 +247,12 @@ func raceFromInternal(v *race.Violation) *Violation {
 	}
 }
 
-// analysisReports assembles per-analysis reports in set order. atomicity
-// builds the atomicity entry lazily (only when requested).
-func analysisReports(set []AnalysisKind, extras []analysisSink, atomicity func() AnalysisReport) []AnalysisReport {
-	out := make([]AnalysisReport, 0, len(set))
-	next := 0
-	for _, k := range set {
-		if k == AnalysisAtomicity {
-			out = append(out, atomicity())
-			continue
-		}
-		out = append(out, extras[next].analysisReport())
-		next++
-	}
-	return out
-}
-
-// CheckSTDAnalyses is CheckSTD running an analysis set over one parse of
-// the trace. The top-level report fields always carry the atomicity
-// verdict (the legacy wire format); per-analysis verdicts land in
-// Report.Analyses unless the set is the default ["atomicity"], in which
-// case the report is byte-identical to CheckSTD. Each analysis stops at
-// its own first violation; the stream is consumed until every requested
-// analysis has latched or the trace ends. A parse error positioned after
-// the point where all analyses latched is not reported.
-func CheckSTDAnalyses(r io.Reader, a Algorithm, analyses []AnalysisKind) (*Report, error) {
-	set, err := NormalizeAnalyses(analyses)
-	if err != nil {
-		return nil, err
-	}
-	if defaultAnalysisSet(set) {
-		return CheckSTD(r, a)
-	}
-	eng, err := newEngine(a)
-	if err != nil {
-		return nil, err
-	}
-	extras := newAnalysisSinks(set)
-	viol, n, err := runMultiSequential(eng, extras, rapidio.NewReader(r))
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		Serializable: viol == nil,
-		Violation:    fromInternal(viol),
-		Events:       n,
-		Algorithm:    eng.Name(),
-	}
-	rep.Analyses = analysisReports(set, extras, rep.atomicityEntry)
-	return rep, nil
-}
-
-// atomicityEntry renders the report's legacy top-level fields as the
-// atomicity AnalysisReport.
-func (r *Report) atomicityEntry() AnalysisReport {
-	return AnalysisReport{
-		Analysis:  string(AnalysisAtomicity),
-		Clean:     r.Serializable,
-		Violation: r.Violation,
-		Events:    r.Events,
-		Algorithm: r.Algorithm,
-	}
-}
-
-// sinksDone reports whether every extra analysis has latched.
-func sinksDone(extras []analysisSink) bool {
-	for _, s := range extras {
-		if !s.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// runMultiSequential drives the engine and the extra sinks over one
-// sequential event stream, stopping as soon as every analysis has latched
-// (so a parse error in the discarded tail is never observed) or the
-// stream ends. It mirrors core.Run exactly when extras is empty.
-func runMultiSequential(eng core.Engine, extras []analysisSink, rd *rapidio.Reader) (*core.Violation, int64, error) {
+// runSequential drives the run over one sequential event stream, stopping
+// as soon as every analysis has latched (so a parse error in the discarded
+// tail is never observed) or the stream ends.
+func runSequential(run checkRun, rd *rapidio.Reader) (*core.Violation, int64, error) {
 	var viol *core.Violation
-	for {
-		if viol != nil && sinksDone(extras) {
-			break
-		}
+	for viol == nil || !run.done() {
 		e, ok := rd.Next()
 		if !ok {
 			if err := rd.Err(); err != nil {
@@ -273,75 +261,16 @@ func runMultiSequential(eng core.Engine, extras []analysisSink, rd *rapidio.Read
 			break
 		}
 		if viol == nil {
-			viol = eng.Process(e)
+			viol = run.eng.Process(e)
 		}
-		for _, s := range extras {
+		for _, s := range run.extras {
 			if !s.Done() {
 				s.Process(e)
 			}
 		}
 	}
 	if viol == nil {
-		viol = eng.Violation()
+		viol = run.eng.Violation()
 	}
-	return viol, eng.Processed(), nil
-}
-
-// CheckReaderPipelinedAnalyses is CheckReaderPipelined running an analysis
-// set over one parse, with the same report shape as CheckSTDAnalyses. The
-// atomicity verdict, violation index and event count are identical to the
-// single-analysis pipelined path (and therefore to CheckSTD).
-func CheckReaderPipelinedAnalyses(r io.Reader, a Algorithm, analyses []AnalysisKind) (*Report, error) {
-	rep, _, err := checkPipelinedStatsAnalyses(func() pipeline.BatchSource { return rapidio.NewReader(r) }, a, analyses)
-	return rep, err
-}
-
-// CheckBinaryReaderPipelinedAnalyses is CheckReaderPipelinedAnalyses for
-// the compact binary ("ADB1") trace format.
-func CheckBinaryReaderPipelinedAnalyses(r io.Reader, a Algorithm, analyses []AnalysisKind) (*Report, error) {
-	rep, _, err := checkPipelinedStatsAnalyses(func() pipeline.BatchSource { return rapidio.NewBinaryReader(r) }, a, analyses)
-	return rep, err
-}
-
-// CheckReaderPipelinedStatsAnalyses is CheckReaderPipelinedAnalyses
-// returning per-stage timings and engine introspection counters alongside
-// the report (the aerodromed /v1/check backend).
-func CheckReaderPipelinedStatsAnalyses(r io.Reader, a Algorithm, analyses []AnalysisKind) (*Report, CheckStats, error) {
-	return checkPipelinedStatsAnalyses(func() pipeline.BatchSource { return rapidio.NewReader(r) }, a, analyses)
-}
-
-// CheckBinaryReaderPipelinedStatsAnalyses is the ADB1-format counterpart
-// of CheckReaderPipelinedStatsAnalyses.
-func CheckBinaryReaderPipelinedStatsAnalyses(r io.Reader, a Algorithm, analyses []AnalysisKind) (*Report, CheckStats, error) {
-	return checkPipelinedStatsAnalyses(func() pipeline.BatchSource { return rapidio.NewBinaryReader(r) }, a, analyses)
-}
-
-func checkPipelinedStatsAnalyses(src func() pipeline.BatchSource, a Algorithm, analyses []AnalysisKind) (*Report, CheckStats, error) {
-	set, err := NormalizeAnalyses(analyses)
-	if err != nil {
-		return nil, CheckStats{}, err
-	}
-	if defaultAnalysisSet(set) {
-		return checkPipelinedStats(src(), a)
-	}
-	eng, err := newEngine(a)
-	if err != nil {
-		return nil, CheckStats{}, err
-	}
-	extras := newAnalysisSinks(set)
-	var stages pipeline.StageStats
-	v, n, err := pipeline.RunMulti(eng, pipelineSinks(extras), src(), pipeline.Config{Stats: &stages})
-	if err != nil {
-		return nil, CheckStats{}, err
-	}
-	cs := CheckStats{ParseTime: stages.ParseTime(), CheckTime: stages.CheckTime()}
-	cs.Engine, cs.HasEngineStats = engineStatsOf(eng)
-	rep := &Report{
-		Serializable: v == nil,
-		Violation:    fromInternal(v),
-		Events:       n,
-		Algorithm:    eng.Name(),
-	}
-	rep.Analyses = analysisReports(set, extras, rep.atomicityEntry)
-	return rep, cs, nil
+	return viol, run.eng.Processed(), nil
 }

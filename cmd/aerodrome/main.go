@@ -164,8 +164,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !algoSet {
 			*algo = "" // let the server apply its configured default
 		}
+		var remoteSet []aerodrome.AnalysisKind
+		if *analysesFlag != "" {
+			remoteSet = analysisSet // else the server's default set
+		}
 		return runRemote(remoteOpts{
-			baseURL: *remote, algo: *algo, analyses: *analysesFlag, tenant: *tenant,
+			baseURL: *remote, algo: *algo, analyses: remoteSet, tenant: *tenant,
 			traceKey: *traceKey, incremental: *incremental, chunkBytes: *chunkBytes,
 			timeout: *timeout, retries: *retries, quiet: *quiet,
 		}, fs.Args(), stdout, stderr)
@@ -300,12 +304,13 @@ func runServe(addr, algo string, stderr io.Writer) int {
 
 // remoteOpts bundles the -remote mode's knobs.
 type remoteOpts struct {
-	baseURL, algo, analyses, tenant, traceKey string
-	incremental                               bool
-	chunkBytes                                int
-	timeout                                   time.Duration
-	retries                                   int
-	quiet                                     bool
+	baseURL, algo, tenant, traceKey string
+	analyses                        []aerodrome.AnalysisKind // nil: the server's default set
+	incremental                     bool
+	chunkBytes                      int
+	timeout                         time.Duration
+	retries                         int
+	quiet                           bool
 }
 
 // runRemote streams one trace (file or stdin) to a running aerodromed (or
@@ -325,7 +330,7 @@ func runRemote(opts remoteOpts, args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		r = f
 	}
-	algo := normalizeAlgo(opts.algo)
+	o := aerodrome.Options{Algorithm: aerodrome.Algorithm(normalizeAlgo(opts.algo)), Analyses: opts.analyses}
 	client := &server.Client{
 		BaseURL: opts.baseURL, Tenant: opts.tenant, TraceKey: opts.traceKey,
 		Timeout: opts.timeout, MaxRetries: opts.retries,
@@ -334,9 +339,9 @@ func runRemote(opts remoteOpts, args []string, stdout, stderr io.Writer) int {
 	var rep *aerodrome.Report
 	var err error
 	if opts.incremental {
-		rep, err = remoteIncremental(client, r, algo, opts.analyses, opts.chunkBytes)
+		rep, err = remoteIncremental(client, r, o, opts.chunkBytes)
 	} else {
-		rep, err = client.CheckAnalyses(r, algo, opts.analyses)
+		rep, err = client.Check(r, o)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "aerodrome:", err)
@@ -375,7 +380,7 @@ func runRemote(opts remoteOpts, args []string, stdout, stderr io.Writer) int {
 // the checker is a deterministic single pass. Restart needs the trace
 // bytes again, so stdin input is only retried when it fit in memory — a
 // file is rewound with Seek.
-func remoteIncremental(client *server.Client, r io.Reader, algo, analyses string, chunkBytes int) (*aerodrome.Report, error) {
+func remoteIncremental(client *server.Client, r io.Reader, o aerodrome.Options, chunkBytes int) (*aerodrome.Report, error) {
 	if chunkBytes <= 0 {
 		chunkBytes = 64 << 10
 	}
@@ -393,7 +398,7 @@ func remoteIncremental(client *server.Client, r io.Reader, algo, analyses string
 		if _, err := seeker.Seek(0, io.SeekStart); err != nil {
 			return nil, err
 		}
-		rep, err := feedSession(client, seeker, algo, analyses, chunkBytes)
+		rep, err := feedSession(client, seeker, o, chunkBytes)
 		if err == nil {
 			return rep, nil
 		}
@@ -412,8 +417,8 @@ func remoteIncremental(client *server.Client, r io.Reader, algo, analyses string
 }
 
 // feedSession drives one session: create, feed chunks, finalize.
-func feedSession(client *server.Client, r io.Reader, algo, analyses string, chunkBytes int) (*aerodrome.Report, error) {
-	sess, err := client.NewSessionAnalyses(algo, analyses)
+func feedSession(client *server.Client, r io.Reader, o aerodrome.Options, chunkBytes int) (*aerodrome.Report, error) {
+	sess, err := client.NewSession(o)
 	if err != nil {
 		return nil, err
 	}

@@ -481,8 +481,8 @@ func requireMatches(t *testing.T, args []string, rep *aerodrome.Report) {
 
 // TestLocalCheckMatchesLibrary pins the CLI's one local path, which
 // parses and checks on separate goroutines, to the library's sequential
-// checkers over the golden corpus: with the default analysis against
-// CheckSTD, and with atomicity plus hbrace against CheckSTDAnalyses.
+// checker, CheckSTD, over the golden corpus: with the default analysis
+// and with atomicity plus hbrace.
 func TestLocalCheckMatchesLibrary(t *testing.T) {
 	paths, err := filepath.Glob("../../testdata/golden/*.std")
 	if err != nil || len(paths) == 0 {
@@ -494,12 +494,12 @@ func TestLocalCheckMatchesLibrary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := aerodrome.CheckSTD(bytes.NewReader(data), aerodrome.Optimized)
+		rep, err := aerodrome.CheckSTD(bytes.NewReader(data), aerodrome.Options{Algorithm: aerodrome.Optimized})
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireMatches(t, []string{path}, rep)
-		rep, err = aerodrome.CheckSTDAnalyses(bytes.NewReader(data), aerodrome.Optimized, dual)
+		rep, err = aerodrome.CheckSTD(bytes.NewReader(data), aerodrome.Options{Algorithm: aerodrome.Optimized, Analyses: dual})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,7 +518,7 @@ func TestLocalCheckStdin(t *testing.T) {
 	saved := os.Stdin
 	os.Stdin = f
 	defer func() { os.Stdin = saved }()
-	rep, err := aerodrome.CheckSTD(strings.NewReader(rho2STD), aerodrome.Optimized)
+	rep, err := aerodrome.CheckSTD(strings.NewReader(rho2STD), aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestLocalCheckBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := aerodrome.CheckSTD(bytes.NewReader(data), aerodrome.Optimized)
+	rep, err := aerodrome.CheckSTD(bytes.NewReader(data), aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatal(err)
 	}

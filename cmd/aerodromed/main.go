@@ -164,7 +164,7 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 		fmt.Fprintln(logw, "aerodromed: -backends requires -shard")
 		return 2
 	}
-	if _, err := aerodrome.NewCheckerErr(aerodrome.Algorithm(*algo)); err != nil {
+	if err := (aerodrome.Options{Algorithm: aerodrome.Algorithm(*algo)}).Validate(); err != nil {
 		fmt.Fprintln(logw, "aerodromed:", err)
 		return 2
 	}

@@ -64,62 +64,39 @@
 // EngineStats.FlushesDeferred, FlushesSettled and JoinsSkipped count the
 // deferrals, the settles and the skipped joins.
 //
-// # Pipelined and parallel checking
+// # One front door: Check and Options
 //
-// The single-pass, constant-per-event algorithm streams naturally, so the
-// package offers an ingestion pipeline (internal/pipeline) that overlaps
-// parsing and checking: a producer goroutine fills pooled event batches
-// from the trace log and hands them to the checker through a bounded
-// channel — backpressure keeps memory constant, the batch pool keeps the
-// steady state allocation-free, and the checker's first violation stops
-// the producer early. CheckReaderPipelined and CheckBinaryReaderPipelined
-// expose it per trace; CheckFilesParallel checks N traces concurrently,
-// one independent engine and pipeline per file. The aerodrome command
-// checks every local trace through it, and aerodromed's /v1/check does
-// too. The pipelined paths are observationally identical to the
-// sequential ones: same verdict, same violation index, same event count,
-// enforced by a concurrency-differential suite that runs under the race
-// detector in CI and by a dedicated fuzz target
-// (FuzzPipelineDifferential). CheckSTD and the other sequential entry
-// points stay single-goroutine on purpose: they are the reference those
-// suites compare against.
+// Check(r, Options{Algorithm, Analyses}) checks one whole trace. It
+// sniffs the format once (the ADB1 binary magic, else STD text) and
+// overlaps parsing and checking through internal/pipeline: a producer
+// goroutine fills pooled event batches and hands them to the checker
+// through a bounded channel, so memory stays constant, the steady state
+// allocates nothing, and the first violation stops the producer. The
+// aerodrome command and aerodromed's /v1/check run through the same loop.
+// CheckFilesParallel runs Check on N files concurrently. CheckSTD is the
+// sequential reference: Check on STD text and on its ADB1 re-encoding
+// gives the same verdict, violation index and event count, enforced by a
+// concurrency-differential suite under the race detector in CI and by a
+// fuzz target (FuzzPipelineDifferential).
 //
-// For streams that arrive in pieces rather than behind an io.Reader — a
-// network session, a log follower — IncrementalChecker accepts arbitrary
-// byte chunks of a trace log (STD text or ADB1 binary, sniffed from the
-// first bytes; boundaries need not align with lines or records) and is
-// likewise pinned to the sequential checkers over the concatenated bytes.
-// Monitor.Event is the equivalent hook at the Monitor level for
-// already-decoded events.
+// Two streaming front ends take the same Options: IncrementalChecker
+// accepts arbitrary byte chunks of a trace (the format sniffed from the
+// first bytes; boundaries need not align with lines or records), and
+// Monitor interns arbitrary keys for a live program. Checker, for raw
+// dense IDs, takes just an Algorithm.
 //
-// # Multi-analysis checking
-//
-// The atomicity checker's vector-clock substrate answers more questions
-// than serializability, so one ingested event stream can drive several
-// analyses off a single parse ("one parse, one clock substrate, N
-// verdicts" — ROADMAP item 4). An analysis set is a list of
-// AnalysisKind values: AnalysisAtomicity (the default, the AeroDrome
-// algorithms above) and AnalysisHBRace, a FastTrack-style happens-before
-// data-race detector (internal/race) reusing the same internal/vc clocks
-// — per-variable write/read epochs with read escalation to full vectors
-// under concurrent readers, release/fork/join publication edges, and
-// write-write / write-read / read-write verdicts. CheckSTDAnalyses,
-// CheckReaderPipelinedAnalyses and NewIncrementalCheckerAnalyses accept
-// the set (the CLI spells it `-analyses atomicity,hbrace`); each
-// analysis latches at its own first violation and the stream stops once
-// every requested analysis is done. The report's top-level fields always
-// carry the atomicity verdict in the legacy wire format; per-analysis
-// entries land in Report.Analyses — and when the set is exactly the
-// default ["atomicity"], the output is byte-identical to the
-// single-analysis path. Unknown analysis names are rejected up front
-// with the valid set listed, in the library, the CLI (every mode) and
-// the service alike. The hbrace detector is pinned against a naive
-// full-vector-clock happens-before oracle over the golden corpus, the
-// paper traces, the scenario shapes and the fuzz seeds
-// (race_differential_test.go, FuzzRaceDifferential), under -race in CI;
-// the dual-analysis ingest cost is tracked by the dual-analysis rows in
-// BENCH_after.json (~1.1x the single-analysis pipelined path on
-// sharded-t64).
+// Options.Analyses is the analysis set one parse drives ("one parse, one
+// clock substrate, N verdicts"): AnalysisAtomicity, the default, and
+// AnalysisHBRace, a FastTrack-style happens-before data-race detector
+// (internal/race) on the same internal/vc clocks. Each analysis latches
+// at its own first violation, and the stream stops once every one has.
+// The report's top-level fields always carry the atomicity verdict;
+// per-analysis entries land in Report.Analyses, and for the default set
+// the report is byte-identical to the single-analysis one. Unknown names
+// are rejected up front with the valid set listed: by Options.Validate in
+// the library and the service, and by the CLI's `-analyses` flag. The
+// hbrace detector is pinned against a naive full-vector-clock oracle
+// (race_differential_test.go, FuzzRaceDifferential) under -race in CI.
 //
 // # The aerodromed service
 //
@@ -127,7 +104,7 @@
 // long-running, stdlib-only HTTP service: the algorithm is a single-pass,
 // bounded-memory sweep, so one daemon multiplexes many concurrent trace
 // streams, each on its own engine. POST /v1/check streams a whole trace
-// (STD or binary, sniffed) through the ingestion pipeline and returns the
+// (STD or binary, sniffed) through Check and returns the
 // JSON Report; the /v1/sessions API is the incremental mode — create a
 // session, feed STD chunks, poll the snapshot, finalize for the Report —
 // backed by IncrementalChecker per session. Admission is controlled, not
@@ -265,7 +242,7 @@
 //   - Concurrency differentials: the pipelined checker and
 //     CheckFilesParallel are pinned to sequential CheckSTD across the
 //     golden corpus, paper traces and fuzz seeds, and a Monitor stress
-//     suite asserts exact event accounting and at-most-once OnViolation
+//     suite asserts exact event accounting and at-most-once onViolation
 //     delivery; CI runs all of it under -race.
 //   - White-box replays: internal/core checks every O(1) shortcut of the
 //     optimized engine (snapshot stamps, absorb epochs, update-set marks)
@@ -289,7 +266,7 @@
 // running Go code: register threads, wrap atomic blocks in Begin/End, and
 // report shared accesses; the monitor reports the first violation.
 //
-//	m := aerodrome.NewMonitor()
+//	m := aerodrome.NewMonitor(aerodrome.Options{}, nil)
 //	worker := m.Thread("worker-1")
 //	worker.Begin()
 //	worker.Read("balance")

@@ -49,12 +49,10 @@ func (s *counterService) buggyIncrement(m aerodrome.Thread, key string) {
 func main() {
 	var violation *aerodrome.Violation
 	var once sync.Once
-	monitor := aerodrome.NewMonitor(
-		aerodrome.WithAlgorithm(aerodrome.Optimized),
-		aerodrome.OnViolation(func(v *aerodrome.Violation) {
+	monitor := aerodrome.NewMonitor(aerodrome.Options{Algorithm: aerodrome.Optimized},
+		func(v *aerodrome.Violation) {
 			once.Do(func() { violation = v })
-		}),
-	)
+		})
 
 	svc := &counterService{values: map[string]int{}}
 

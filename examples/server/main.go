@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"aerodrome"
 	"aerodrome/internal/server"
 )
 
@@ -48,7 +49,7 @@ func main() {
 	client := &server.Client{BaseURL: "http://" + addr}
 
 	// Mode 1: one-shot — stream the whole trace, get the report.
-	report, err := client.Check(strings.NewReader(rho2), "")
+	report, err := client.Check(strings.NewReader(rho2), aerodrome.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "check:", err)
 		os.Exit(1)
@@ -62,7 +63,7 @@ func main() {
 
 	// Mode 2: incremental — open a session and feed the trace line by
 	// line, as a live system under monitoring would.
-	sess, err := client.NewSession("")
+	sess, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "session:", err)
 		os.Exit(1)

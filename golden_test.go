@@ -78,7 +78,7 @@ func goldenConfigs() []workload.Config {
 var basicClass = []core.Algorithm{core.AlgoBasic, core.AlgoReadOpt}
 
 // replaySTDPipelined replays one golden trace through the public pipelined
-// checker: the corpus pins the concurrent ingestion path to the same
+// checker, Check: the corpus pins the concurrent ingestion path to the same
 // snapshots as the sequential one, so a pipeline regression (reordering,
 // dropped batch, off-by-one latch) fails against recorded history even if
 // both paths drift together relative to the snapshot.
@@ -89,7 +89,7 @@ func replaySTDPipelined(t *testing.T, path string) (*aerodrome.Report, int64) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rep, err := aerodrome.CheckReaderPipelined(f, aerodrome.Optimized)
+	rep, _, err := aerodrome.Check(f, aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatalf("%s: pipelined replay: %v", path, err)
 	}
@@ -106,8 +106,8 @@ func replayRaceSTD(t *testing.T, path string) aerodrome.AnalysisReport {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rep, err := aerodrome.CheckSTDAnalyses(f, aerodrome.Optimized,
-		[]aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace})
+	rep, err := aerodrome.CheckSTD(f, aerodrome.Options{Algorithm: aerodrome.Optimized,
+		Analyses: []aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace}})
 	if err != nil {
 		t.Fatalf("%s: dual-analysis replay: %v", path, err)
 	}

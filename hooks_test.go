@@ -13,11 +13,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"aerodrome"
 	"aerodrome/internal/rapidio"
+	"aerodrome/internal/trace"
 )
 
 func encodeJSON(w io.Writer, v any) error { return json.NewEncoder(w).Encode(v) }
@@ -118,7 +120,7 @@ func TestMonitorEventFeed(t *testing.T) {
 		{Thread: 1, Kind: aerodrome.TxEnd},
 	}
 	checker := aerodrome.NewChecker(aerodrome.ReadOpt)
-	m := aerodrome.NewMonitor(aerodrome.WithAlgorithm(aerodrome.ReadOpt))
+	m := aerodrome.NewMonitor(aerodrome.Options{Algorithm: aerodrome.ReadOpt}, nil)
 	if got, want := m.Algorithm(), checker.Algorithm(); got != want {
 		t.Fatalf("Algorithm = %q, want %q", got, want)
 	}
@@ -142,6 +144,41 @@ func TestMonitorEventFeed(t *testing.T) {
 	}
 }
 
+// TestMonitorAnalysesMatchCheckSTD pins the Monitor's analysis set: each
+// golden trace, fed event by event through Monitor.Event with atomicity
+// and hbrace selected, must leave Monitor.Analyses equal to the
+// per-analysis verdicts CheckSTD reports for the same trace and set.
+func TestMonitorAnalysesMatchCheckSTD(t *testing.T) {
+	publicKind := map[trace.OpKind]aerodrome.EventKind{
+		trace.Begin: aerodrome.TxBegin, trace.End: aerodrome.TxEnd,
+		trace.Read: aerodrome.OpRead, trace.Write: aerodrome.OpWrite,
+		trace.Acquire: aerodrome.OpAcquire, trace.Release: aerodrome.OpRelease,
+		trace.Fork: aerodrome.OpFork, trace.Join: aerodrome.OpJoin,
+	}
+	o := aerodrome.Options{Analyses: []aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace}}
+	for _, path := range goldenPaths(t) {
+		std, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := aerodrome.CheckSTD(bytes.NewReader(std), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := aerodrome.NewMonitor(o, nil)
+		rd := rapidio.NewReader(bytes.NewReader(std))
+		for e, ok := rd.Next(); ok; e, ok = rd.Next() {
+			m.Event(aerodrome.Event{Thread: int(e.Thread), Kind: publicKind[e.Kind], Target: int(e.Target)})
+		}
+		if err := rd.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Analyses(); !reflect.DeepEqual(got, want.Analyses) {
+			t.Fatalf("%s: Monitor.Analyses\n%+v\nwant CheckSTD's\n%+v", filepath.Base(path), got, want.Analyses)
+		}
+	}
+}
+
 // TestIncrementalChecker pins the chunk-fed checker against CheckSTD on
 // the same bytes, across chunk sizes that split lines arbitrarily.
 func TestIncrementalChecker(t *testing.T) {
@@ -149,12 +186,12 @@ func TestIncrementalChecker(t *testing.T) {
 		name string
 		data string
 	}{{"violating", rho2STD}, {"serializable", serializableSTD}} {
-		want, err := aerodrome.CheckSTD(strings.NewReader(tc.data), aerodrome.Optimized)
+		want, err := aerodrome.CheckSTD(strings.NewReader(tc.data), aerodrome.Options{Algorithm: aerodrome.Optimized})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, chunk := range []int{1, 4, 1 << 16} {
-			ic, err := aerodrome.NewIncrementalChecker(aerodrome.Optimized)
+			ic, err := aerodrome.NewIncrementalChecker(aerodrome.Options{Algorithm: aerodrome.Optimized})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,47 +220,29 @@ func TestIncrementalChecker(t *testing.T) {
 	}
 }
 
-// TestIncrementalCheckerBinary pins the chunk-fed checker against
-// CheckBinaryReader... semantics on the same bytes: the feeder sniffs the
-// ADB1 magic like /v1/check, so a binary session's verdict, violation
-// index and event count match the pull path regardless of how the records
-// were chunked (including splits inside the magic and inside records).
+// TestIncrementalCheckerBinary pins the chunk-fed checker against Check
+// on the same ADB1 bytes: the feeder sniffs the magic like Check, so a
+// binary session's verdict, violation index and event count match the
+// pull path regardless of how the records were chunked (including splits
+// inside the magic and inside records).
 func TestIncrementalCheckerBinary(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		data string
 	}{{"violating", rho2STD}, {"serializable", serializableSTD}} {
-		rd := rapidio.NewReader(strings.NewReader(tc.data))
-		var bin bytes.Buffer
-		bw := rapidio.NewBinaryWriter(&bin)
-		for {
-			ev, ok := rd.Next()
-			if !ok {
-				break
-			}
-			if err := bw.Write(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := rd.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		want, err := aerodrome.CheckBinaryReaderPipelined(bytes.NewReader(bin.Bytes()), aerodrome.Optimized)
+		bin := stdToBinary(t, []byte(tc.data))
+		want, _, err := aerodrome.Check(bytes.NewReader(bin), aerodrome.Options{Algorithm: aerodrome.Optimized})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, chunk := range []int{1, 3, 8, 1 << 16} {
-			ic, err := aerodrome.NewIncrementalChecker(aerodrome.Optimized)
+			ic, err := aerodrome.NewIncrementalChecker(aerodrome.Options{Algorithm: aerodrome.Optimized})
 			if err != nil {
 				t.Fatal(err)
 			}
-			data := bin.Bytes()
-			for i := 0; i < len(data); i += chunk {
-				end := min(i+chunk, len(data))
-				if _, err := ic.Feed(data[i:end]); err != nil {
+			for i := 0; i < len(bin); i += chunk {
+				end := min(i+chunk, len(bin))
+				if _, err := ic.Feed(bin[i:end]); err != nil {
 					t.Fatalf("%s/%d: feed: %v", tc.name, chunk, err)
 				}
 			}
@@ -245,7 +264,7 @@ func TestIncrementalCheckerBinary(t *testing.T) {
 // TestIncrementalCheckerParseError pins the failure mode a session turns
 // into an HTTP 400: malformed chunks latch a typed parse error.
 func TestIncrementalCheckerParseError(t *testing.T) {
-	ic, err := aerodrome.NewIncrementalChecker(aerodrome.Optimized)
+	ic, err := aerodrome.NewIncrementalChecker(aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +278,7 @@ func TestIncrementalCheckerParseError(t *testing.T) {
 
 // TestReportJSONShape pins the wire format served by aerodromed.
 func TestReportJSONShape(t *testing.T) {
-	rep, err := aerodrome.CheckSTD(strings.NewReader(rho2STD), aerodrome.Optimized)
+	rep, err := aerodrome.CheckSTD(strings.NewReader(rho2STD), aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatal(err)
 	}

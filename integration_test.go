@@ -61,7 +61,7 @@ func TestPipelineGenerateCheckAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := aerodrome.CheckSTD(f, algo)
+				rep, err := aerodrome.CheckSTD(f, aerodrome.Options{Algorithm: algo})
 				f.Close()
 				if err != nil {
 					t.Fatalf("%s: %v", algo, err)
@@ -163,7 +163,7 @@ func TestPipelineDetectionIndicesOrdered(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		rep, err := aerodrome.CheckSTD(f, algo)
+		rep, err := aerodrome.CheckSTD(f, aerodrome.Options{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
 		}

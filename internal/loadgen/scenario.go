@@ -153,7 +153,7 @@ func (s Scenario) Payload() ([]byte, Expect, error) {
 		return nil, Expect{}, fmt.Errorf("loadgen: rendering %s: %w", s.Name, err)
 	}
 	data := buf.Bytes()
-	rep, err := aerodrome.CheckSTD(bytes.NewReader(data), aerodrome.Optimized)
+	rep, err := aerodrome.CheckSTD(bytes.NewReader(data), aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		return nil, Expect{}, fmt.Errorf("loadgen: local reference for %s: %w", s.Name, err)
 	}

@@ -12,7 +12,6 @@ package loadgen
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -202,7 +201,7 @@ func (t *SessionTarget) Do(worker int, a Arrival) Result {
 	if st == nil {
 		c := t.newClient(worker, 0)
 		c.Tenant = a.Tenant
-		sess, err := c.NewSession(loadAlgorithm)
+		sess, err := c.NewSession(aerodrome.Options{Algorithm: loadAlgorithm})
 		if err != nil {
 			res.Rejections++
 			return res // session slots exhausted: retry on a later arrival
@@ -210,7 +209,7 @@ func (t *SessionTarget) Do(worker int, a Arrival) Result {
 		st = &sessionState{sess: sess}
 		t.states[worker] = st
 	}
-	if _, err := st.sess.FeedContext(context.Background(), t.Chunks[st.next]); err != nil {
+	if _, err := st.sess.Feed(t.Chunks[st.next]); err != nil {
 		res.Hard = true
 		return res
 	}
@@ -229,7 +228,7 @@ func (t *SessionTarget) Do(worker int, a Arrival) Result {
 	gen := st.gen + 1
 	c := t.newClient(worker, gen)
 	c.Tenant = a.Tenant
-	sess, err := c.NewSession(loadAlgorithm)
+	sess, err := c.NewSession(aerodrome.Options{Algorithm: loadAlgorithm})
 	if err != nil {
 		t.states[worker] = nil
 		res.Rejections++

@@ -36,19 +36,14 @@ type Feeder struct {
 	err   error // terminal parse error (never io.EOF)
 }
 
-// NewFeeder returns a Feeder over eng. cfg follows the Run defaults;
-// only BatchSize and Stats apply (there is no producer goroutine to
-// bound).
-func NewFeeder(eng core.Engine, cfg Config) *Feeder {
-	return NewFeederSinks(eng, nil, cfg)
-}
-
-// NewFeederSinks is NewFeeder with additional analysis sinks sharing the
-// parsed stream, following the RunMulti contract: the engine's verdict,
-// violation index and event count are unaffected by the extra sinks, each
-// sink sees every event up to its own latch, and the stream keeps flowing
-// (and parse errors keep being reported) until every analysis is done.
-func NewFeederSinks(eng core.Engine, extra []Sink, cfg Config) *Feeder {
+// NewFeeder returns a Feeder over eng and the extra analysis sinks sharing
+// the parsed stream (nil for none), following the RunMulti contract: the
+// engine's verdict, violation index and event count are unaffected by the
+// sinks, each sink sees every event up to its own latch, and the stream
+// keeps flowing (and parse errors keep being reported) until every
+// analysis is done. cfg follows the Run defaults; only BatchSize and
+// Stats apply (there is no producer goroutine to bound).
+func NewFeeder(eng core.Engine, extra []Sink, cfg Config) *Feeder {
 	cfg = cfg.withDefaults()
 	return &Feeder{
 		eng:   eng,

@@ -52,7 +52,7 @@ func TestFeederMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: sequential parse: %v", name, err)
 		}
 		for _, chunk := range []int{1, 3, 17, 256, 1 << 20} {
-			f := NewFeeder(core.NewOptimized(), Config{BatchSize: 32})
+			f := NewFeeder(core.NewOptimized(), nil, Config{BatchSize: 32})
 			for i := 0; i < len(data); i += chunk {
 				end := i + chunk
 				if end > len(data) {
@@ -85,7 +85,7 @@ func TestFeederMatchesSequential(t *testing.T) {
 // reported, because the sequential checker would have stopped reading.
 func TestFeederDiscardsAfterViolation(t *testing.T) {
 	data := renderSTD(t, testutil.Rho2()) // violating trace
-	f := NewFeeder(core.NewOptimized(), Config{})
+	f := NewFeeder(core.NewOptimized(), nil, Config{})
 	v, err := f.Feed(data)
 	if err != nil || v == nil {
 		t.Fatalf("Feed = (%v, %v), want latched violation", v, err)
@@ -108,7 +108,7 @@ func TestFeederDiscardsAfterViolation(t *testing.T) {
 func TestFeederReleasesTailOnViolation(t *testing.T) {
 	head := renderSTD(t, testutil.Rho2())
 	tail := bytes.Repeat([]byte("t0|r(x)|1\n"), 100_000)
-	f := NewFeeder(core.NewOptimized(), Config{})
+	f := NewFeeder(core.NewOptimized(), nil, Config{})
 	v, err := f.Feed(append(append([]byte{}, head...), tail...))
 	if err != nil || v == nil {
 		t.Fatalf("Feed = (%v, %v), want latched violation", v, err)
@@ -119,7 +119,7 @@ func TestFeederReleasesTailOnViolation(t *testing.T) {
 }
 
 func TestFeederParseErrorLatches(t *testing.T) {
-	f := NewFeeder(core.NewOptimized(), Config{})
+	f := NewFeeder(core.NewOptimized(), nil, Config{})
 	if _, err := f.Feed([]byte("t0|begin|0\nt0|nope|0\n")); err == nil {
 		t.Fatal("want parse error")
 	}
@@ -133,7 +133,7 @@ func TestFeederParseErrorLatches(t *testing.T) {
 
 // TestFeederTrailingLine pins Close's flush of a final unterminated line.
 func TestFeederTrailingLine(t *testing.T) {
-	f := NewFeeder(core.NewOptimized(), Config{})
+	f := NewFeeder(core.NewOptimized(), nil, Config{})
 	if _, err := f.Feed([]byte("t0|begin|0\nt0|w(x)|1\nt0|end|0")); err != nil {
 		t.Fatal(err)
 	}

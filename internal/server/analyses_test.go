@@ -57,11 +57,14 @@ func sameAnalyses(t *testing.T, label string, got, want []aerodrome.AnalysisRepo
 	}
 }
 
+// dualSet is the atomicity-plus-hbrace analysis set.
+var dualSet = []aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace}
+
 // postCheckAnalyses posts body to /v1/check?analyses=... and decodes the
 // report.
-func postCheckAnalyses(t *testing.T, ts *httptest.Server, body []byte, analyses string) *aerodrome.Report {
+func postCheckAnalyses(t *testing.T, ts *httptest.Server, body []byte, analyses []aerodrome.AnalysisKind) *aerodrome.Report {
 	t.Helper()
-	rep, err := (&Client{BaseURL: ts.URL}).CheckAnalyses(bytes.NewReader(body), "", analyses)
+	rep, err := (&Client{BaseURL: ts.URL}).Check(bytes.NewReader(body), aerodrome.Options{Analyses: analyses})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +73,7 @@ func postCheckAnalyses(t *testing.T, ts *httptest.Server, body []byte, analyses 
 
 func TestCheckAnalysesDualVerdicts(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	want, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(dualSTD), aerodrome.Optimized,
-		[]aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace})
+	want, err := aerodrome.CheckSTD(bytes.NewReader(dualSTD), aerodrome.Options{Algorithm: aerodrome.Optimized, Analyses: dualSet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestCheckAnalysesDualVerdicts(t *testing.T) {
 	}
 
 	for _, body := range [][]byte{dualSTD, toBinary(t, dualSTD)} {
-		got := postCheckAnalyses(t, ts, body, "atomicity,hbrace")
+		got := postCheckAnalyses(t, ts, body, dualSet)
 		sameReport(t, "dual", got, want)
 		sameAnalyses(t, "dual", got.Analyses, want.Analyses)
 	}
@@ -151,14 +153,13 @@ func TestSessionCreateUnknownAnalysisRejected(t *testing.T) {
 
 func TestSessionDualAnalysis(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	want, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(dualSTD), aerodrome.Optimized,
-		[]aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace})
+	want, err := aerodrome.CheckSTD(bytes.NewReader(dualSTD), aerodrome.Options{Algorithm: aerodrome.Optimized, Analyses: dualSet})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSessionAnalyses("", "atomicity,hbrace")
+	sess, err := client.NewSession(aerodrome.Options{Analyses: dualSet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +232,12 @@ func TestSessionDefaultSetWireUnchanged(t *testing.T) {
 // the per-analysis verdicts must flow back.
 func TestRouterSessionAnalysesPassthrough(t *testing.T) {
 	c := newTestCluster(t, 2, Config{})
-	want, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(dualSTD), aerodrome.Optimized,
-		[]aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity, aerodrome.AnalysisHBRace})
+	want, err := aerodrome.CheckSTD(bytes.NewReader(dualSTD), aerodrome.Options{Algorithm: aerodrome.Optimized, Analyses: dualSet})
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := &Client{BaseURL: c.routerTS.URL, TraceKey: "dual-k1"}
-	sess, err := client.NewSessionAnalyses("", "atomicity,hbrace")
+	sess, err := client.NewSession(aerodrome.Options{Analyses: dualSet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestRouterSessionAnalysesPassthrough(t *testing.T) {
 	sameAnalyses(t, "routed-dual", rep.Analyses, want.Analyses)
 
 	// One-shot checks route through untouched as well.
-	got, err := client.CheckAnalyses(bytes.NewReader(dualSTD), "", "atomicity,hbrace")
+	got, err := client.Check(bytes.NewReader(dualSTD), aerodrome.Options{Analyses: dualSet})
 	if err != nil {
 		t.Fatal(err)
 	}

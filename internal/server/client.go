@@ -25,7 +25,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	neturl "net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -160,8 +159,8 @@ func (c *Client) backoff(attempt int, resp *http.Response) time.Duration {
 }
 
 // attempt is one request attempt under the per-attempt timeout.
-func (c *Client) attempt(ctx context.Context, method, url, contentType string, body io.Reader, seq int64) (*http.Response, context.CancelFunc, error) {
-	cancel := context.CancelFunc(func() {})
+func (c *Client) attempt(method, url, contentType string, body io.Reader, seq int64) (*http.Response, context.CancelFunc, error) {
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
 	if t := c.timeout(); t > 0 {
 		ctx, cancel = context.WithTimeout(ctx, t)
 	}
@@ -194,7 +193,7 @@ func (c *Client) attempt(ctx context.Context, method, url, contentType string, b
 // (rewound before each retry); any other reader disables retries after
 // the first byte is gone. The returned response's Body must be closed by
 // the caller; closing it releases the attempt's timeout.
-func (c *Client) do(ctx context.Context, method, url, contentType string, body io.Reader, seq int64) (*http.Response, error) {
+func (c *Client) do(method, url, contentType string, body io.Reader, seq int64) (*http.Response, error) {
 	seeker, rewindable := body.(io.ReadSeeker)
 	if body == nil {
 		rewindable = true
@@ -210,7 +209,7 @@ func (c *Client) do(ctx context.Context, method, url, contentType string, body i
 				return nil, fmt.Errorf("remote: rewinding request body for retry: %w", err)
 			}
 		}
-		resp, cancel, err := c.attempt(ctx, method, url, contentType, body, seq)
+		resp, cancel, err := c.attempt(method, url, contentType, body, seq)
 		if err == nil && !retryableStatus(resp.StatusCode) {
 			return closeCancelBody{resp: resp, cancel: cancel}.wrap(), nil
 		}
@@ -224,21 +223,17 @@ func (c *Client) do(ctx context.Context, method, url, contentType string, body i
 			resp.Body.Close()
 			cancel()
 		}
-		if attempt >= retries || ctx.Err() != nil {
+		if attempt >= retries {
 			return nil, lastErr
 		}
 		// Peek at the router's ring epoch between attempts: a bumped epoch
 		// means the topology changed under us and the next attempt already
 		// routes around the failure, so the wait stays short.
-		c.refreshRing(ctx)
+		c.refreshRing()
 		if b := c.backoff(attempt, nil); b > wait {
 			wait = b
 		}
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return nil, lastErr
-		}
+		time.Sleep(wait)
 	}
 }
 
@@ -278,10 +273,10 @@ func (c *Client) RingEpoch() uint64 {
 // refreshRing polls BaseURL's /metrics for the ring epoch and healthy
 // backend set. Errors are swallowed: the ring cache is an optimization
 // (plain backends have no ring and that is fine).
-func (c *Client) refreshRing(ctx context.Context) {
-	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+func (c *Client) refreshRing() {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, c.url("/metrics"), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/metrics"), nil)
 	if err != nil {
 		return
 	}
@@ -335,44 +330,17 @@ func remoteError(resp *http.Response) error {
 }
 
 // Check streams one whole trace (STD or binary; the server sniffs) to
-// POST /v1/check with the given algorithm ("" for the server default) and
-// returns the Report. Pass an io.ReadSeeker (a *os.File or *bytes.Reader)
+// POST /v1/check and returns the Report. An unset o.Algorithm leaves the
+// server's default; a non-default o.Analyses adds per-analysis verdicts
+// in Report.Analyses. Pass an io.ReadSeeker (a *os.File or *bytes.Reader)
 // to make the request retryable.
-func (c *Client) Check(r io.Reader, algo string) (*aerodrome.Report, error) {
-	return c.CheckContext(context.Background(), r, algo)
-}
-
-// CheckContext is Check under a caller-supplied context.
-func (c *Client) CheckContext(ctx context.Context, r io.Reader, algo string) (*aerodrome.Report, error) {
-	return c.CheckAnalysesContext(ctx, r, algo, "")
-}
-
-// CheckAnalyses is Check with an analysis set ("atomicity,hbrace"; "" for
-// the server default). The report's top-level fields carry the atomicity
-// verdict; per-analysis verdicts land in Report.Analyses.
-func (c *Client) CheckAnalyses(r io.Reader, algo, analyses string) (*aerodrome.Report, error) {
-	return c.CheckAnalysesContext(context.Background(), r, algo, analyses)
-}
-
-// CheckAnalysesContext is CheckAnalyses under a caller-supplied context.
-func (c *Client) CheckAnalysesContext(ctx context.Context, r io.Reader, algo, analyses string) (*aerodrome.Report, error) {
-	path := "/v1/check"
-	q := neturl.Values{}
-	if algo != "" {
-		q.Set("algo", algo)
-	}
-	if analyses != "" {
-		q.Set("analyses", analyses)
-	}
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	resp, err := c.do(ctx, http.MethodPost, c.url(path), "application/octet-stream", r, -1)
+func (c *Client) Check(r io.Reader, o aerodrome.Options) (*aerodrome.Report, error) {
+	resp, err := c.do(http.MethodPost, c.url("/v1/check"+optionsQuery(o)), "application/octet-stream", r, -1)
 	if err != nil {
 		// Router gone? A one-shot check is stateless, so any healthy
 		// backend from the last-seen ring can serve it directly.
 		seeker, ok := r.(io.ReadSeeker)
-		if !ok || ctx.Err() != nil {
+		if !ok {
 			return nil, err
 		}
 		for _, backend := range c.fallbackBackends() {
@@ -381,7 +349,7 @@ func (c *Client) CheckAnalysesContext(ctx context.Context, r io.Reader, algo, an
 			}
 			direct := &Client{BaseURL: backend, Tenant: c.Tenant, TraceKey: c.TraceKey,
 				HTTPClient: c.HTTPClient, Timeout: c.Timeout, MaxRetries: -1}
-			if rep, derr := direct.CheckAnalysesContext(ctx, seeker, algo, analyses); derr == nil {
+			if rep, derr := direct.Check(seeker, o); derr == nil {
 				return rep, nil
 			}
 		}
@@ -407,38 +375,10 @@ type Session struct {
 	seq atomic.Int64
 }
 
-// NewSession opens an incremental session ("" selects the server's
-// default algorithm).
-func (c *Client) NewSession(algo string) (*Session, error) {
-	return c.NewSessionContext(context.Background(), algo)
-}
-
-// NewSessionContext is NewSession under a caller-supplied context.
-func (c *Client) NewSessionContext(ctx context.Context, algo string) (*Session, error) {
-	return c.NewSessionAnalysesContext(ctx, algo, "")
-}
-
-// NewSessionAnalyses opens an incremental session running an analysis set
-// ("atomicity,hbrace"; "" for the server default, atomicity alone).
-func (c *Client) NewSessionAnalyses(algo, analyses string) (*Session, error) {
-	return c.NewSessionAnalysesContext(context.Background(), algo, analyses)
-}
-
-// NewSessionAnalysesContext is NewSessionAnalyses under a caller-supplied
-// context.
-func (c *Client) NewSessionAnalysesContext(ctx context.Context, algo, analyses string) (*Session, error) {
-	path := "/v1/sessions"
-	q := neturl.Values{}
-	if algo != "" {
-		q.Set("algo", algo)
-	}
-	if analyses != "" {
-		q.Set("analyses", analyses)
-	}
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	resp, err := c.do(ctx, http.MethodPost, c.url(path), "application/json", nil, -1)
+// NewSession opens an incremental session running o. An unset
+// o.Algorithm leaves the server's default.
+func (c *Client) NewSession(o aerodrome.Options) (*Session, error) {
+	resp, err := c.do(http.MethodPost, c.url("/v1/sessions"+optionsQuery(o)), "application/json", nil, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -457,13 +397,8 @@ func (c *Client) NewSessionAnalysesContext(ctx context.Context, algo, analyses s
 
 // Feed posts one STD chunk and returns the post-chunk snapshot.
 func (s *Session) Feed(chunk []byte) (*SessionView, error) {
-	return s.FeedContext(context.Background(), chunk)
-}
-
-// FeedContext is Feed under a caller-supplied context.
-func (s *Session) FeedContext(ctx context.Context, chunk []byte) (*SessionView, error) {
 	seq := s.seq.Add(1)
-	resp, err := s.c.do(ctx, http.MethodPost,
+	resp, err := s.c.do(http.MethodPost,
 		s.c.url("/v1/sessions/"+s.ID+"/events"), "text/plain", bytes.NewReader(chunk), seq)
 	if err != nil {
 		return nil, err
@@ -493,12 +428,7 @@ func (s *Session) FeedContext(ctx context.Context, chunk []byte) (*SessionView, 
 
 // Close finalizes the session and returns the final Report.
 func (s *Session) Close() (*aerodrome.Report, error) {
-	return s.CloseContext(context.Background())
-}
-
-// CloseContext is Close under a caller-supplied context.
-func (s *Session) CloseContext(ctx context.Context) (*aerodrome.Report, error) {
-	resp, err := s.c.do(ctx, http.MethodDelete, s.c.url("/v1/sessions/"+s.ID), "", nil, -1)
+	resp, err := s.c.do(http.MethodDelete, s.c.url("/v1/sessions/"+s.ID), "", nil, -1)
 	if err != nil {
 		return nil, err
 	}

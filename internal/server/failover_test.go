@@ -469,7 +469,7 @@ func TestClientRetries(t *testing.T) {
 	defer backend.Close()
 
 	client := &Client{BaseURL: backend.URL, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond}
-	rep, err := client.Check(bytes.NewReader(std), "optimized")
+	rep, err := client.Check(bytes.NewReader(std), aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatalf("Check with two 503s: %v", err)
 	}
@@ -483,7 +483,7 @@ func TestClientRetries(t *testing.T) {
 
 	calls.Store(0)
 	noRetry := &Client{BaseURL: backend.URL, MaxRetries: -1}
-	if _, err := noRetry.Check(bytes.NewReader(std), "optimized"); err == nil {
+	if _, err := noRetry.Check(bytes.NewReader(std), aerodrome.Options{Algorithm: aerodrome.Optimized}); err == nil {
 		t.Fatal("MaxRetries<0 should surface the first 503")
 	}
 	if got := calls.Load(); got != 1 {
@@ -503,7 +503,7 @@ func TestClientTimeout(t *testing.T) {
 
 	client := &Client{BaseURL: hung.URL, Timeout: 50 * time.Millisecond, MaxRetries: -1}
 	start := time.Now()
-	_, err := client.Check(bytes.NewReader([]byte("t1|begin|0\n")), "")
+	_, err := client.Check(bytes.NewReader([]byte("t1|begin|0\n")), aerodrome.Options{})
 	if err == nil {
 		t.Fatal("Check against a hung server should time out")
 	}
@@ -538,7 +538,7 @@ func TestClientRingFallback(t *testing.T) {
 
 	client := &Client{BaseURL: router.URL, MaxRetries: 1,
 		RetryBase: time.Millisecond, RetryMax: time.Millisecond}
-	rep, err := client.Check(bytes.NewReader(std), "")
+	rep, err := client.Check(bytes.NewReader(std), aerodrome.Options{})
 	if err != nil {
 		t.Fatalf("Check with dead router and healthy ring backend: %v", err)
 	}

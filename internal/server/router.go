@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aerodrome"
 	"aerodrome/internal/obs"
 )
 
@@ -174,8 +175,7 @@ type sessionRoute struct {
 	b         atomic.Pointer[backend] // current affine backend; nil until first resolve
 	backendID string                  // session id on b
 	key       string                  // consistent-hash routing key ("" = placed round-robin)
-	algo      string                  // requested algorithm, replayed on recreation
-	analyses  string                  // requested analysis set, replayed on recreation
+	opts      aerodrome.Options       // requested options, replayed on recreation
 	tenant    string                  // tenant header value, replayed on recreation
 	journal   *journal
 	lastSeq   int64 // last journaled chunk sequence (-1 = none)
@@ -626,39 +626,6 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 	rt.stageProxy.Record(time.Since(start))
 }
 
-// createAlgo extracts the requested algorithm from a session-create
-// request (query, then the buffered JSON body) — stored verbatim so a
-// failover recreates the session with exactly what the client asked for.
-func createAlgo(r *http.Request, body []byte) string {
-	if q := r.URL.Query().Get("algo"); q != "" {
-		return q
-	}
-	var req struct {
-		Algo string `json:"algo"`
-	}
-	if len(body) > 0 && json.Unmarshal(body, &req) == nil {
-		return req.Algo
-	}
-	return ""
-}
-
-// createAnalyses extracts the requested analysis set from a session-create
-// request (query, then the buffered JSON body), rendered as the
-// comma-separated query form — stored verbatim so a failover recreates the
-// session with exactly what the client asked for.
-func createAnalyses(r *http.Request, body []byte) string {
-	if q := r.URL.Query().Get("analyses"); q != "" {
-		return q
-	}
-	var req struct {
-		Analyses []string `json:"analyses"`
-	}
-	if len(body) > 0 && json.Unmarshal(body, &req) == nil {
-		return strings.Join(req.Analyses, ",")
-	}
-	return ""
-}
-
 // handleSessionCreate places a new session on the key's backend. The tiny
 // JSON body is buffered, so creation retries across the ring when the
 // first choice turns out to be down — admission-time backend loss is
@@ -713,11 +680,18 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		if resp.StatusCode == http.StatusCreated {
 			var v SessionView
 			if json.Unmarshal(data, &v) == nil && v.ID != "" {
+				// The backend accepted these options, so they decode; an
+				// unset algorithm stays unset, leaving a recreation to its
+				// backend's default exactly like the original create.
+				var rb io.Reader
+				if len(body) > 0 {
+					rb = bytes.NewReader(body)
+				}
+				opts, _ := decodeOptions(r.URL.Query(), rb, "")
 				route := &sessionRoute{
 					backendID: v.ID,
 					key:       key,
-					algo:      createAlgo(r, body),
-					analyses:  createAnalyses(r, body),
+					opts:      opts,
 					tenant:    r.Header.Get(rt.cfg.TenantHeader),
 					journal: newJournal(rt.cfg.JournalMemBytes, rt.cfg.JournalMaxBytes,
 						rt.cfg.JournalSpillDir, rt.budget),
@@ -870,18 +844,7 @@ func (rt *Router) failoverLocked(route *sessionRoute) error {
 // A transport-level error means nb is unreachable (the caller marks it
 // down and moves on); an HTTP-level refusal is *errBackendDeclined.
 func (rt *Router) recreateOn(nb *backend, route *sessionRoute) (string, int64, error) {
-	u := nb.name + "/v1/sessions"
-	q := url.Values{}
-	if route.algo != "" {
-		q.Set("algo", route.algo)
-	}
-	if route.analyses != "" {
-		q.Set("analyses", route.analyses)
-	}
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	req, err := http.NewRequest(http.MethodPost, u, nil)
+	req, err := http.NewRequest(http.MethodPost, nb.name+"/v1/sessions"+optionsQuery(route.opts), nil)
 	if err != nil {
 		return "", 0, err
 	}

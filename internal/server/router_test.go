@@ -117,7 +117,7 @@ func TestRouterCheckGoldenAndPaperTraces(t *testing.T) {
 		// Session replay through the router, chunked mid-line, keyed by
 		// trace name so every chunk lands on the same backend.
 		client := &Client{BaseURL: c.routerTS.URL, TraceKey: name}
-		sess, err := client.NewSession("")
+		sess, err := client.NewSession(aerodrome.Options{})
 		if err != nil {
 			t.Fatalf("%s: NewSession: %v", name, err)
 		}
@@ -435,7 +435,7 @@ func TestRouterUnknownSession(t *testing.T) {
 func TestRouterDrainAndNoBackends(t *testing.T) {
 	c := newTestCluster(t, 2, Config{})
 	client := &Client{BaseURL: c.routerTS.URL, TraceKey: "drain-key"}
-	sess, err := client.NewSession("")
+	sess, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,20 +26,21 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"aerodrome"
-	"aerodrome/internal/rapidio"
 )
 
 // Config tunes the server. The zero value selects the defaults.
@@ -148,7 +149,7 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	// Fail fast on an unknown default algorithm rather than per request.
-	if _, err := aerodrome.NewCheckerErr(cfg.Algorithm); err != nil {
+	if err := (aerodrome.Options{Algorithm: cfg.Algorithm}).Validate(); err != nil {
 		return nil, err
 	}
 	logger := cfg.Logger
@@ -220,13 +221,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
-// handleCheck is POST /v1/check: one whole trace in, one Report out. The
-// body format is sniffed from the first bytes exactly like
-// CheckFilesParallel, and parsing overlaps checking through the ingestion
-// pipeline.
+// handleCheck is POST /v1/check: one whole trace in, one Report out,
+// through aerodrome.Check (the body format is sniffed, and parsing
+// overlaps checking).
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
+		return
+	}
+	// A request naming an unknown algorithm or analysis is rejected before
+	// admission: it takes no slot, no byte budget and no check count.
+	opts, err := decodeOptions(r.URL.Query(), nil, s.cfg.Algorithm)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Tenant admission precedes the global semaphore so one over-quota
@@ -251,18 +258,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	s.metrics.checksActive.Add(1)
 	defer s.metrics.checksActive.Add(-1)
 
-	algo := s.cfg.Algorithm
-	if q := r.URL.Query().Get("algo"); q != "" {
-		algo = aerodrome.Algorithm(q)
-	}
-	// `?analyses=` selects the analysis set ("atomicity,hbrace"); absent or
-	// empty means the default set, whose report stays byte-identical to the
-	// single-analysis service.
-	analyses, err := aerodrome.ParseAnalyses(r.URL.Query().Get("analyses"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	if r.ContentLength > s.cfg.MaxBodyBytes {
 		// Reject declared-oversized bodies before parsing: once the
 		// MaxBytesReader truncates mid-line, the parser reports the
@@ -292,15 +287,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength < 0 {
 		raw = &tenantBytesReader{r: limited, t: ten}
 	}
-	body := bufio.NewReaderSize(s.bodyReader(w, raw), 1<<16)
-	head, _ := body.Peek(4)
-	var rep *aerodrome.Report
-	var cs aerodrome.CheckStats
-	if rapidio.IsBinary(head) {
-		rep, cs, err = aerodrome.CheckBinaryReaderPipelinedStatsAnalyses(body, algo, analyses)
-	} else {
-		rep, cs, err = aerodrome.CheckReaderPipelinedStatsAnalyses(body, algo, analyses)
-	}
+	rep, cs, err := aerodrome.Check(s.bodyReader(w, raw), opts)
 	if err != nil {
 		var budget *errTenantBudget
 		switch {
@@ -329,6 +316,60 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.metrics.addEngineStats(cs.Engine)
 	}
 	writeJSON(w, http.StatusOK, rep)
+}
+
+// decodeOptions is the one decoder from a request to the Options it asks
+// for, shared by /v1/check, session create and the router: the query's
+// `algo` and `analyses` (comma-separated), over the JSON body's
+// {"algo","analyses"} when body is non-nil. The query wins. An unset
+// algorithm is def. The returned Options are validated.
+func decodeOptions(q url.Values, body io.Reader, def aerodrome.Algorithm) (aerodrome.Options, error) {
+	var req struct {
+		Algo     string   `json:"algo"`
+		Analyses []string `json:"analyses"`
+	}
+	if body != nil {
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			return aerodrome.Options{}, fmt.Errorf("bad request body: %w", err)
+		}
+	}
+	if a := q.Get("algo"); a != "" {
+		req.Algo = a
+	}
+	if a := q.Get("analyses"); a != "" {
+		req.Analyses = strings.Split(a, ",")
+	}
+	o := aerodrome.Options{Algorithm: aerodrome.Algorithm(req.Algo)}
+	if o.Algorithm == "" {
+		o.Algorithm = def
+	}
+	for _, name := range req.Analyses {
+		if name = strings.TrimSpace(name); name != "" {
+			o.Analyses = append(o.Analyses, aerodrome.AnalysisKind(name))
+		}
+	}
+	return o, o.Validate()
+}
+
+// optionsQuery is decodeOptions' inverse: the query string, with its
+// leading "?", that asks for o. algo is set only when named, analyses
+// only for a non-empty set; "" when neither is.
+func optionsQuery(o aerodrome.Options) string {
+	q := url.Values{}
+	if o.Algorithm != "" {
+		q.Set("algo", string(o.Algorithm))
+	}
+	if len(o.Analyses) > 0 {
+		names := make([]string, len(o.Analyses))
+		for i, k := range o.Analyses {
+			names[i] = string(k)
+		}
+		q.Set("analyses", strings.Join(names, ","))
+	}
+	if len(q) == 0 {
+		return ""
+	}
+	return "?" + q.Encode()
 }
 
 // bodyReader wraps a request body so every read must progress within

@@ -103,7 +103,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func wantReport(t *testing.T, std []byte, algo aerodrome.Algorithm) *aerodrome.Report {
 	t.Helper()
-	rep, err := aerodrome.CheckSTD(bytes.NewReader(std), algo)
+	rep, err := aerodrome.CheckSTD(bytes.NewReader(std), aerodrome.Options{Algorithm: algo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestServeCheckGoldenAndPaperTraces(t *testing.T) {
 func feedSession(t *testing.T, ts *httptest.Server, std []byte, algo string, chunk int) *aerodrome.Report {
 	t.Helper()
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSession(algo)
+	sess, err := client.NewSession(aerodrome.Options{Algorithm: aerodrome.Algorithm(algo)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSessionLifecycle(t *testing.T) {
 	want := wantReport(t, std, aerodrome.Optimized)
 
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSession("optimized")
+	sess, err := client.NewSession(aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestSessionLifecycle(t *testing.T) {
 func TestSessionTrailingLineFlush(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSession("")
+	sess, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestSessionTrailingLineFlush(t *testing.T) {
 func TestSessionParseErrorFailsSession(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSession("")
+	sess, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,17 +324,54 @@ func TestSessionParseErrorFailsSession(t *testing.T) {
 	}
 }
 
+// TestCheckRejectsUnknownAlgoAndBadBody: an unknown algorithm or analysis
+// is a 400 with the library's error text, decided before admission — the
+// request takes no check count and no byte budget, with a declared length
+// or chunked — and a malformed trace is a 400 too.
 func TestCheckRejectsUnknownAlgoAndBadBody(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/check?algo=quantum", "text/plain", strings.NewReader("t0|begin|0\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ts := newTestServer(t, Config{TenantQuota: TenantQuota{BytesPerSec: 1 << 20}})
+	body := strings.Repeat("t0|begin|0\nt0|w(x)|0\nt0|end|0\n", 1000) // 30,000 bytes
+	resp := tenantPost(t, ts, "/v1/check", "acme", body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown algo: HTTP %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid check: HTTP %d, want 200", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/v1/check", "text/plain", strings.NewReader("what even is this"))
+	counters := func() [3]int64 {
+		ten := s.snapshotTenants()["acme"]
+		return [3]int64{s.metrics.checksTotal.Load(), ten["checks_total"], ten["bytes_total"]}
+	}
+	before := counters()
+	for _, tc := range []struct{ query, want string }{
+		{"algo=bogus", `aerodrome: unknown algorithm "bogus"`},
+		{"analyses=bogus", `aerodrome: unknown analysis "bogus" (valid: atomicity, hbrace)`},
+	} {
+		for _, chunked := range []bool{false, true} {
+			var rd io.Reader = strings.NewReader(body)
+			if chunked {
+				rd = struct{ io.Reader }{rd} // hides the length: no Content-Length
+			}
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/check?"+tc.query, rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(DefaultTenantHeader, "acme")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e struct{ Error string }
+			json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || e.Error != tc.want {
+				t.Fatalf("%s chunked=%v: HTTP %d %q, want 400 %q", tc.query, chunked, resp.StatusCode, e.Error, tc.want)
+			}
+			if got := counters(); got != before {
+				t.Fatalf("%s chunked=%v: checks total, tenant checks, tenant bytes moved %v -> %v",
+					tc.query, chunked, before, got)
+			}
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/check", "text/plain", strings.NewReader("what even is this"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +440,7 @@ func TestBinarySignTargetIs400(t *testing.T) {
 		t.Fatalf("/v1/check: HTTP %d, want 400", resp.StatusCode)
 	}
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSession("")
+	sess, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +480,7 @@ func TestBodyTooLargeIs413(t *testing.T) {
 		t.Fatalf("oversized chunked check: HTTP %d, want 413", resp.StatusCode)
 	}
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSession("")
+	sess, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +553,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 func TestSessionTTLEviction(t *testing.T) {
 	s, ts := newTestServer(t, Config{SessionTTL: 40 * time.Millisecond})
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSession("")
+	sess, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

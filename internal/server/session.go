@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,42 +173,16 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	var req struct {
-		Algo     string   `json:"algo"`
-		Analyses []string `json:"analyses"`
-	}
+	var body io.Reader
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-			return
-		}
+		body = http.MaxBytesReader(w, r.Body, 1<<16)
 	}
-	if q := r.URL.Query().Get("algo"); q != "" {
-		req.Algo = q
-	}
-	algo := aerodrome.Algorithm(req.Algo)
-	if req.Algo == "" {
-		algo = s.cfg.Algorithm
-	}
-	var set []aerodrome.AnalysisKind
-	for _, name := range req.Analyses {
-		if n := strings.TrimSpace(name); n != "" {
-			set = append(set, aerodrome.AnalysisKind(n))
-		}
-	}
-	analyses, err := aerodrome.NormalizeAnalyses(set)
-	if err == nil {
-		// `?analyses=` (comma-separated) overrides the body list, mirroring
-		// the algo query override.
-		if q := r.URL.Query().Get("analyses"); q != "" {
-			analyses, err = aerodrome.ParseAnalyses(q)
-		}
-	}
+	opts, err := decodeOptions(r.URL.Query(), body, s.cfg.Algorithm)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	checker, err := aerodrome.NewIncrementalCheckerAnalyses(algo, analyses)
+	checker, err := aerodrome.NewIncrementalChecker(opts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -224,7 +197,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	analyses = checker.AnalysisSet()
+	analyses := checker.AnalysisSet()
 	multi := !(len(analyses) == 1 && analyses[0] == aerodrome.AnalysisAtomicity)
 	sess := &session{
 		id:       newSessionID(),

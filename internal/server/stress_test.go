@@ -58,7 +58,7 @@ func TestConcurrentSessionStress(t *testing.T) {
 			// Vary chunk sizes per worker so line splits differ.
 			chunk := 64 + 97*(w%13)
 			client := &Client{BaseURL: ts.URL}
-			sess, err := client.NewSession("")
+			sess, err := client.NewSession(aerodrome.Options{})
 			if err != nil {
 				errs <- fmt.Errorf("worker %d: %v", w, err)
 				return
@@ -121,11 +121,11 @@ func TestConcurrentSessionStress(t *testing.T) {
 func TestSessionAdmissionControl(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxSessions: 2})
 	client := &Client{BaseURL: ts.URL}
-	s1, err := client.NewSession("")
+	s1, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.NewSession(""); err != nil {
+	if _, err := client.NewSession(aerodrome.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", nil)
@@ -142,7 +142,7 @@ func TestSessionAdmissionControl(t *testing.T) {
 	if _, err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.NewSession(""); err != nil {
+	if _, err := client.NewSession(aerodrome.Options{}); err != nil {
 		t.Fatalf("slot not freed after close: %v", err)
 	}
 }
@@ -209,7 +209,7 @@ func TestCheckAdmissionControl(t *testing.T) {
 func TestSessionBusyRejected(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSession("")
+	sess, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSessionBusyRejected(t *testing.T) {
 func TestSessionRemovalRaces(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSession("")
+	sess, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSessionRemovalRaces(t *testing.T) {
 	// reachable for lookup, removed flag already set — and require the
 	// feed to see it rather than dropping the chunk into the finalized
 	// checker.
-	sess2, err := client.NewSession("")
+	sess2, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSessionRemovalRaces(t *testing.T) {
 func TestStalledUploadTimesOut(t *testing.T) {
 	_, ts := newTestServer(t, Config{BodyReadTimeout: 150 * time.Millisecond})
 	client := &Client{BaseURL: ts.URL}
-	sess, err := client.NewSession("")
+	sess, err := client.NewSession(aerodrome.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

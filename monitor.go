@@ -3,7 +3,6 @@ package aerodrome
 import (
 	"sync"
 
-	"aerodrome/internal/core"
 	"aerodrome/internal/trace"
 )
 
@@ -18,9 +17,7 @@ import (
 // trace.
 type Monitor struct {
 	mu      sync.Mutex
-	eng     core.Engine
-	set     []AnalysisKind
-	extras  []analysisSink
+	run     checkRun
 	threads map[any]trace.ThreadID
 	vars    map[any]trace.VarID
 	locks   map[any]trace.LockID
@@ -29,63 +26,24 @@ type Monitor struct {
 	events  int64
 }
 
-// MonitorOption configures a Monitor.
-type MonitorOption func(*Monitor) error
-
-// WithAlgorithm selects the checking algorithm (default Optimized).
-func WithAlgorithm(a Algorithm) MonitorOption {
-	return func(m *Monitor) error {
-		eng, err := newEngine(a)
-		if err != nil {
-			return err
-		}
-		m.eng = eng
-		return nil
+// NewMonitor returns a Monitor running o over the observed event stream.
+// Every analysis sees the same serialized trace and latches at its own
+// first violation; Violation, Events and Snapshot report the atomicity
+// analysis, and Analyses every analysis. onViolation, when non-nil, is
+// called once, under the monitor lock, with the first atomicity
+// violation. NewMonitor panics on invalid options (a programmer error).
+func NewMonitor(o Options, onViolation func(*Violation)) *Monitor {
+	run, err := newCheckRun(o)
+	if err != nil {
+		panic(err)
 	}
-}
-
-// WithAnalyses selects the analysis set the monitor runs over the observed
-// event stream (default atomicity only). Every analysis sees the same
-// serialized trace and latches at its own first violation; the legacy
-// Violation/Events/Snapshot surface always reports the atomicity analysis,
-// while Analyses exposes the per-analysis verdicts.
-func WithAnalyses(analyses ...AnalysisKind) MonitorOption {
-	return func(m *Monitor) error {
-		set, err := NormalizeAnalyses(analyses)
-		if err != nil {
-			return err
-		}
-		m.set = set
-		m.extras = newAnalysisSinks(set)
-		return nil
-	}
-}
-
-// OnViolation installs a callback invoked (once, under the monitor lock)
-// when the first violation is detected.
-func OnViolation(f func(*Violation)) MonitorOption {
-	return func(m *Monitor) error {
-		m.onViol = f
-		return nil
-	}
-}
-
-// NewMonitor returns a Monitor with the given options. It panics only on
-// programmer error (unknown algorithm name).
-func NewMonitor(opts ...MonitorOption) *Monitor {
-	m := &Monitor{
-		eng:     core.NewOptimized(),
-		set:     []AnalysisKind{AnalysisAtomicity},
+	return &Monitor{
+		run:     run,
 		threads: map[any]trace.ThreadID{},
 		vars:    map[any]trace.VarID{},
 		locks:   map[any]trace.LockID{},
+		onViol:  onViolation,
 	}
-	for _, o := range opts {
-		if err := o(m); err != nil {
-			panic(err)
-		}
-	}
-	return m
 }
 
 // Thread registers (or looks up) a thread handle for the given key.
@@ -149,16 +107,7 @@ func (m *Monitor) Snapshot() (events int64, v *Violation) {
 // Algorithm returns the name of the engine backing this monitor, as it
 // appears in Report.Algorithm.
 func (m *Monitor) Algorithm() string {
-	return m.eng.Name()
-}
-
-// AnalysisSet returns the monitor's effective analysis set.
-func (m *Monitor) AnalysisSet() []AnalysisKind {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]AnalysisKind, len(m.set))
-	copy(out, m.set)
-	return out
+	return m.run.eng.Name()
 }
 
 // Analyses returns a consistent per-analysis snapshot: each analysis'
@@ -168,15 +117,7 @@ func (m *Monitor) AnalysisSet() []AnalysisKind {
 func (m *Monitor) Analyses() []AnalysisReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return analysisReports(m.set, m.extras, func() AnalysisReport {
-		return AnalysisReport{
-			Analysis:  string(AnalysisAtomicity),
-			Clean:     m.viol == nil,
-			Violation: m.viol,
-			Events:    m.events,
-			Algorithm: m.eng.Name(),
-		}
-	})
+	return m.run.analyses(atomicityReport(m.viol, m.events, m.run.eng.Name()))
 }
 
 // Event feeds one explicit event, the hook for front ends that receive an
@@ -209,19 +150,19 @@ func (m *Monitor) Event(e Event) *Violation {
 func (m *Monitor) process(e trace.Event) *Violation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.viol != nil && sinksDone(m.extras) {
+	if m.viol != nil && m.run.done() {
 		return m.viol
 	}
 	if m.viol == nil {
 		m.events++
-		if v := m.eng.Process(e); v != nil {
+		if v := m.run.eng.Process(e); v != nil {
 			m.viol = fromInternal(v)
 			if m.onViol != nil {
 				m.onViol(m.viol)
 			}
 		}
 	}
-	for _, s := range m.extras {
+	for _, s := range m.run.extras {
 		if !s.Done() {
 			s.Process(e)
 		}

@@ -4,7 +4,7 @@ package aerodrome_test
 // goroutines hammer one monitor through the full operation surface
 // (thread registration, begins/ends, reads/writes, lock ops), and the
 // observable invariants are checked afterwards — exact event accounting,
-// at-most-once OnViolation delivery, and agreement between the callback
+// at-most-once onViolation delivery, and agreement between the callback
 // and Violation(). No such test existed before this suite; the monitor's
 // single-mutex design makes it easy to believe and easy to regress.
 
@@ -28,10 +28,8 @@ func TestMonitorConcurrentStressSerializable(t *testing.T) {
 		opsPerTxn  = 4
 	)
 	var calls atomic.Int32
-	m := aerodrome.NewMonitor(
-		aerodrome.WithAlgorithm(aerodrome.Optimized),
-		aerodrome.OnViolation(func(*aerodrome.Violation) { calls.Add(1) }),
-	)
+	m := aerodrome.NewMonitor(aerodrome.Options{Algorithm: aerodrome.Optimized},
+		func(*aerodrome.Violation) { calls.Add(1) })
 	var wg sync.WaitGroup
 	var total atomic.Int64
 	for g := 0; g < goroutines; g++ {
@@ -65,7 +63,7 @@ func TestMonitorConcurrentStressSerializable(t *testing.T) {
 		t.Fatalf("serializable workload reported violation: %v", v)
 	}
 	if got := calls.Load(); got != 0 {
-		t.Fatalf("OnViolation called %d times on a serializable workload", got)
+		t.Fatalf("onViolation called %d times on a serializable workload", got)
 	}
 	if got, want := m.Events(), total.Load(); got != want {
 		t.Fatalf("event count %d, want %d", got, want)
@@ -81,10 +79,10 @@ func TestMonitorViolationDeliveredAtMostOnce(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		var calls atomic.Int32
 		var seen atomic.Pointer[aerodrome.Violation]
-		m := aerodrome.NewMonitor(aerodrome.OnViolation(func(v *aerodrome.Violation) {
+		m := aerodrome.NewMonitor(aerodrome.Options{}, func(v *aerodrome.Violation) {
 			calls.Add(1)
 			seen.Store(v)
-		}))
+		})
 		const goroutines = 8
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -117,7 +115,7 @@ func TestMonitorViolationDeliveredAtMostOnce(t *testing.T) {
 			t.Fatalf("iter %d: no violation after forced cross", iter)
 		}
 		if got := calls.Load(); got != 1 {
-			t.Fatalf("iter %d: OnViolation called %d times, want exactly 1", iter, got)
+			t.Fatalf("iter %d: onViolation called %d times, want exactly 1", iter, got)
 		}
 		if seen.Load() != m.Violation() {
 			t.Fatalf("iter %d: callback saw %v, Violation() is %v", iter, seen.Load(), m.Violation())

@@ -1,58 +1,12 @@
 package aerodrome
 
 import (
-	"bufio"
-	"io"
 	"os"
 	"runtime"
 	"sync"
 
 	"aerodrome/internal/pipeline"
-	"aerodrome/internal/rapidio"
 )
-
-// CheckReaderPipelined is CheckSTD with parsing pipelined on a separate
-// goroutine: a producer fills pooled event batches from the STD log and
-// hands them to the checker through a bounded channel, so tokenization
-// overlaps vector-clock work. The verdict, violation index and event
-// count are identical to CheckSTD on the same input — the pipeline is an
-// ingestion optimization, not a semantic variant — which the differential
-// test suite enforces across the golden corpus and fuzz seeds.
-func CheckReaderPipelined(r io.Reader, a Algorithm) (*Report, error) {
-	eng, err := newEngine(a)
-	if err != nil {
-		return nil, err
-	}
-	v, n, err := pipeline.Run(eng, rapidio.NewReader(r), pipeline.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Serializable: v == nil,
-		Violation:    fromInternal(v),
-		Events:       n,
-		Algorithm:    eng.Name(),
-	}, nil
-}
-
-// CheckBinaryReaderPipelined is CheckReaderPipelined for the compact
-// binary ("ADB1") trace format.
-func CheckBinaryReaderPipelined(r io.Reader, a Algorithm) (*Report, error) {
-	eng, err := newEngine(a)
-	if err != nil {
-		return nil, err
-	}
-	v, n, err := pipeline.Run(eng, rapidio.NewBinaryReader(r), pipeline.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Serializable: v == nil,
-		Violation:    fromInternal(v),
-		Events:       n,
-		Algorithm:    eng.Name(),
-	}, nil
-}
 
 // FileError is the typed per-file error of a CheckFilesParallel run: it
 // names the file and wraps the underlying failure (open failure, parse
@@ -77,17 +31,17 @@ type FileReport struct {
 	Err    error
 }
 
-// CheckFilesParallel checks the given trace files concurrently, one
-// independent engine (and one parse/check pipeline) per trace, using up
-// to workers goroutines (GOMAXPROCS when ≤0). The format of each file is
-// sniffed from its first bytes (binary "ADB1" magic vs. STD text).
-// Results are returned in input order regardless of completion order;
+// CheckFilesParallel runs Check on each of the given trace files
+// concurrently, one independent engine (and one parse/check pipeline) per
+// trace, using up to workers goroutines (GOMAXPROCS when ≤0), so each
+// file's format is sniffed from its first bytes. Results are returned in
+// input order regardless of completion order;
 // per-file failures land in the corresponding FileReport as a *FileError
 // rather than aborting the batch. The only call-level error is an unknown
 // algorithm. Each file's verdict and violation index are identical to
 // checking it alone with CheckSTD.
 func CheckFilesParallel(paths []string, a Algorithm, workers int) ([]FileReport, error) {
-	if _, err := newEngine(a); err != nil {
+	if _, err := engineFor(a); err != nil {
 		return nil, err
 	}
 	if workers <= 0 {
@@ -104,7 +58,7 @@ func CheckFilesParallel(paths []string, a Algorithm, workers int) ([]FileReport,
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				rep, err := checkFilePipelined(paths[i], a)
+				rep, err := checkFile(paths[i], a)
 				if err != nil {
 					err = &FileError{Path: paths[i], Err: err}
 				}
@@ -120,20 +74,15 @@ func CheckFilesParallel(paths []string, a Algorithm, workers int) ([]FileReport,
 	return out, nil
 }
 
-// checkFilePipelined opens one trace file, sniffs its format and runs the
-// pipelined checker over it.
-func checkFilePipelined(path string, a Algorithm) (*Report, error) {
+// checkFile opens one trace file and runs Check over it.
+func checkFile(path string, a Algorithm) (*Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	head, _ := br.Peek(4)
-	if rapidio.IsBinary(head) {
-		return CheckBinaryReaderPipelined(br, a)
-	}
-	return CheckReaderPipelined(br, a)
+	rep, _, err := Check(f, Options{Algorithm: a})
+	return rep, err
 }
 
 // IncrementalChecker checks a trace that arrives in byte chunks — the
@@ -145,48 +94,34 @@ func checkFilePipelined(path string, a Algorithm) (*Report, error) {
 // safe for concurrent use; callers serialize (the chunk order defines the
 // trace).
 type IncrementalChecker struct {
+	run    checkRun
 	f      *pipeline.Feeder
 	stages pipeline.StageStats
-	algo   string
 	viol   *Violation
-	set    []AnalysisKind
-	extras []analysisSink
 }
 
-// NewIncrementalChecker returns an incremental checker using the given
-// algorithm (Optimized when empty), running the default analysis set
-// (atomicity only).
-func NewIncrementalChecker(a Algorithm) (*IncrementalChecker, error) {
-	return NewIncrementalCheckerAnalyses(a, nil)
-}
-
-// NewIncrementalCheckerAnalyses is NewIncrementalChecker with an analysis
-// set: every analysis consumes the same chunk stream from one parse, each
-// latching at its own first violation. The atomicity verdict (and the
-// legacy Violation/Processed surface) is byte-identical to a checker
-// running atomicity alone; per-analysis verdicts are available through
-// Analyses and in the final Report. The stream keeps being parsed until
-// every requested analysis has latched, so a chunk fed after the
-// atomicity violation can still advance the race analysis.
-func NewIncrementalCheckerAnalyses(a Algorithm, analyses []AnalysisKind) (*IncrementalChecker, error) {
-	set, err := NormalizeAnalyses(analyses)
+// NewIncrementalChecker returns an incremental checker running o. Every
+// analysis consumes the same chunk stream from one parse, each latching at
+// its own first violation; the atomicity verdict (and the Violation and
+// Processed surface) is that of a checker running atomicity alone. The
+// stream keeps being parsed until every requested analysis has latched,
+// so a chunk fed after the atomicity violation can still advance the race
+// analysis.
+func NewIncrementalChecker(o Options) (*IncrementalChecker, error) {
+	run, err := newCheckRun(o)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(a)
-	if err != nil {
-		return nil, err
-	}
-	c := &IncrementalChecker{algo: eng.Name(), set: set}
-	c.extras = newAnalysisSinks(set)
-	c.f = pipeline.NewFeederSinks(eng, pipelineSinks(c.extras), pipeline.Config{Stats: &c.stages})
+	c := &IncrementalChecker{run: run}
+	c.f = pipeline.NewFeeder(run.eng, run.sinks(), pipeline.Config{Stats: &c.stages})
 	return c, nil
 }
 
-// AnalysisSet returns the checker's effective analysis set.
+// AnalysisSet returns the checker's effective analysis set: o.Analyses
+// validated and deduplicated, ["atomicity"] when empty.
 func (c *IncrementalChecker) AnalysisSet() []AnalysisKind {
-	out := make([]AnalysisKind, len(c.set))
-	copy(out, c.set)
+	out := make([]AnalysisKind, len(c.run.set))
+	copy(out, c.run.set)
 	return out
 }
 
@@ -194,16 +129,7 @@ func (c *IncrementalChecker) AnalysisSet() []AnalysisKind {
 // events consumed so far. The atomicity entry matches Violation and
 // Processed exactly.
 func (c *IncrementalChecker) Analyses() []AnalysisReport {
-	return analysisReports(c.set, c.extras, func() AnalysisReport {
-		v := c.Violation()
-		return AnalysisReport{
-			Analysis:  string(AnalysisAtomicity),
-			Clean:     v == nil,
-			Violation: v,
-			Events:    c.f.Processed(),
-			Algorithm: c.algo,
-		}
-	})
+	return c.run.analyses(atomicityReport(c.Violation(), c.f.Processed(), c.Algorithm()))
 }
 
 // Feed appends one chunk of the stream and processes every event whose
@@ -230,16 +156,7 @@ func (c *IncrementalChecker) Close() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		Serializable: c.viol == nil,
-		Violation:    c.viol,
-		Events:       n,
-		Algorithm:    c.algo,
-	}
-	if !defaultAnalysisSet(c.set) {
-		rep.Analyses = analysisReports(c.set, c.extras, rep.atomicityEntry)
-	}
-	return rep, nil
+	return c.run.report(c.viol, n), nil
 }
 
 // Violation returns the latched violation, if any.
@@ -260,4 +177,4 @@ func (c *IncrementalChecker) Done() bool { return c.f.Done() }
 func (c *IncrementalChecker) Processed() int64 { return c.f.Processed() }
 
 // Algorithm returns the name of the engine backing this checker.
-func (c *IncrementalChecker) Algorithm() string { return c.algo }
+func (c *IncrementalChecker) Algorithm() string { return c.run.eng.Name() }

@@ -5,17 +5,18 @@ package aerodrome_test
 // sequential replay is only sound if the concurrent paths are
 // observationally identical to the sequential one. Every trace in the
 // golden corpus, the paper's ρ1–ρ4 traces and the byte-program fuzz seeds
-// is checked three ways — sequential CheckSTD, pipelined
-// CheckReaderPipelined, parallel CheckFilesParallel — and the reports must
-// agree byte for byte (verdict, violation index, check, thread, event
-// count). CI runs this under -race; the fuzz target extends the same
-// comparison to mutated byte programs.
+// is checked by sequential CheckSTD, by pipelined Check on its STD text
+// and on its ADB1 re-encoding, and by parallel CheckFilesParallel, and
+// the reports must agree (verdict, violation index, check, thread, event
+// count, algorithm). CI runs this under -race; the fuzz target extends the
+// same comparison to mutated byte programs.
 
 import (
 	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aerodrome"
@@ -57,18 +58,26 @@ func requireSameReport(t *testing.T, ctx string, seq, got *aerodrome.Report) {
 	}
 }
 
-// assertPipelinedMatchesSequential checks one STD byte stream three ways.
+// assertPipelinedMatchesSequential checks one STD byte stream with
+// CheckSTD, then with Check on the STD bytes and on their ADB1
+// re-encoding, and with a small-batch pipeline.
 func assertPipelinedMatchesSequential(t *testing.T, name string, std []byte, a aerodrome.Algorithm) {
 	t.Helper()
-	seq, err := aerodrome.CheckSTD(bytes.NewReader(std), a)
+	o := aerodrome.Options{Algorithm: a}
+	seq, err := aerodrome.CheckSTD(bytes.NewReader(std), o)
 	if err != nil {
 		t.Fatalf("%s/%s: sequential: %v", name, a, err)
 	}
-	piped, err := aerodrome.CheckReaderPipelined(bytes.NewReader(std), a)
-	if err != nil {
-		t.Fatalf("%s/%s: pipelined: %v", name, a, err)
+	for _, in := range []struct {
+		format string
+		data   []byte
+	}{{"std", std}, {"adb1", stdToBinary(t, std)}} {
+		piped, _, err := aerodrome.Check(bytes.NewReader(in.data), o)
+		if err != nil {
+			t.Fatalf("%s/%s: Check %s: %v", name, a, in.format, err)
+		}
+		requireSameReport(t, fmt.Sprintf("%s/%s Check %s", name, a, in.format), seq, piped)
 	}
-	requireSameReport(t, fmt.Sprintf("%s/%s pipelined", name, a), seq, piped)
 
 	// Small batches force verdicts to land mid-batch and at boundaries.
 	small, err := checkSTDPipelinedSmall(std, a)
@@ -76,6 +85,78 @@ func assertPipelinedMatchesSequential(t *testing.T, name string, std []byte, a a
 		t.Fatalf("%s/%s: small-batch pipelined: %v", name, a, err)
 	}
 	requireSameReport(t, fmt.Sprintf("%s/%s small-batch", name, a), seq, small)
+}
+
+// stdToBinary re-encodes an STD log in the ADB1 binary format.
+func stdToBinary(t *testing.T, std []byte) []byte {
+	t.Helper()
+	rd := rapidio.NewReader(bytes.NewReader(std))
+	var bin bytes.Buffer
+	bw := rapidio.NewBinaryWriter(&bin)
+	for {
+		ev, ok := rd.Next()
+		if !ok {
+			break
+		}
+		if err := bw.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rd.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return bin.Bytes()
+}
+
+// TestCheckSniffEdgeCases pins Check's format sniff on the inputs where it
+// could go wrong: whatever the first four bytes select — ADB1 binary for
+// the exact magic, STD otherwise — Check returns that reader's report or
+// error, including for an STD trace that happens to begin with "ADB1".
+func TestCheckSniffEdgeCases(t *testing.T) {
+	clean := stdToBinary(t, []byte("t0|begin|0\nt0|w(x)|0\nt0|end|0\nt1|r(x)|0\n"))
+	for _, tc := range []struct {
+		name string
+		data string
+	}{
+		{"empty", ""},
+		{"one byte", "A"},
+		{"two bytes", "AD"},
+		{"three bytes", "ADB"},
+		{"ADB then text", "ADBt0|begin|0\nADBt0|w(x)|0\nADBt0|end|0\n"},
+		{"magic alone", "ADB1"},
+		{"binary header only", string(clean[:16])},
+		{"binary truncated record", string(clean[:len(clean)-3])},
+		{"binary", string(clean)},
+		{"STD beginning with ADB1", "ADB1|begin|0\nADB1|end|0\n"},
+	} {
+		var src interface {
+			Next() (trace.Event, bool)
+			Err() error
+		} = rapidio.NewReader(strings.NewReader(tc.data))
+		if rapidio.IsBinary([]byte(tc.data)) {
+			src = rapidio.NewBinaryReader(strings.NewReader(tc.data))
+		}
+		eng := core.NewOptimized()
+		v, n := core.Run(eng, src)
+		wantErr := src.Err()
+
+		rep, _, err := aerodrome.Check(strings.NewReader(tc.data), aerodrome.Options{})
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s: Check error %v, want %v", tc.name, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: Check error %v, want a report", tc.name, err)
+		}
+		if rep.Serializable != (v == nil) || rep.Events != n || rep.Algorithm != eng.Name() {
+			t.Fatalf("%s: Check report %+v, want serializable=%v after %d events", tc.name, rep, v == nil, n)
+		}
+	}
 }
 
 // newInternalEngine maps the public algorithm names this suite uses onto
@@ -90,7 +171,7 @@ func newInternalEngine(a aerodrome.Algorithm) core.Engine {
 	}
 }
 
-// checkSTDPipelinedSmall is CheckReaderPipelined with a deliberately tiny
+// checkSTDPipelinedSmall is Check on STD with a deliberately tiny
 // batch size and depth, driven through the internal pipeline to shake out
 // boundary conditions the default configuration would hide.
 func checkSTDPipelinedSmall(std []byte, a aerodrome.Algorithm) (*aerodrome.Report, error) {
@@ -179,7 +260,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i], err = aerodrome.CheckSTD(bytes.NewReader(std), aerodrome.Optimized)
+		want[i], err = aerodrome.CheckSTD(bytes.NewReader(std), aerodrome.Options{Algorithm: aerodrome.Optimized})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,15 +109,16 @@ func requireAtomicityByteIdentity(t *testing.T, ctx string, single, dual *aerodr
 // multi-analysis surface makes.
 func assertDualAnalysis(t *testing.T, name string, std []byte) {
 	t.Helper()
-	single, err := aerodrome.CheckSTD(bytes.NewReader(std), aerodrome.Optimized)
+	single, err := aerodrome.CheckSTD(bytes.NewReader(std), aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatalf("%s: single: %v", name, err)
 	}
-	dual, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(std), aerodrome.Optimized, dualSet)
+	dualOpts := aerodrome.Options{Algorithm: aerodrome.Optimized, Analyses: dualSet}
+	dual, err := aerodrome.CheckSTD(bytes.NewReader(std), dualOpts)
 	if err != nil {
 		t.Fatalf("%s: dual: %v", name, err)
 	}
-	piped, err := aerodrome.CheckReaderPipelinedAnalyses(bytes.NewReader(std), aerodrome.Optimized, dualSet)
+	piped, _, err := aerodrome.Check(bytes.NewReader(std), dualOpts)
 	if err != nil {
 		t.Fatalf("%s: dual pipelined: %v", name, err)
 	}
@@ -128,8 +129,9 @@ func assertDualAnalysis(t *testing.T, name string, std []byte) {
 	requireAtomicityByteIdentity(t, name+" dual", single, dual)
 	requireAtomicityByteIdentity(t, name+" dual-pipelined", single, piped)
 
-	// The default set must remain literally the single-analysis path.
-	def, err := aerodrome.CheckSTDAnalyses(bytes.NewReader(std), aerodrome.Optimized, nil)
+	// Naming the default set must give literally the single-analysis report.
+	def, err := aerodrome.CheckSTD(bytes.NewReader(std), aerodrome.Options{Algorithm: aerodrome.Optimized,
+		Analyses: []aerodrome.AnalysisKind{aerodrome.AnalysisAtomicity}})
 	if err != nil {
 		t.Fatalf("%s: default-set: %v", name, err)
 	}

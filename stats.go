@@ -1,12 +1,9 @@
 package aerodrome
 
 import (
-	"io"
 	"time"
 
 	"aerodrome/internal/core"
-	"aerodrome/internal/pipeline"
-	"aerodrome/internal/rapidio"
 )
 
 // EngineStats is a snapshot of the introspection counters behind one
@@ -116,11 +113,11 @@ func (c *IncrementalChecker) StageTimes() (parse, check time.Duration) {
 func (m *Monitor) Stats() (EngineStats, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return engineStatsOf(m.eng)
+	return engineStatsOf(m.run.eng)
 }
 
-// CheckStats reports where one pipelined check spent its time and what
-// its engine did. ParseTime and CheckTime are per-stage wall times (the
+// CheckStats reports where one Check spent its time and what its engine
+// did. ParseTime and CheckTime are per-stage wall times (the
 // stages overlap on separate goroutines, so their sum can exceed the
 // call's elapsed time); Engine holds the engine's introspection counters
 // when HasEngineStats is true.
@@ -129,38 +126,4 @@ type CheckStats struct {
 	HasEngineStats bool
 	ParseTime      time.Duration
 	CheckTime      time.Duration
-}
-
-// CheckReaderPipelinedStats is CheckReaderPipelined returning per-stage
-// timings and engine introspection counters alongside the report.
-func CheckReaderPipelinedStats(r io.Reader, a Algorithm) (*Report, CheckStats, error) {
-	return checkPipelinedStats(rapidio.NewReader(r), a)
-}
-
-// CheckBinaryReaderPipelinedStats is CheckBinaryReaderPipelined returning
-// per-stage timings and engine introspection counters alongside the
-// report.
-func CheckBinaryReaderPipelinedStats(r io.Reader, a Algorithm) (*Report, CheckStats, error) {
-	return checkPipelinedStats(rapidio.NewBinaryReader(r), a)
-}
-
-func checkPipelinedStats(src pipeline.BatchSource, a Algorithm) (*Report, CheckStats, error) {
-	eng, err := newEngine(a)
-	if err != nil {
-		return nil, CheckStats{}, err
-	}
-	var stages pipeline.StageStats
-	v, n, err := pipeline.Run(eng, src, pipeline.Config{Stats: &stages})
-	if err != nil {
-		return nil, CheckStats{}, err
-	}
-	cs := CheckStats{ParseTime: stages.ParseTime(), CheckTime: stages.CheckTime()}
-	cs.Engine, cs.HasEngineStats = engineStatsOf(eng)
-	rep := &Report{
-		Serializable: v == nil,
-		Violation:    fromInternal(v),
-		Events:       n,
-		Algorithm:    eng.Name(),
-	}
-	return rep, cs, nil
 }

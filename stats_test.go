@@ -80,7 +80,7 @@ func TestEngineStatsJoinsSkipped(t *testing.T) {
 }
 
 func TestIncrementalCheckerStats(t *testing.T) {
-	c, err := aerodrome.NewIncrementalChecker(aerodrome.Optimized)
+	c, err := aerodrome.NewIncrementalChecker(aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestIncrementalCheckerStats(t *testing.T) {
 }
 
 func TestMonitorStats(t *testing.T) {
-	m := aerodrome.NewMonitor()
+	m := aerodrome.NewMonitor(aerodrome.Options{}, nil)
 	w := m.Thread("writer")
 	w.Begin()
 	w.Write("x")
@@ -131,9 +131,9 @@ func TestMonitorStats(t *testing.T) {
 	}
 }
 
-func TestCheckReaderPipelinedStats(t *testing.T) {
-	rep, cs, err := aerodrome.CheckReaderPipelinedStats(
-		strings.NewReader(statsLog(4, 200)), aerodrome.Optimized)
+func TestCheckStats(t *testing.T) {
+	rep, cs, err := aerodrome.Check(
+		strings.NewReader(statsLog(4, 200)), aerodrome.Options{Algorithm: aerodrome.Optimized})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestCheckReaderPipelinedStats(t *testing.T) {
 			fmt.Fprintf(&b, "t%d|begin|0\nt%d|r(x)|0\nt%d|end|0\n", th, th, th)
 		}
 	}
-	if _, cs, err = aerodrome.CheckReaderPipelinedStats(strings.NewReader(b.String()), aerodrome.Optimized); err != nil {
+	if _, cs, err = aerodrome.Check(strings.NewReader(b.String()), aerodrome.Options{Algorithm: aerodrome.Optimized}); err != nil {
 		t.Fatal(err)
 	}
 	if e := cs.Engine; e.FlushesDeferred != 12 || e.FlushesSettled != 11 {

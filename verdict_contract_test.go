@@ -25,7 +25,7 @@ func TestBatchVerdictContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		check := func(a aerodrome.Algorithm) *aerodrome.Report {
-			rep, err := aerodrome.CheckSTD(bytes.NewReader(buf.Bytes()), a)
+			rep, err := aerodrome.CheckSTD(bytes.NewReader(buf.Bytes()), aerodrome.Options{Algorithm: a})
 			if err != nil {
 				t.Fatalf("%d threads, %s: %v", threads, a, err)
 			}
