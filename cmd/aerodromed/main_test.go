@@ -8,12 +8,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"aerodrome"
+	"aerodrome/internal/server"
 )
 
 func TestUsageErrors(t *testing.T) {
@@ -35,10 +40,43 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestShardRouterDaemon boots two backend daemons and a router daemon over
-// them, checks a trace through the router (asserting backend attribution),
-// then SIGTERMs the process: every daemon must drain cleanly.
+// getJSON decodes the JSON document at url into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
+// TestShardRouterDaemon boots two backend daemons with a per-tenant byte
+// budget and a router daemon over them, and checks a trace through the
+// router (asserting backend attribution). Then concurrent retrying clients
+// of one tenant overrun the budget: every report must equal the local
+// sequential one, the backends must have rejected bytes, and their 429s
+// must neither bump the ring epoch nor mark a backend down. Last it
+// SIGTERMs the process: every daemon must drain cleanly.
 func TestShardRouterDaemon(t *testing.T) {
+	// 12 KiB/s holds two checks of the ~5.9 KB golden trace in its
+	// one-second bucket, so eight concurrent checks need about four
+	// seconds of budget and most of them are refused 429 at least once.
+	const bytesPerSec, tenant, checks = 12 << 10, "budget", 8
+	data, err := os.ReadFile("../../testdata/golden/chain-cross.std")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := aerodrome.CheckSTD(bytes.NewReader(data), aerodrome.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Serializable {
+		t.Fatal("chain-cross.std must carry a violation")
+	}
+
 	var backendLogs [2]bytes.Buffer
 	var routerLogs bytes.Buffer
 	exits := make(chan int, 3)
@@ -46,7 +84,10 @@ func TestShardRouterDaemon(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		ready := make(chan string, 1)
 		logs := &backendLogs[i]
-		go func() { exits <- run([]string{"-addr", "127.0.0.1:0"}, logs, ready) }()
+		go func() {
+			exits <- run([]string{"-addr", "127.0.0.1:0",
+				"-tenant-bytes-per-sec", strconv.Itoa(bytesPerSec)}, logs, ready)
+		}()
 		select {
 		case addr := <-ready:
 			urls = append(urls, "http://"+addr)
@@ -85,6 +126,49 @@ func TestShardRouterDaemon(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Aerodrome-Backend"); got != urls[0] && got != urls[1] {
 		t.Fatalf("X-Aerodrome-Backend = %q, want one of %v", got, urls)
+	}
+
+	var before server.RouterMetricsSnapshot
+	getJSON(t, "http://"+routerAddr+"/metrics", &before)
+	reports := make([]*aerodrome.Report, checks)
+	errs := make([]error, checks)
+	var wg sync.WaitGroup
+	for i := range checks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &server.Client{BaseURL: "http://" + routerAddr, Tenant: tenant, MaxRetries: 8}
+			reports[i], errs[i] = c.Check(bytes.NewReader(data), aerodrome.Options{})
+		}()
+	}
+	wg.Wait()
+	for i := range checks {
+		if errs[i] != nil {
+			t.Fatalf("check %d under the byte budget: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(reports[i], want) {
+			t.Fatalf("check %d report %+v, want CheckSTD's %+v", i, reports[i], want)
+		}
+	}
+	var rejected int64
+	for _, u := range urls {
+		var m server.MetricsSnapshot
+		getJSON(t, u+"/metrics", &m)
+		rejected += m.Tenants[tenant]["bytes_rejected"]
+	}
+	if rejected == 0 {
+		t.Fatalf("%d checks of %d bytes at %d B/s: no byte-budget rejection", checks, len(data), bytesPerSec)
+	}
+	t.Logf("%d checks of %d bytes at %d B/s: %d byte-budget rejections", checks, len(data), bytesPerSec, rejected)
+	var after server.RouterMetricsSnapshot
+	getJSON(t, "http://"+routerAddr+"/metrics", &after)
+	if after.RingEpoch != before.RingEpoch {
+		t.Fatalf("ring epoch %d -> %d: a 429 moved the ring", before.RingEpoch, after.RingEpoch)
+	}
+	for _, u := range urls {
+		if !after.Backends[u].Healthy {
+			t.Fatalf("backend %s marked down after 429s: %+v", u, after.Backends)
+		}
 	}
 
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {

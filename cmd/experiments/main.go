@@ -10,6 +10,8 @@
 //	experiments -run figures
 //	experiments -run ablation -events 300000
 //	experiments -run doublechecker -events 300000
+//	experiments -run bench -json BENCH_after.json
+//	experiments -run bench -gate -baseline BENCH_baseline.json
 package main
 
 import (
@@ -17,12 +19,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"aerodrome/internal/bench"
 	"aerodrome/internal/core"
-	"aerodrome/internal/loadgen"
 	"aerodrome/internal/workload"
 )
 
@@ -33,7 +33,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	what := fs.String("run", "tables", "what to run: tables, table1, table2, figures, ablation, bench, saturate, load, doublechecker, all")
+	what := fs.String("run", "tables", "what to run: tables, table1, table2, figures, ablation, doublechecker, all (paper reproduction) or bench (the engine thread-scaling grid as JSON, or the CI perf gate with -gate)")
 	events := fs.Int64("events", 2_000_000, "event budget per benchmark row (the paper's traces go up to 2.8B)")
 	maxVars := fs.Int("vars", 20_000, "variable-pool cap per row")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-engine timeout per row (the paper used 10h at full scale)")
@@ -44,8 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	gate := fs.Bool("gate", false, "with -run bench: run the CI perf-regression gate (pinned row subset vs the baseline's gate_rows; exit 1 on breach) instead of the full grid")
 	updateGate := fs.Bool("update-gate", false, "with -run bench: re-measure the gate rows and rewrite them into the baseline file")
 	baseline := fs.String("baseline", "BENCH_baseline.json", "baseline report for -gate / -update-gate")
-	loadTarget := fs.String("load-target", "", "with -run load: drive this base URL instead of in-process topologies (the e2e script's daemons)")
-	loadScenario := fs.String("load-scenario", "burst-smoke", "with -run load -load-target: which scenario to drive")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -90,16 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 1
 			}
 		}
-	case "saturate":
-		if err := saturateJSON(stdout, stderr, *label, *jsonOut); err != nil {
-			fmt.Fprintf(stderr, "experiments: %v\n", err)
-			return 1
-		}
-	case "load":
-		if err := loadJSON(stdout, stderr, *label, *jsonOut, *loadTarget, *loadScenario); err != nil {
-			fmt.Fprintf(stderr, "experiments: %v\n", err)
-			return 1
-		}
 	case "doublechecker":
 		doubleCheckerRun(stdout, o)
 	case "all":
@@ -119,8 +107,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// benchJSON runs the thread-scaling grid and emits the machine-readable
-// report compared against BENCH_baseline.json across PRs. The default
+// benchJSON runs the thread-scaling grid on the Algorithm 3 engine and
+// emits the machine-readable report BENCH_after.json holds. The default
 // event budget of the other modes is far more than these timed rows need,
 // so the grid caps at 200K events per row unless -events lowers it.
 func benchJSON(stdout, stderr io.Writer, label, path string, events int64, runs int) error {
@@ -131,58 +119,7 @@ func benchJSON(stdout, stderr io.Writer, label, path string, events int64, runs 
 	cfgs := bench.ThreadScalingConfigs(events)
 	fmt.Fprintf(stderr, "measuring %d rows × %d engines (%d events, %d runs each)...\n",
 		len(cfgs), len(engines), events, runs)
-	rep := bench.MeasureReport(label, engines, cfgs, runs)
-	// Ingest rows: parse+check over in-memory STD bytes, sequential vs
-	// pipelined readers on the default engine.
-	fmt.Fprintf(stderr, "measuring %d ingest rows (sequential vs pipelined)...\n", len(cfgs))
-	for _, cfg := range cfgs {
-		rep.Rows = append(rep.Rows, bench.MeasureIngestRows(cfg, runs)...)
-	}
-	// Server rows: the same bytes through an in-process aerodromed, so
-	// serve-check vs ingest-pipe isolates the HTTP service tax.
-	fmt.Fprintf(stderr, "measuring %d serve rows (aerodromed /v1/check)...\n", len(cfgs))
-	for _, cfg := range cfgs {
-		rep.Rows = append(rep.Rows, bench.MeasureServeRows(cfg, runs)...)
-	}
-	// Saturation rows: aggregate throughput under concurrent clients,
-	// single server vs router+2 backends (see internal/bench/saturate.go).
-	fmt.Fprintf(stderr, "measuring saturation rows (N clients, single vs router topology)...\n")
-	rep.Rows = append(rep.Rows, bench.MeasureSaturationRows()...)
-	// Load rows: the open-loop scenario zoo — latency quantiles, admission
-	// rejections and failovers per (scenario, topology) pair (see
-	// internal/loadgen).
-	fmt.Fprintf(stderr, "measuring load rows (open-loop scenarios, single vs router topologies)...\n")
-	rep.Rows = append(rep.Rows, loadgen.MeasureLoadRows()...)
-	return writeReport(rep, stdout, path)
-}
-
-// loadJSON runs only the open-loop load grid. With -load-target it
-// instead drives one named scenario against an externally booted
-// topology — the e2e script's daemons — and fails on any client-visible
-// hard failure.
-func loadJSON(stdout, stderr io.Writer, label, path, target, scenario string) error {
-	rep := bench.BenchReport{Label: label, GoVersion: runtime.Version()}
-	if target != "" {
-		fmt.Fprintf(stderr, "driving load scenario %q against %s...\n", scenario, target)
-		row, err := loadgen.MeasureAgainst(scenario, target)
-		if err != nil {
-			return err
-		}
-		rep.Rows = []bench.BenchRow{row}
-		return writeReport(rep, stdout, path)
-	}
-	fmt.Fprintf(stderr, "measuring load rows (open-loop scenarios, single vs router topologies)...\n")
-	rep.Rows = loadgen.MeasureLoadRows()
-	return writeReport(rep, stdout, path)
-}
-
-// saturateJSON runs only the saturation grid — the iteration loop for the
-// scale-out rows, without re-measuring the engine grid.
-func saturateJSON(stdout, stderr io.Writer, label, path string) error {
-	fmt.Fprintf(stderr, "measuring saturation rows (N clients, single vs router topology)...\n")
-	rep := bench.BenchReport{Label: label, GoVersion: runtime.Version()}
-	rep.Rows = bench.MeasureSaturationRows()
-	return writeReport(rep, stdout, path)
+	return writeReport(bench.MeasureReport(label, engines, cfgs, runs), stdout, path)
 }
 
 func writeReport(rep bench.BenchReport, stdout io.Writer, path string) error {

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"aerodrome/internal/bench"
 )
 
 func TestFiguresRun(t *testing.T) {
@@ -55,9 +58,33 @@ func TestTinyDoubleCheckerRun(t *testing.T) {
 	}
 }
 
-func TestUnknownRun(t *testing.T) {
+// TestTinyBenchRun pins what -run bench reports: one Algorithm 3 row per
+// thread-scaling workload, nothing else.
+func TestTinyBenchRun(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-run", "bogus"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d", code)
+	if code := run([]string{"-run", "bench", "-events", "2000", "-runs", "1", "-label", "tiny"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	var rep bench.BenchReport
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("report is not JSON: %v\n%s", err, out.String())
+	}
+	cfgs := bench.ThreadScalingConfigs(2000)
+	if rep.Label != "tiny" || len(rep.Rows) != len(cfgs) {
+		t.Fatalf("label %q with %d rows, want tiny with %d", rep.Label, len(rep.Rows), len(cfgs))
+	}
+	for i, r := range rep.Rows {
+		if r.Workload != cfgs[i].Name || r.Engine != "aerodrome-optimized" || r.Events == 0 || r.NsPerEvent <= 0 {
+			t.Fatalf("row %d = %+v, want aerodrome-optimized on %s", i, r, cfgs[i].Name)
+		}
+	}
+}
+
+func TestUnknownRun(t *testing.T) {
+	for _, mode := range []string{"bogus", "saturate", "load"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-run", mode}, &out, &errOut); code != 2 {
+			t.Fatalf("-run %s: exit %d", mode, code)
+		}
 	}
 }

@@ -23,10 +23,16 @@
 // replaces the all-thread update-set scans, per-thread released/dirty lock
 // lists replace the end-event lock-table sweeps, and FastTrack-style epoch
 // fast paths skip already-absorbed clock checks entirely.
-// BENCH_baseline.json and BENCH_after.json at the repository root record
-// ns/event and allocs/event on a thread-scaling grid (T ∈ {8, 64, 256}),
-// produced by `experiments -run bench`; both files must come from the
-// same machine session to be comparable.
+// `experiments -run bench` records ns/event and allocs/event of this
+// engine on a thread-scaling grid (sharded and chain, T ∈ {8, 64, 256}).
+// BENCH_after.json at the repository root is its output on the current
+// engine. BENCH_baseline.json holds two row sets: rows, the same grid on
+// the seed engine, and gate_rows, three rows measured on the flat engine
+// that a CI job re-measures, failing a change that makes one of them more
+// than 2× slower or 2× more allocating (internal/bench/gate.go). The
+// files come from different machine sessions, and numbers drift between
+// sessions, so they show trends, not verdicts: a change is judged by
+// `bash benchmark/run.sh`, which reports medians and quartiles end to end.
 //
 // The end-of-transaction flushes are deferred: Algorithm 3's laziness
 // carries on past the end event. A full-propagation end copies C_t once
@@ -150,43 +156,7 @@
 // chaos e2e leg (scripts/e2e_server.sh chaos) kill -9s backends and the
 // router mid-stream under injected faults and holds every keyed session's
 // verdict byte-identical to the local sequential check. Every routed
-// response carries X-Aerodrome-Backend. The serve-sat-* rows in
-// BENCH_after.json (from `experiments -run saturate`) measure aggregate
-// events/sec under N concurrent clients for the single-server,
-// router+2-backend, and fault-injected router topologies — the chaos row
-// asserts zero client-visible hard failures — and a bench-gate CI job
-// re-measures pinned engine/ingest rows against BENCH_baseline.json's
-// gate_rows so the perf work of PR 1–4 cannot regress silently
-// (internal/bench/gate.go).
-//
-// # Open-loop load harness and the scenario zoo
-//
-// Where the saturation rows ask "how much can a topology absorb", the
-// load harness (internal/loadgen, `experiments -run load`) asks "what
-// does a scheduled demand curve experience": each scenario pairs a
-// seeded arrival process — constant, linear ramp, square-wave burst, or
-// long-lived low-rate incremental sessions — with a payload drawn from
-// the scenario-shape workload patterns (producer-consumer hand-offs,
-// barrier phases, a hot-lock convoy, and an adversarial quota-thrash
-// shape whose variable footprint grows without bound). Schedules are
-// computed up front by Poisson thinning from a per-profile seed, so the
-// demand a run applies is reproducible; a dispatcher walks the schedule
-// on the wall clock and hands arrivals to a worker pool through a
-// bounded queue without ever blocking on the server — arrivals that
-// find the queue full are counted as coordinated-omission debt rather
-// than silently delaying the clock, and every latency is measured from
-// the arrival's scheduled time into a lock-free HDR-style histogram.
-// The load-<scenario>-<topology> rows in BENCH_after.json carry
-// p50/p99/p999 end-to-end latency, admission rejections (429/503),
-// failover counts scraped from the router, and the omission debt, for
-// the single, router+2 and fault-injected router topologies (the last
-// with a backend killed mid-run). Retry semantics are shared with the
-// saturation bench through one helper (internal/bench Outcome and
-// RetryPolicy), and every admitted response — one-shot or session
-// finalize — is pinned against a locally computed CheckSTD report: a
-// harness that returns wrong answers quickly is a failure, not a
-// throughput record. A CI leg (scripts/e2e_server.sh load) drives the
-// low-RPS burst-smoke scenario against real daemons behind the router.
+// response carries X-Aerodrome-Backend.
 //
 // # Observability
 //

@@ -59,11 +59,6 @@ type Measurement struct {
 	Events    int64
 	Violation *core.Violation
 	TimedOut  bool
-	// Stats holds the engine's introspection counters when the engine
-	// implements core.StatsReporter (HasStats distinguishes an engine
-	// without counters from one whose counters are all zero).
-	Stats    core.EngineStats
-	HasStats bool
 }
 
 // String renders the measurement's time like the paper ("TO" on timeout).
@@ -119,9 +114,6 @@ func RunTimed(spec EngineSpec, src trace.Source, timeout time.Duration) Measurem
 	}
 	m.Duration = time.Since(start)
 	m.Events = eng.Processed()
-	if r, ok := eng.(core.StatsReporter); ok {
-		m.Stats, m.HasStats = r.Stats(), true
-	}
 	return m
 }
 

@@ -21,12 +21,15 @@ package bench
 // `experiments -run bench -update-gate`.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
 	"aerodrome/internal/core"
+	"aerodrome/internal/pipeline"
+	"aerodrome/internal/rapidio"
 	"aerodrome/internal/workload"
 )
 
@@ -53,19 +56,43 @@ func gateWorkload(name string) workload.Config {
 	panic("bench: " + name + " missing from the thread-scaling grid")
 }
 
+// ingestPipe labels the gate's ingest row; BENCH_baseline.json's
+// gate_rows key on it.
+const ingestPipe = "ingest-pipe"
+
 // MeasureGateRows measures the pinned gate subset: the Optimized engine
 // (engine-only) and the pipelined ingest path on sharded-t64, and the
 // engine alone on sharded-t256.
 func MeasureGateRows() []BenchRow {
 	engine := AeroDromeVariant(core.AlgoOptimized)
 	cfg := gateWorkload("sharded-t64")
-	rows := []BenchRow{MeasureRow(engine, cfg, gateRuns)}
-	for _, r := range MeasureIngestRows(cfg, gateRuns) {
-		if r.Engine == IngestPipe {
-			rows = append(rows, r)
-		}
+	return []BenchRow{
+		MeasureRow(engine, cfg, gateRuns),
+		measureIngestPipe(cfg, gateRuns),
+		MeasureRow(engine, gateWorkload("sharded-t256"), gateRuns),
 	}
-	return append(rows, MeasureRow(engine, gateWorkload("sharded-t256"), gateRuns))
+}
+
+// measureIngestPipe renders cfg's trace to an in-memory STD log once and
+// times parsing and checking it through the pipelined reader with the flat
+// Optimized engine: tokenization, interning and checking, the path a
+// service request runs.
+func measureIngestPipe(cfg workload.Config, runs int) BenchRow {
+	var buf bytes.Buffer
+	if _, err := rapidio.WriteSource(&buf, workload.New(cfg)); err != nil {
+		panic(fmt.Sprintf("bench: rendering %s: %v", cfg.Name, err))
+	}
+	data := buf.Bytes()
+	return measure(cfg, ingestPipe, runs, func() int64 {
+		v, n, err := pipeline.Run(core.NewOptimized(), rapidio.NewReader(bytes.NewReader(data)), pipeline.Config{})
+		if v != nil {
+			panic(fmt.Sprintf("bench: ingest %s: unexpected violation %v", cfg.Name, v))
+		}
+		if err != nil {
+			panic(fmt.Sprintf("bench: ingest %s: %v", cfg.Name, err))
+		}
+		return n
+	})
 }
 
 // gateAllocsOK applies the allocation budget. Rows can legitimately sit

@@ -1,10 +1,11 @@
 package bench
 
-// Machine-readable benchmarking: the thread-scaling grid and a JSON report
-// format shared by the BENCH_baseline.json / BENCH_after.json artifacts at
-// the repository root. The baseline file is produced by running this same
-// harness against the seed engine (same configs, same seed, same schema),
-// so ns/event and allocs/event are directly comparable across PRs.
+// Machine-readable benchmarking: the thread-scaling grid and the JSON
+// report format of the BENCH_baseline.json / BENCH_after.json artifacts at
+// the repository root. BENCH_after.json is `experiments -run bench` on the
+// current engine: one Algorithm 3 row per grid workload. BENCH_baseline.json
+// keeps two row sets: rows, the same grid measured on the seed engine, and
+// gate_rows, the CI perf gate's pinned subset (see gate.go).
 
 import (
 	"encoding/json"
@@ -28,27 +29,6 @@ type BenchRow struct {
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 	BytesPerEvent  float64 `json:"bytes_per_event"`
 	Runs           int     `json:"runs"`
-
-	// Load-harness columns, populated only on load-* rows (internal/loadgen):
-	// end-to-end latency quantiles measured from each arrival's *scheduled*
-	// time (so queueing delay inside the harness counts against the server,
-	// never hidden by a blocked generator), plus the open-loop accounting
-	// those quantiles depend on. OmissionDebt counts arrivals the harness
-	// could not dispatch on schedule — reported, not silently absorbed.
-	P50Ms        float64 `json:"p50_ms,omitempty"`
-	P99Ms        float64 `json:"p99_ms,omitempty"`
-	P999Ms       float64 `json:"p999_ms,omitempty"`
-	Arrivals     int64   `json:"arrivals,omitempty"`
-	Completed    int64   `json:"completed,omitempty"`
-	Rejected     int64   `json:"rejected,omitempty"`
-	Failovers    int64   `json:"failovers,omitempty"`
-	OmissionDebt int64   `json:"omission_debt,omitempty"`
-	// GaveUp counts arrivals that exhausted retries; GaveUpMaxMs is the
-	// longest such arrival was held before the harness stopped retrying.
-	// Separate from the completion quantiles above so an overloaded run
-	// cannot shed its slowest arrivals into invisibility.
-	GaveUp      int64   `json:"gave_up,omitempty"`
-	GaveUpMaxMs float64 `json:"gave_up_max_ms,omitempty"`
 
 	// Engine-introspection columns, populated when the engine implements
 	// core.StatsReporter (zero-valued counters are omitted — a missing
@@ -95,11 +75,10 @@ func ThreadScalingConfigs(events int64) []workload.Config {
 	return out
 }
 
-// MeasureRow times spec on cfg: one warmup run, then runs timed runs
-// keeping the fastest, plus one instrumented run for allocation counts.
-// The workload must be violation-free (a violation aborts the stream and
-// would skew per-event numbers); MeasureRow panics if one fires.
-func MeasureRow(spec EngineSpec, cfg workload.Config, runs int) BenchRow {
+// measure times run on cfg's workload under the engine label: one warmup
+// run, then runs timed runs keeping the fastest, plus one instrumented run
+// for allocation counts. run returns the events it processed.
+func measure(cfg workload.Config, label string, runs int, run func() int64) BenchRow {
 	if runs < 1 {
 		runs = 1
 	}
@@ -107,19 +86,8 @@ func MeasureRow(spec EngineSpec, cfg workload.Config, runs int) BenchRow {
 		Workload: cfg.Name,
 		Pattern:  string(cfg.Pattern),
 		Threads:  cfg.Threads,
-		Engine:   spec.Label,
+		Engine:   label,
 		Runs:     runs,
-	}
-
-	var lastEng core.Engine
-	run := func() int64 {
-		eng := spec.New()
-		v, n := core.Run(eng, workload.New(cfg))
-		if v != nil {
-			panic(fmt.Sprintf("bench: %s on %s: unexpected violation %v", spec.Label, cfg.Name, v))
-		}
-		lastEng = eng
-		return n
 	}
 
 	row.Events = run() // warmup
@@ -141,6 +109,23 @@ func MeasureRow(spec EngineSpec, cfg workload.Config, runs int) BenchRow {
 	runtime.ReadMemStats(&after)
 	row.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(row.Events)
 	row.BytesPerEvent = float64(after.TotalAlloc-before.TotalAlloc) / float64(row.Events)
+	return row
+}
+
+// MeasureRow times spec on cfg under the measure protocol. The workload
+// must be violation-free (a violation aborts the stream and would skew
+// per-event numbers); MeasureRow panics if one fires.
+func MeasureRow(spec EngineSpec, cfg workload.Config, runs int) BenchRow {
+	var lastEng core.Engine
+	row := measure(cfg, spec.Label, runs, func() int64 {
+		eng := spec.New()
+		v, n := core.Run(eng, workload.New(cfg))
+		if v != nil {
+			panic(fmt.Sprintf("bench: %s on %s: unexpected violation %v", spec.Label, cfg.Name, v))
+		}
+		lastEng = eng
+		return n
+	})
 
 	// Counters are deterministic across runs (same seed, same trace), so
 	// the instrumented run's engine speaks for all of them.

@@ -5,10 +5,10 @@ package obs
 // above, bounding relative quantile error at ~3% while keeping the
 // whole structure a fixed array of atomics — recorders run concurrently
 // with no locks and no allocation, so the measurement cannot perturb
-// the tail it reports. It began life as the load harness's latency
-// histogram (internal/loadgen re-exports it as Hist) and now also backs
-// the server's per-stage latency metrics, where the same property —
-// recording on the request path must cost nanoseconds — holds.
+// the tail it reports. It backs the server's per-stage latency metrics
+// (GET /metrics and its Prometheus exposition), where recording on the
+// request path must cost nanoseconds, and its p50, p99 and p999 stay
+// within ±5% of the exact quantiles (TestHistQuantiles).
 
 import (
 	"math/bits"

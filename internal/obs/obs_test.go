@@ -48,6 +48,27 @@ func TestHistogramSum(t *testing.T) {
 	}
 }
 
+// TestHistQuantiles pins the quantile accuracy the /metrics p50 and p99
+// depend on: within ±5% of the exact value at p50, p99 and p999.
+func TestHistQuantiles(t *testing.T) {
+	var h Histogram
+	for i := 1; i <= 1000; i++ {
+		h.Record(time.Duration(i) * time.Millisecond)
+	}
+	for _, tc := range []struct {
+		q    float64
+		want float64 // ms
+	}{{0.50, 500}, {0.99, 990}, {0.999, 999}} {
+		got := h.Quantile(tc.q)
+		if got < tc.want*0.95 || got > tc.want*1.05 {
+			t.Fatalf("q%v = %vms, want %vms ±5%%", tc.q, got, tc.want)
+		}
+	}
+	if h.Count() != 1000 {
+		t.Fatalf("count = %d", h.Count())
+	}
+}
+
 // TestConcurrentHammer drives every instrument kind from N goroutines;
 // under -race this pins the lock-free claim, and the totals pin that no
 // increment is lost.

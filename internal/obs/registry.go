@@ -103,8 +103,8 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	return h
 }
 
-// RegisterHistogram registers an existing histogram (for instruments
-// that live in another subsystem, like the load harness's Hist).
+// RegisterHistogram registers an existing histogram under labels (for
+// instruments another subsystem owns, like the server's stage clocks).
 func (r *Registry) RegisterHistogram(name, labels, help string, h *Histogram) {
 	r.add(&entry{name: name, labels: labels, help: help, kind: kindHistogram, hist: h})
 }

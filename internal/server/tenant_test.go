@@ -255,8 +255,8 @@ func TestTenantQuotaRacesSessionCreation(t *testing.T) {
 	}
 }
 
-// TestTenantMetrics pins the per-tenant /metrics section: the counters the
-// saturation bench and operators read.
+// TestTenantMetrics pins the per-tenant /metrics section: the counters
+// operators and the daemon's byte-budget test read.
 func TestTenantMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{TenantQuota: TenantQuota{MaxSessions: 1}})
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the real aerodromed binary, as CI runs it.
 #
-#   scripts/e2e_server.sh [single|sharded|chaos|load|all]   (default: all)
+#   scripts/e2e_server.sh [single|sharded|chaos|all]   (default: all)
 #
 # single  — build, boot on an ephemeral port, replay golden traces over
 #           HTTP (verdicts must match the local CLI byte for byte),
@@ -18,11 +18,6 @@
 #           router itself and restart it on the same port. Every keyed
 #           session must finish with a verdict identical to the local
 #           sequential check; zero hard failures allowed.
-# load    — open-loop load smoke: a router over two budget-limited
-#           backends driven by `experiments -run load` with the
-#           burst-smoke scenario. The run must finish with zero hard
-#           failures (verdicts pinned to the local checker inside the
-#           harness), emit a load-* BENCH row, and report a sane p99.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -527,61 +522,11 @@ leg_chaos() {
     echo "chaos drain ok"
 }
 
-# ---- load: open-loop burst smoke through the sharded topology --------------
-
-leg_load() {
-    local LOG_L0="$TMPDIR_E2E/load-b0.log" LOG_L1="$TMPDIR_E2E/load-b1.log"
-    local LOG_LRT="$TMPDIR_E2E/load-rt.log"
-    # The per-backend byte budget matches the burst-smoke scenario's
-    # in-process topology, so the leg really exercises 429 + Retry-After
-    # under the square-wave burst, not just happy-path checks.
-    boot_daemon "$LOG_L0" -addr 127.0.0.1:0 -tenant-bytes-per-sec 262144
-    local PID_L0=$BOOT_PID ADDR_L0=$BOOT_ADDR
-    boot_daemon "$LOG_L1" -addr 127.0.0.1:0 -tenant-bytes-per-sec 262144
-    local PID_L1=$BOOT_PID ADDR_L1=$BOOT_ADDR
-    boot_daemon "$LOG_LRT" -shard \
-        -backends "http://$ADDR_L0,http://$ADDR_L1" -probe-interval 100ms -addr 127.0.0.1:0
-    local PID_LRT=$BOOT_PID ADDR_LRT=$BOOT_ADDR
-    local LBASE="http://$ADDR_LRT"
-    echo "load topology up at $LBASE over http://$ADDR_L0 and http://$ADDR_L1"
-
-    # A non-zero exit means client-visible hard failures (wrong verdicts,
-    # non-retryable statuses) or a dead topology — both fail the leg.
-    local OUT="$TMPDIR_E2E/load.json"
-    go run ./cmd/experiments -run load \
-        -load-target "$LBASE" -load-scenario burst-smoke -json "$OUT" \
-        || { echo "load smoke run failed"; cat "$LOG_LRT"; exit 1; }
-
-    grep -q '"engine": "load-burst-smoke-ext"' "$OUT" \
-        || { echo "no load row emitted:"; cat "$OUT"; exit 1; }
-
-    # Sane latency row: a p99 must be present, positive, and under a
-    # minute — beyond that the open-loop clock itself was broken.
-    local P99 COMPLETED
-    P99=$(sed -n 's/.*"p99_ms": \([0-9.]*\).*/\1/p' "$OUT" | head -1)
-    [ -n "$P99" ] || { echo "no p99 in load row:"; cat "$OUT"; exit 1; }
-    awk "BEGIN{exit !($P99 > 0 && $P99 < 60000)}" \
-        || { echo "insane p99 ${P99}ms:"; cat "$OUT"; exit 1; }
-    COMPLETED=$(sed -n 's/.*"completed": \([0-9]*\).*/\1/p' "$OUT" | head -1)
-    [ -n "$COMPLETED" ] && [ "$COMPLETED" -gt 0 ] \
-        || { echo "no admitted checks in load row:"; cat "$OUT"; exit 1; }
-    echo "load row ok: completed=$COMPLETED p99=${P99}ms"
-
-    kill -TERM "$PID_LRT"
-    await_exit "$PID_LRT" "$LOG_LRT" "load router"
-    kill -TERM "$PID_L0"
-    await_exit "$PID_L0" "$LOG_L0" "load backend0"
-    kill -TERM "$PID_L1"
-    await_exit "$PID_L1" "$LOG_L1" "load backend1"
-    echo "load drain ok"
-}
-
 case "$MODE" in
     single)  leg_single ;;
     sharded) leg_sharded ;;
     chaos)   leg_chaos ;;
-    load)    leg_load ;;
-    all)     leg_single; leg_sharded; leg_chaos; leg_load ;;
-    *) echo "usage: $0 [single|sharded|chaos|load|all]"; exit 2 ;;
+    all)     leg_single; leg_sharded; leg_chaos ;;
+    *) echo "usage: $0 [single|sharded|chaos|all]"; exit 2 ;;
 esac
 echo "e2e: $MODE checks passed"
