@@ -70,6 +70,21 @@
 // EngineStats.FlushesDeferred, FlushesSettled and JoinsSkipped count the
 // deferrals, the settles and the skipped joins.
 //
+// Per-variable state is sized to what it holds. Each variable has one
+// pointer-free 64-byte record with what every access reads: the last
+// writer and Staleʷ, the two pending snapshots, the absorb and
+// repeat-write epochs, the inline update-set marks, the first stale reader
+// and flag bits. The owned 𝕎_x, ℝ_x and ȒR_x stay absent (⊥) until
+// something is joined or copied into them; they live with the epoch slots,
+// spilled marks and further stale readers in a cold record allocated on
+// first need, and the flag bits let the common path skip it. A ⊥ 𝕎_x is
+// not consulted at all, so epoch hits and misses count lookups of owned
+// clocks only. The records sit in 256-record pages allocated on first
+// touch: the table grows without copying, and a lone high variable ID
+// costs one page. On chain traces, where few variables ever own a clock,
+// the engine holds ~140 live bytes per variable at 4 threads and ~240 at
+// 8, against ~500–700 with eagerly allocated clocks.
+//
 // # One front door: Check and Options
 //
 // Check(r, Options{Algorithm, Analyses}) checks one whole trace. It

@@ -36,7 +36,8 @@ func entangled(n int) (*trace.Builder, []trace.ThreadID) {
 
 // pinDeferred asserts that Basic also reports tr as a violation, and that
 // the Algorithm 3 engine deferred at least one flush and reports the
-// violation at wantIndex with wantCheck, no later than Basic.
+// violation at wantIndex with wantCheck, no later than Basic. It also
+// replays tr under the per-event shortcut and variable-record checks.
 func pinDeferred(t *testing.T, tr *trace.Trace, wantIndex int64, wantCheck CheckKind) {
 	t.Helper()
 	vb, _ := Run(NewBasic(), tr.Cursor())
@@ -54,6 +55,7 @@ func pinDeferred(t *testing.T, tr *trace.Trace, wantIndex int64, wantCheck Check
 	if v != nil && v.Index > vb.Index {
 		t.Errorf("index %d after Basic's %d", v.Index, vb.Index)
 	}
+	replayShortcuts(t, "pinned trace", NewOptimized(), tr)
 }
 
 // runPrefix feeds the first n events of tr to a fresh engine.
@@ -81,11 +83,11 @@ func TestDeferredReplacedByOtherOwner(t *testing.T) {
 	tr := b.Build()
 
 	eng := runPrefix(t, tr, 14)
-	v := &eng.vars[x]
+	v := eng.varAt(int32(x))
 	if v.pendR == noSnap || eng.snapOwner[v.pendR] != int32(t0) {
 		t.Fatalf("pending R_x should be t0's snapshot, got slot %d", v.pendR)
 	}
-	if v.hrx.At(int(t1)) == 0 {
+	if coldState(eng, v).hrx.At(int(t1)) == 0 {
 		t.Fatal("t2's snapshot was replaced without being settled into ȒR_x")
 	}
 	pinDeferred(t, tr, 14, CheckWriteRead)
@@ -106,11 +108,11 @@ func TestDeferredUnaryWriteDropsPendingW(t *testing.T) {
 	tr := b.Build()
 
 	eng := runPrefix(t, tr, 5)
-	if p := eng.vars[x].pendW; p == noSnap || eng.snapOwner[p] != int32(t1) {
+	if p := eng.varAt(int32(x)).pendW; p == noSnap || eng.snapOwner[p] != int32(t1) {
 		t.Fatalf("full end left no pending W_x of t1 (slot %d)", p)
 	}
 	eng.Process(tr.Events[5])
-	if eng.vars[x].pendW != noSnap {
+	if eng.varAt(int32(x)).pendW != noSnap {
 		t.Fatal("unary write kept the pending W_x")
 	}
 	if len(eng.snapFree) != len(eng.snaps) {
@@ -140,11 +142,11 @@ func TestDeferredGCResetThenOwnerConsult(t *testing.T) {
 	tr := b.Build()
 
 	eng := runPrefix(t, tr, 6)
-	if eng.vars[x].lastW != nilThread || eng.endsCollected != 1 {
-		t.Fatalf("GC end did not reset lastW (lastW %d, collected %d)", eng.vars[x].lastW, eng.endsCollected)
+	if eng.varAt(int32(x)).lastW != nilThread || eng.endsCollected != 1 {
+		t.Fatalf("GC end did not reset lastW (lastW %d, collected %d)", eng.varAt(int32(x)).lastW, eng.endsCollected)
 	}
 	eng = runPrefix(t, tr, 16)
-	v := &eng.vars[x]
+	v := eng.varAt(int32(x))
 	if v.pendW == noSnap || eng.snapOwner[v.pendW] != int32(t1) || v.lastW != int32(t2) {
 		t.Fatalf("want t1's pending W_x under lastW t2, got slot %d lastW %d", v.pendW, v.lastW)
 	}
@@ -171,10 +173,10 @@ func TestDeferredFlushBreaksRepeatWrite(t *testing.T) {
 	tr := b.Build()
 
 	eng := runPrefix(t, tr, 10)
-	v := &eng.vars[x]
-	if v.pendR == noSnap || v.writeSlot.thread == int32(t1) {
-		t.Fatalf("deferral did not invalidate the repeat-write epoch (pendR %d, slot thread %d)",
-			v.pendR, v.writeSlot.thread)
+	v := eng.varAt(int32(x))
+	if v.pendR == noSnap || v.wsThread == int32(t1) {
+		t.Fatalf("deferral did not invalidate the repeat-write epoch (pendR %d, epoch thread %d)",
+			v.pendR, v.wsThread)
 	}
 	pinDeferred(t, tr, 10, CheckWriteRead)
 }
@@ -192,9 +194,9 @@ func TestDeferredHRCheckReadsPendingSnapshot(t *testing.T) {
 	tr := b.Build()
 
 	eng := runPrefix(t, tr, 9)
-	v := &eng.vars[x]
-	if v.pendR == noSnap || eng.snapOwner[v.pendR] != int32(t2) || v.hrx.At(int(t1)) != 0 {
-		t.Fatalf("want an unsettled pending R_x of t2 (slot %d, ȒR_x(t1) %d)", v.pendR, v.hrx.At(int(t1)))
+	v := eng.varAt(int32(x))
+	if h := coldState(eng, v).hrx.At(int(t1)); v.pendR == noSnap || eng.snapOwner[v.pendR] != int32(t2) || h != 0 {
+		t.Fatalf("want an unsettled pending R_x of t2 (slot %d, ȒR_x(t1) %d)", v.pendR, h)
 	}
 	if got := eng.hrxAt(v, int(t1)); got < eng.threads[t1].begin {
 		t.Fatalf("hrxAt(t1) = %d misses the pending snapshot's component", got)
@@ -210,14 +212,14 @@ func checkPool(t *testing.T, ctx string, e *Optimized, peak *int) {
 	t.Helper()
 	count := make([]int32, len(e.snaps))
 	pending := 0
-	for i := range e.vars {
-		for _, s := range []int32{e.vars[i].pendW, e.vars[i].pendR} {
+	forVars(e, func(_ int32, v *varHot) {
+		for _, s := range []int32{v.pendW, v.pendR} {
 			if s != noSnap {
 				count[s]++
 				pending++
 			}
 		}
-	}
+	})
 	for s := range count {
 		if e.snapRefs[s] != count[s] {
 			t.Fatalf("%s: snapshot %d refcount %d, %d slots name it", ctx, s, e.snapRefs[s], count[s])

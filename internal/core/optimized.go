@@ -18,47 +18,123 @@ type epochSlot struct {
 	begin  vc.Time
 }
 
-// noSnap marks an empty pending-flush slot (optVar.pendW / pendR).
+// noSnap marks an empty pending-flush slot (varHot.pendW / pendR).
 const noSnap = int32(-1)
 
-// accessSlot is the epoch of a completed write by `thread`: the O(width)
-// parts of the handler may be skipped while every listed version still
-// matches.
-type accessSlot struct {
-	thread   int32
-	wasInTxn bool    // staleW semantics differ inside a txn
-	ctVer    uint64  // the writing thread's clock version
-	rxVer    uint64  // R_x version
-	wVer     uint64  // W_x version
-	begin    vc.Time // the begin stamp behind the ȒR check
-	hrxAtT   vc.Time // the ȒR component the check reads
-}
-
 // flushSlot is the epoch of a completed unary-read flush by `thread` at
-// clock version ctVer. It is kept apart from accessSlot so that every
-// variable's record stays small.
+// clock version ctVer.
 type flushSlot struct {
 	thread int32
 	ctVer  uint64
 }
 
-// updMark records which running transactions list a variable in one of
-// their update sets: an inline (thread, begin stamp) pair, and a
-// thread-indexed vector of begin stamps that fills only while a second
-// running transaction lists the variable. Begin stamps strictly increase
-// per thread and are at least 2, so neither the zero value nor a pair
-// left by a finished transaction matches a running one.
-type updMark struct {
-	t     int32
-	stamp vc.Time
-	spill vc.Clock
+// Update-set kinds: they index varHot's inline marks, varCold.spill and
+// optThread.upd.
+const (
+	kindR = 0 // UpdateSetʳ
+	kindW = 1 // UpdateSetʷ
+)
+
+// Bits of varHot.flags. Each cold-storage bit tells the hot path whether
+// it must read the variable's varCold record at all; while a bit is clear
+// the state it guards is empty or ⊥, so the common path never leaves the
+// hot record.
+const (
+	// varStaleW is the paper's Staleʷ_x = ⊤: the last write's timestamp has
+	// not been flushed because the writing transaction is still running;
+	// readers consult the writer's live clock instead.
+	varStaleW uint32 = 1 << iota
+	// varOwnW: the owned W_x (varCold.w) is not ⊥.
+	varOwnW
+	// varOwnR: the owned R_x and ȒR_x (varCold.rx, varCold.hrx) are not ⊥.
+	varOwnR
+	// varMoreStale: varCold.staleR lists stale readers besides stale0.
+	varMoreStale
+	// varSpillR and varSpillW (= varSpillR << kindW): varCold.spill[k] may
+	// list a running transaction.
+	varSpillR
+	varSpillW
+)
+
+// varHot is the part of a variable's state that every access reads: one
+// pointer-free 64-byte record, so an access in a transaction touches one
+// cache line per variable and the garbage collector never scans the
+// table. Owned clocks, slots, spilled marks and extra stale readers live
+// in a varCold record that the flags tell the common path to skip.
+//
+// Update-set membership is one inline (thread markT[k], begin stamp
+// markStamp[k]) pair per kind, spilled to a thread-indexed vector of begin
+// stamps (varCold.spill[k]) only while a second running transaction lists
+// the variable. Begin stamps strictly increase per thread and are at least
+// 2, so neither the zero value nor a pair left by a finished transaction
+// matches a running one.
+type varHot struct {
+	markStamp [2]vc.Time
+	// wsCtVer / wsThread are the repeat-write epoch: thread wsThread
+	// completed a write at its clock version wsCtVer. The version fixes the
+	// begin stamp and whether the write ran inside a transaction (each
+	// outermost begin and end ticks the clock); varCold's ws fields add the
+	// owned clocks' versions once one exists. wsThread is nilThread when
+	// invalidated.
+	wsCtVer uint64
+	lastW   int32
+	// pendW / pendR are deferred end-event flushes (noSnap when none): pool
+	// indices of snapshots that the represented W_x, R_x and ȒR_x still
+	// have to absorb (see Optimized).
+	pendW, pendR int32
+	// rxAbs is the absorb epoch of R_x: thread rxAbs joined R_x into its
+	// clock at the R_x version varCold.rxAbsVer (0 while R_x is ⊥), so
+	// while both match, the write path's C_t ⊔= R_x is a no-op for it.
+	rxAbs int32
+	markT [2]int32
+	// stale0 is the first member of the paper's Staleʳ_x (nilThread when
+	// empty): a thread whose read of x, inside a still running transaction,
+	// has not been flushed into R_x and ȒR_x. Further members are in
+	// varCold.staleR, and only while stale0 is set.
+	stale0   int32
+	wsThread int32
+	cold     int32 // index into Optimized.cold, or noCold
+	flags    uint32
 }
 
-// has reports whether the transaction of thread u begun at stamp own is
-// listed.
-func (m *updMark) has(u int32, own vc.Time) bool {
-	return (m.t == u && m.stamp == own) || m.spill.At(int(u)) == own
+// noCold marks a variable without a varCold record.
+const noCold = int32(-1)
+
+// varCold is the rarely read part of a variable's state, allocated the
+// first time one of its fields is needed.
+type varCold struct {
+	// w, rx and hrx are the owned W_x, R_x and ȒR_x: ⊥, and never read,
+	// until something is joined or copied into them (varOwnW, varOwnR).
+	w, rx flatClock
+	hrx   vc.Sparse
+	// slot is the epoch of W_x lookups, against the writer's live clock or
+	// against w.
+	slot epochSlot
+	// readSlot skips the unary-read flush (the O(width) rx/ȒR joins) when
+	// the same thread re-reads x with an unchanged clock: both joins are
+	// then no-ops. (The update-set cover still runs; it is O(active
+	// transactions).)
+	readSlot flushSlot
+	// wsRxVer, wsWVer and wsHrx complete varHot's repeat-write epoch: the
+	// versions of rx and w, and ȒR_x(wsThread), at the write. They are
+	// written only while an owned clock exists; before that all three are
+	// 0, as the clocks they stand for are.
+	wsRxVer, wsWVer uint64
+	wsHrx           vc.Time
+	rxAbsVer        uint64
+	staleR          []int32
+	spill           [2]vc.Clock
 }
+
+// Variables live in pages of varPageLen records, allocated on first touch:
+// the table grows without copying records, and a lone high variable ID
+// costs one page plus its slot in the page directory.
+const (
+	varPageBits = 8
+	varPageLen  = 1 << varPageBits
+)
+
+type varPage [varPageLen]varHot
 
 type optThread struct {
 	c *flatClock
@@ -77,10 +153,10 @@ type optThread struct {
 	// activeIdx is this thread's position in the engine's active list
 	// (-1 while no outermost transaction is open).
 	activeIdx int32
-	// updR / updW are the paper's UpdateSetʳ_t / UpdateSetʷ_t, as slices
-	// of variable IDs deduplicated through the variables' markR/markW
+	// upd[kindR] / upd[kindW] are the paper's UpdateSetʳ_t / UpdateSetʷ_t,
+	// as slices of variable IDs deduplicated through the variables' marks
 	// (one entry per variable per transaction).
-	updR, updW []int32
+	upd [2][]int32
 	// relLocks lists the locks whose lastRel is this thread, so the GC
 	// path resets them without sweeping the lock table.
 	relLocks []int32
@@ -111,40 +187,6 @@ type optLock struct {
 	slot   epochSlot
 }
 
-type optVar struct {
-	w     *flatClock
-	lastW int32
-	// staleW is the paper's Staleʷ_x = ⊤: the last write's timestamp has not
-	// been written to w because the writing transaction is still running;
-	// readers consult the writer's live clock instead.
-	staleW bool
-	rx     *flatClock // R_x
-	hrx    vc.Sparse  // ȒR_x
-	// staleR is the paper's Staleʳ_x: threads whose reads of x (inside still
-	// running transactions) have not been flushed into rx/hrx.
-	staleR []int32
-	// markR/markW deduplicate update-set membership (see optThread.updR).
-	markR, markW updMark
-	slot         epochSlot
-	// readSlot skips the unary-read flush (the O(width) rx/ȒR joins) when
-	// the same thread re-reads x with an unchanged clock: both joins are
-	// then no-ops. (coverRead still runs; it is O(active transactions).)
-	readSlot flushSlot
-	// writeSlot is the same for repeat writes: with no stale readers and
-	// unchanged clocks, the write handler's flush, check and updates are
-	// all idempotent (coverWrite still runs).
-	writeSlot accessSlot
-	// pendW / pendR are deferred end-event flushes (noSnap when none): pool
-	// indices of snapshots that the represented W_x, R_x and ȒR_x still
-	// have to absorb (see Optimized).
-	pendW, pendR int32
-	// rxAbs / rxAbsVer are the absorb epoch of R_x: thread rxAbs joined rx
-	// into its clock at rx version rxAbsVer, so while both match, the
-	// write path's C_t ⊔= rx is a no-op for that thread.
-	rxAbs    int32
-	rxAbsVer uint64
-}
-
 // Optimized is Algorithm 3 (Appendix C.2) — AeroDrome with lazy clock
 // updates, per-thread update sets, and garbage collection of transactions
 // with no incoming edges — on flat vector clocks, the representation the
@@ -152,7 +194,7 @@ type optVar struct {
 // keeps the per-event cost sublinear in thread count:
 //
 //   - an active-transaction registry replaces the all-threads scans of the
-//     UpdateSet loops (coverRead/coverWrite touch only open transactions);
+//     UpdateSet loops (cover touches only open transactions);
 //   - per-thread released-lock and dirty-lock lists replace the end-event
 //     sweeps over the whole lock table;
 //   - the foreign-component test behind transaction GC is maintained
@@ -196,6 +238,17 @@ type optVar struct {
 // name them and recycled through a free list, so the pool never holds more
 // than one snapshot beyond the peak number of pending slots.
 //
+// Per-variable state is sized to what it holds. The owned w, rx and hrx
+// are absent (⊥) until something is joined or copied into them, and so
+// are the epoch slots, mark spills and extra stale readers: all of them
+// live in a varCold record allocated on first need. What every access
+// reads — lastW, Staleʷ, the pending snapshots, the absorb and
+// repeat-write epochs, the inline update-set marks and the first stale
+// reader — is a 64-byte pointer-free varHot record whose flags say which
+// cold fields are in use. The variable table is paged, so it grows without
+// copying. An absent W_x is not consulted at all: a check against ⊥ can
+// neither fire nor change C_t.
+//
 // Before an O(width) join or settle the engine asks in O(1) whether the
 // target already holds the source, and skips the work when it does:
 //
@@ -217,9 +270,6 @@ type optVar struct {
 //   - Violation tests compare begin stamps: under the local-time invariant,
 //     C⊲_t ⊑ K ⟺ C⊲_t(t) ≤ K(t) for every clock K the engine keeps, so no
 //     begin clock is stored or compared.
-//   - Update-set membership is one inline (thread, begin stamp) pair per
-//     variable and access kind (updMark), spilled to a thread-indexed
-//     vector only while a second running transaction lists the variable.
 //
 // Each shortcut answers a question exactly as the full computation would,
 // so verdicts, violation indices and GC decisions are the eager engine's;
@@ -227,7 +277,14 @@ type optVar struct {
 type Optimized struct {
 	threads []optThread
 	locks   []optLock
-	vars    []optVar
+	// vars is the paged variable table: variable x is record
+	// x%varPageLen of page x/varPageLen (nil until a variable in it is
+	// touched).
+	vars []*varPage
+	// cold holds the varCold records, indexed by varHot.cold. Records are
+	// allocated one by one, so pointers to them (and the epoch slots'
+	// pointers to their w) stay valid as the slice grows.
+	cold []*varCold
 	// active lists the threads with an open outermost transaction, in no
 	// particular order (swap-removed at end events).
 	active []int32
@@ -243,7 +300,7 @@ type Optimized struct {
 	epochHits   int64
 	epochMisses int64
 	// sparsePromotions counts ȒR_x accumulators promoting to dense; every
-	// hrx allocated by ensureVar points its counter here.
+	// hrx allocated by coldOf points its counter here.
 	sparsePromotions int64
 	// The deferred-flush snapshot pool: snaps[s] is a copy of thread
 	// snapOwner[s]'s clock taken at one of its full-propagation ends,
@@ -316,18 +373,41 @@ func (b *Optimized) ensureLock(l int) *optLock {
 	return lk
 }
 
-func (b *Optimized) ensureVar(x int) *optVar {
-	for len(b.vars) <= x {
-		b.vars = append(b.vars, optVar{lastW: nilThread, pendW: noSnap, pendR: noSnap, rxAbs: nilThread})
+// ensureVar returns variable x's record, adding its page on first touch.
+func (b *Optimized) ensureVar(x int) *varHot {
+	p := x >> varPageBits
+	if p >= len(b.vars) || b.vars[p] == nil {
+		b.addVarPage(p)
 	}
-	v := &b.vars[x]
-	if v.w == nil {
-		// Lazy clock allocation, as in ensureLock.
-		v.w = newFlatClock()
-		v.rx = newFlatClock()
-		v.hrx.CountPromotionsInto(&b.sparsePromotions)
+	return &b.vars[p][x&(varPageLen-1)]
+}
+
+// varAt returns the record of variable x, which has been touched.
+func (b *Optimized) varAt(x int32) *varHot {
+	return &b.vars[x>>varPageBits][x&(varPageLen-1)]
+}
+
+func (b *Optimized) addVarPage(p int) {
+	if p >= len(b.vars) {
+		b.vars = append(b.vars, make([]*varPage, p+1-len(b.vars))...)
 	}
-	return v
+	pg := new(varPage)
+	for i := range pg {
+		pg[i] = varHot{lastW: nilThread, pendW: noSnap, pendR: noSnap, rxAbs: nilThread,
+			stale0: nilThread, wsThread: nilThread, cold: noCold}
+	}
+	b.vars[p] = pg
+}
+
+// coldOf returns v's cold record, allocating it on first need.
+func (b *Optimized) coldOf(v *varHot) *varCold {
+	if v.cold == noCold {
+		c := &varCold{}
+		c.hrx.CountPromotionsInto(&b.sparsePromotions)
+		v.cold = int32(len(b.cold))
+		b.cold = append(b.cold, c)
+	}
+	return b.cold[v.cold]
 }
 
 // violates implements the violation half of checkAndGet: with t inside a
@@ -368,10 +448,10 @@ func (b *Optimized) checkAndGet(clk *flatClock, t int, e trace.Event, check Chec
 // live clock while its transaction is still running (Staleʷ = ⊤),
 // otherwise w ⊔ the pending snapshot. The snapshot is consulted without
 // settling it: it is joined straight into C_t unless snapBelow shows C_t
-// holds it already, and w goes through the epoch slot.
-func (b *Optimized) checkAndGetW(v *optVar, t int, e trace.Event, check CheckKind) bool {
-	if v.staleW && v.lastW >= 0 {
-		return b.checkAndGet(b.threads[v.lastW].c, t, e, check, &v.slot)
+// holds it already, and w goes through the epoch slot unless it is ⊥.
+func (b *Optimized) checkAndGetW(v *varHot, t int, e trace.Event, check CheckKind) bool {
+	if v.flags&varStaleW != 0 && v.lastW >= 0 {
+		return b.checkAndGet(b.threads[v.lastW].c, t, e, check, &b.coldOf(v).slot)
 	}
 	if p := v.pendW; p != noSnap {
 		if b.violates(b.snaps[p], t, e, check) {
@@ -382,11 +462,12 @@ func (b *Optimized) checkAndGetW(v *optVar, t int, e trace.Event, check CheckKin
 		} else {
 			b.absorb(t, b.snaps[p])
 		}
-		if v.w.Ver() == 0 {
-			return false // w never changed, so it is ⊥: W_x is the snapshot
-		}
 	}
-	return b.checkAndGet(v.w, t, e, check, &v.slot)
+	if v.flags&varOwnW == 0 {
+		return false // w is ⊥: W_x is the snapshot, if any
+	}
+	c := b.cold[v.cold]
+	return b.checkAndGet(&c.w, t, e, check, &c.slot)
 }
 
 // absorb joins clk into C_t and keeps the foreign flag and the dirty-thread
@@ -441,7 +522,7 @@ func (b *Optimized) releaseSnapshot(s int32) {
 // deferW records snapshot s as v's pending W_x flush. A pending snapshot
 // of another owner is settled first; one of the same owner is superseded
 // (s dominates it, thread clocks only grow).
-func (b *Optimized) deferW(v *optVar, s int32) {
+func (b *Optimized) deferW(v *varHot, s int32) {
 	if p := v.pendW; p != noSnap {
 		if b.snapOwner[p] != b.snapOwner[s] {
 			b.settleW(v)
@@ -454,11 +535,11 @@ func (b *Optimized) deferW(v *optVar, s int32) {
 	b.flushesDeferred++
 	// The repeat-write epoch keys on w/rx versions, which a deferral
 	// leaves untouched while changing the represented clocks.
-	v.writeSlot.thread = nilThread
+	v.wsThread = nilThread
 }
 
 // deferR is deferW for the pending R_x / ȒR_x flush.
-func (b *Optimized) deferR(v *optVar, s int32) {
+func (b *Optimized) deferR(v *varHot, s int32) {
 	if p := v.pendR; p != noSnap {
 		if b.snapOwner[p] != b.snapOwner[s] {
 			b.settleR(v)
@@ -469,13 +550,14 @@ func (b *Optimized) deferR(v *optVar, s int32) {
 	v.pendR = s
 	b.snapRefs[s]++
 	b.flushesDeferred++
-	v.writeSlot.thread = nilThread
+	v.wsThread = nilThread
 }
 
 // settleW joins v's pending snapshot into w.
-func (b *Optimized) settleW(v *optVar) {
+func (b *Optimized) settleW(v *varHot) {
 	p := v.pendW
-	v.w.Join(b.snaps[p])
+	b.coldOf(v).w.Join(b.snaps[p])
+	v.flags |= varOwnW
 	v.pendW = noSnap
 	b.releaseSnapshot(p)
 	b.flushesSettled++
@@ -483,64 +565,164 @@ func (b *Optimized) settleW(v *optVar) {
 
 // settleR joins v's pending snapshot into rx and, zeroed at its owner,
 // into hrx.
-func (b *Optimized) settleR(v *optVar) {
+func (b *Optimized) settleR(v *varHot) {
 	p := v.pendR
-	snap := b.snaps[p]
-	v.rx.Join(snap)
-	snap.JoinZeroingInto(&v.hrx, int(b.snapOwner[p]))
+	b.joinR(v, b.snaps[p], int(b.snapOwner[p]))
 	v.pendR = noSnap
 	b.releaseSnapshot(p)
 	b.flushesSettled++
 }
 
+// joinR is R_x ⊔= clk and ȒR_x ⊔= clk[0/skip] on the owned clocks.
+func (b *Optimized) joinR(v *varHot, clk *flatClock, skip int) {
+	c := b.coldOf(v)
+	c.rx.Join(clk)
+	clk.JoinZeroingInto(&c.hrx, skip)
+	v.flags |= varOwnR
+}
+
+// rxAbsorbed reports whether v's absorb epoch shows that thread t already
+// joined the current owned R_x. While R_x is ⊥ its version is 0, and so
+// was the version recorded with rxAbs, so no cold read is needed.
+func (b *Optimized) rxAbsorbed(v *varHot, t int32) bool {
+	return v.rxAbs == t && (v.flags&varOwnR == 0 || b.cold[v.cold].rxAbsVer == b.cold[v.cold].rx.Ver())
+}
+
 // hrxAt returns component t of the represented ȒR_x without settling.
-func (b *Optimized) hrxAt(v *optVar, t int) vc.Time {
-	h := v.hrx.At(t)
+func (b *Optimized) hrxAt(v *varHot, t int) vc.Time {
+	var h vc.Time
+	if v.flags&varOwnR != 0 {
+		h = b.cold[v.cold].hrx.At(t)
+	}
 	if p := v.pendR; p != noSnap && b.snapOwner[p] != int32(t) {
 		h = max(h, b.snaps[p].At(t))
 	}
 	return h
 }
 
-// coverRead records x in the update set of every thread whose active
-// transaction's begin is dominated by clk (the paper's UpdateSetʳ loop).
-// Under the local-time invariant, C⊲_u ⊑ clk ⟺ C⊲_u(u) ≤ clk(u), and only
-// threads on the active list can qualify.
-func (b *Optimized) coverRead(x int32, clk *flatClock) {
-	m := &b.vars[x].markR
+// repeatWrite reports whether v's repeat-write epoch is live for thread t:
+// t completed the last write of x at its current clock version, and the
+// owned W_x, R_x and ȒR_x(t) have not changed since.
+func (b *Optimized) repeatWrite(v *varHot, ts *optThread, t int32) bool {
+	if v.wsThread != t || v.wsCtVer != ts.c.Ver() {
+		return false
+	}
+	if v.flags&(varOwnR|varOwnW) == 0 {
+		return true // no owned clock, then or now: all three are 0
+	}
+	c := b.cold[v.cold]
+	return c.wsRxVer == c.rx.Ver() && c.wsWVer == c.w.Ver() && c.wsHrx == c.hrx.At(int(t))
+}
+
+// listed reports whether v's kind-k update-set marks list the transaction
+// of thread u begun at stamp own.
+func (b *Optimized) listed(v *varHot, k int, u int32, own vc.Time) bool {
+	return (v.markT[k] == u && v.markStamp[k] == own) ||
+		(v.flags&(varSpillR<<k) != 0 && b.cold[v.cold].spill[k].At(int(u)) == own)
+}
+
+// cover records x in the kind-k update set of every thread whose active
+// transaction's begin is dominated by clk (the paper's UpdateSetʳ and
+// UpdateSetʷ loops). Under the local-time invariant, C⊲_u ⊑ clk ⟺
+// C⊲_u(u) ≤ clk(u), and only threads on the active list can qualify.
+func (b *Optimized) cover(v *varHot, x int32, clk *flatClock, k int) {
 	for _, u := range b.active {
 		us := &b.threads[u]
-		if us.begin <= clk.At(int(u)) && !m.has(u, us.begin) {
-			b.mark(m, u)
-			us.updR = append(us.updR, x)
+		if us.begin <= clk.At(int(u)) && !b.listed(v, k, u, us.begin) {
+			b.mark(v, k, u)
+			us.upd[k] = append(us.upd[k], x)
 		}
 	}
 }
 
-// coverWrite is coverRead for UpdateSetʷ.
-func (b *Optimized) coverWrite(x int32, clk *flatClock) {
-	m := &b.vars[x].markW
-	for _, u := range b.active {
-		us := &b.threads[u]
-		if us.begin <= clk.At(int(u)) && !m.has(u, us.begin) {
-			b.mark(m, u)
-			us.updW = append(us.updW, x)
-		}
-	}
-}
-
-// mark lists the running transaction of thread u in m, which does not list
-// it yet (the callers test m.has inline; this is the rarer, slower half).
-// It takes the inline pair over unless that pair names another transaction
-// that is still running; then u spills to the thread-indexed vector.
-func (b *Optimized) mark(m *updMark, u int32) {
+// mark lists the running transaction of thread u in v's kind-k marks,
+// which do not list it yet (the callers test listed inline; this is the
+// rarer, slower half). It takes the inline pair over unless that pair
+// names another transaction that is still running; then u spills to the
+// thread-indexed vector.
+func (b *Optimized) mark(v *varHot, k int, u int32) {
 	own := b.threads[u].begin
-	// b.threads[m.t] exists: thread u does, and the slice grows densely.
-	if o := &b.threads[m.t]; m.t == u || o.activeIdx < 0 || o.begin != m.stamp {
-		m.t, m.stamp = u, own
+	// b.threads[markT] exists: thread u does, and the slice grows densely.
+	if mt := v.markT[k]; mt == u || b.threads[mt].activeIdx < 0 || b.threads[mt].begin != v.markStamp[k] {
+		v.markT[k], v.markStamp[k] = u, own
 	} else {
-		m.spill = m.spill.Set(int(u), own)
+		c := b.coldOf(v)
+		c.spill[k] = c.spill[k].Set(int(u), own)
+		v.flags |= varSpillR << k
 	}
+}
+
+// addStaleReader adds t to Staleʳ_x.
+func (b *Optimized) addStaleReader(v *varHot, t int32) {
+	switch v.stale0 {
+	case t:
+		return
+	case nilThread:
+		v.stale0 = t
+		return
+	}
+	c := b.coldOf(v)
+	for _, u := range c.staleR {
+		if u == t {
+			return
+		}
+	}
+	c.staleR = append(c.staleR, t)
+	v.flags |= varMoreStale
+}
+
+// removeStaleReader drops t from Staleʳ_x, moving a cold member inline
+// when t was the inline one.
+func (b *Optimized) removeStaleReader(v *varHot, t int32) {
+	if v.flags&varMoreStale == 0 {
+		if v.stale0 == t {
+			v.stale0 = nilThread
+		}
+		return
+	}
+	c := b.cold[v.cold]
+	last := len(c.staleR) - 1
+	if v.stale0 == t {
+		v.stale0 = c.staleR[last]
+		c.staleR = c.staleR[:last]
+	} else {
+		for i, u := range c.staleR {
+			if u == t {
+				c.staleR[i] = c.staleR[last]
+				c.staleR = c.staleR[:last]
+				break
+			}
+		}
+	}
+	if len(c.staleR) == 0 {
+		v.flags &^= varMoreStale
+	}
+}
+
+// flushStaleReaders flushes every stale reader of x with its live clock
+// into R_x and ȒR_x, recording any newly covered begins so end-time
+// flushes stay exact. It reports whether t was the only one: a flush of
+// C_t alone keeps R_x ⊑ C_t.
+func (b *Optimized) flushStaleReaders(v *varHot, x int32, t int32) (onlyT bool) {
+	onlyT = v.stale0 == t
+	b.flushReader(v, x, v.stale0)
+	if v.flags&varMoreStale != 0 {
+		c := b.cold[v.cold]
+		for _, u := range c.staleR {
+			b.flushReader(v, x, u)
+			onlyT = onlyT && u == t
+		}
+		c.staleR = c.staleR[:0]
+		v.flags &^= varMoreStale
+	}
+	v.stale0 = nilThread
+	return onlyT
+}
+
+func (b *Optimized) flushReader(v *varHot, x int32, u int32) {
+	uc := b.threads[u].c
+	b.joinR(v, uc, int(u))
+	b.cover(v, x, uc, kindR)
 }
 
 // markThreadDirty lists thread u on the dirty-thread list of every active
@@ -639,18 +821,17 @@ func (b *Optimized) Process(e trace.Event) *Violation {
 		}
 		ct := ts.c
 		if ts.depth > 0 {
-			v.addStaleReader(int32(t))
+			b.addStaleReader(v, int32(t))
 		} else {
 			// Unary read: flush eagerly; the unary transaction is complete,
 			// so the live clock must not be consulted later. A repeat flush
 			// by the same thread under an unchanged clock is a no-op.
-			if !(v.readSlot.thread == int32(t) && v.readSlot.ctVer == ct.Ver()) {
-				v.rx.Join(ct)
-				ct.JoinZeroingInto(&v.hrx, t)
-				v.readSlot = flushSlot{thread: int32(t), ctVer: ct.Ver()}
+			if c := b.coldOf(v); !(c.readSlot.thread == int32(t) && c.readSlot.ctVer == ct.Ver()) {
+				b.joinR(v, ct, t)
+				c.readSlot = flushSlot{thread: int32(t), ctVer: ct.Ver()}
 			}
 		}
-		b.coverRead(x, ct)
+		b.cover(v, x, ct, kindR)
 
 	case trace.Write:
 		x := e.Target
@@ -661,30 +842,18 @@ func (b *Optimized) Process(e trace.Event) *Violation {
 		// Repeat-write fast path: the same thread rewriting x inside the
 		// same transaction with its clock, R_x, W_x and ȒR_x(t) unchanged
 		// re-runs a handler whose O(width) steps are all no-ops; only the
-		// O(active) coverWrite below still has observable work to do.
-		if v.lastW == int32(t) && len(v.staleR) == 0 &&
-			v.writeSlot.thread == int32(t) && v.writeSlot.ctVer == ts.c.Ver() &&
-			v.writeSlot.rxVer == v.rx.Ver() && v.writeSlot.wVer == v.w.Ver() &&
-			v.writeSlot.begin == ts.begin &&
-			v.writeSlot.wasInTxn == (ts.depth > 0) &&
-			v.writeSlot.hrxAtT == v.hrx.At(t) {
-			b.coverWrite(x, ts.c)
+		// O(active) cover below still has observable work to do.
+		if v.lastW == int32(t) && v.stale0 == nilThread && b.repeatWrite(v, ts, int32(t)) {
+			b.cover(v, x, ts.c, kindW)
 			break
 		}
-		// Flush stale readers with their live clocks; record any newly
-		// covered begins so end-time flushes stay exact. A flush of C_t
-		// alone keeps rx ⊑ C_t, so it keeps t's absorb epoch too.
-		keep := v.rxAbs == int32(t) && v.rxAbsVer == v.rx.Ver()
-		for _, u := range v.staleR {
-			uc := b.threads[u].c
-			v.rx.Join(uc)
-			uc.JoinZeroingInto(&v.hrx, int(u))
-			b.coverRead(x, uc)
-			keep = keep && u == int32(t)
-		}
-		v.staleR = v.staleR[:0]
-		if keep {
-			v.rxAbsVer = v.rx.Ver()
+		// Flush stale readers with their live clocks. A flush of C_t alone
+		// keeps t's absorb epoch.
+		if v.stale0 != nilThread {
+			keep := b.rxAbsorbed(v, int32(t))
+			if b.flushStaleReaders(v, x, int32(t)) && keep {
+				b.cold[v.cold].rxAbsVer = b.cold[v.cold].rx.Ver()
+			}
 		}
 		// The ȒR check: ∃u≠t with C⊲_t ⊑ R_{u,x}, via the begin stamp (see
 		// the package comment).
@@ -695,7 +864,8 @@ func (b *Optimized) Process(e trace.Event) *Violation {
 			}
 			break
 		}
-		// Absorb R_x, skipping each part C_t provably holds already.
+		// Absorb R_x, skipping each part C_t provably holds already. A ⊥
+		// owned R_x needs no join.
 		if p := v.pendR; p != noSnap {
 			if b.snapBelow(p, t) {
 				b.joinsSkipped++
@@ -703,28 +873,32 @@ func (b *Optimized) Process(e trace.Event) *Violation {
 				b.settleR(v)
 			}
 		}
-		if v.rxAbs == int32(t) && v.rxAbsVer == v.rx.Ver() {
+		if b.rxAbsorbed(v, int32(t)) {
 			b.joinsSkipped++
 		} else {
-			b.absorb(t, v.rx)
-			v.rxAbs, v.rxAbsVer = int32(t), v.rx.Ver()
+			v.rxAbs = int32(t)
+			if v.flags&varOwnR != 0 {
+				c := b.cold[v.cold]
+				b.absorb(t, &c.rx)
+				c.rxAbsVer = c.rx.Ver()
+			}
 		}
 		if ts.depth > 0 {
-			v.staleW = true // lazy: readers consult C_t while the txn runs
+			v.flags |= varStaleW // lazy: readers consult C_t while the txn runs
 		} else {
-			v.w.CopyFrom(ts.c) // unary write: eager, overwriting any pending W_x
+			b.coldOf(v).w.CopyFrom(ts.c) // unary write: eager, overwriting any pending W_x
+			v.flags = v.flags&^varStaleW | varOwnW
 			if p := v.pendW; p != noSnap {
 				v.pendW = noSnap
 				b.releaseSnapshot(p)
 			}
-			v.staleW = false
 		}
 		v.lastW = int32(t)
-		b.coverWrite(x, ts.c)
-		v.writeSlot = accessSlot{
-			thread: int32(t), wasInTxn: ts.depth > 0,
-			ctVer: ts.c.Ver(), rxVer: v.rx.Ver(), wVer: v.w.Ver(),
-			begin: ts.begin, hrxAtT: v.hrx.At(t),
+		b.cover(v, x, ts.c, kindW)
+		v.wsThread, v.wsCtVer = int32(t), ts.c.Ver()
+		if v.flags&(varOwnR|varOwnW) != 0 {
+			c := b.cold[v.cold]
+			c.wsRxVer, c.wsWVer, c.wsHrx = c.rx.Ver(), c.w.Ver(), c.hrx.At(t)
 		}
 
 	case trace.Acquire:
@@ -831,30 +1005,30 @@ func (b *Optimized) handleEnd(t int, e trace.Event) {
 		// The variable flushes are deferred: one shared snapshot of C_t,
 		// taken at the first flush, stands in for every W_x/R_x/ȒR_x join.
 		snap := int32(noSnap)
-		for _, x := range ts.updW {
-			v := &b.vars[x]
-			if !v.staleW || v.lastW == int32(t) {
+		for _, x := range ts.upd[kindW] {
+			v := b.varAt(x)
+			if v.flags&varStaleW == 0 || v.lastW == int32(t) {
 				if snap == noSnap {
 					snap = b.takeSnapshot(t)
 				}
 				b.deferW(v, snap)
-				b.coverWrite(x, ct)
+				b.cover(v, x, ct, kindW)
 			}
 			if v.lastW == int32(t) {
-				v.staleW = false
+				v.flags &^= varStaleW
 			}
 		}
-		ts.updW = ts.updW[:0]
-		for _, x := range ts.updR {
-			v := &b.vars[x]
+		ts.upd[kindW] = ts.upd[kindW][:0]
+		for _, x := range ts.upd[kindR] {
+			v := b.varAt(x)
 			if snap == noSnap {
 				snap = b.takeSnapshot(t)
 			}
 			b.deferR(v, snap)
-			v.removeStaleReader(int32(t))
-			b.coverRead(x, ct)
+			b.removeStaleReader(v, int32(t))
+			b.cover(v, x, ct, kindR)
 		}
-		ts.updR = ts.updR[:0]
+		ts.upd[kindR] = ts.upd[kindR][:0]
 		return
 	}
 
@@ -863,41 +1037,22 @@ func (b *Optimized) handleEnd(t int, e trace.Event) {
 	// propagating it (the paper's else-branch). The released-lock list
 	// stands in for the lock-table sweep of the printed pseudocode.
 	b.endsCollected++
-	for _, x := range ts.updR {
-		b.vars[x].removeStaleReader(int32(t))
+	for _, x := range ts.upd[kindR] {
+		b.removeStaleReader(b.varAt(x), int32(t))
 	}
-	ts.updR = ts.updR[:0]
-	for _, x := range ts.updW {
-		v := &b.vars[x]
+	ts.upd[kindR] = ts.upd[kindR][:0]
+	for _, x := range ts.upd[kindW] {
+		v := b.varAt(x)
 		if v.lastW == int32(t) {
-			v.staleW = false
+			v.flags &^= varStaleW
 			v.lastW = nilThread
 		}
 	}
-	ts.updW = ts.updW[:0]
+	ts.upd[kindW] = ts.upd[kindW][:0]
 	for _, li := range ts.relLocks {
 		b.locks[li].lastRel = nilThread
 	}
 	ts.relLocks = ts.relLocks[:0]
 	ts.dirtyLocks = ts.dirtyLocks[:0]
 	ts.dirtyThreads = ts.dirtyThreads[:0]
-}
-
-func (v *optVar) addStaleReader(t int32) {
-	for _, u := range v.staleR {
-		if u == t {
-			return
-		}
-	}
-	v.staleR = append(v.staleR, t)
-}
-
-func (v *optVar) removeStaleReader(t int32) {
-	for i, u := range v.staleR {
-		if u == t {
-			v.staleR[i] = v.staleR[len(v.staleR)-1]
-			v.staleR = v.staleR[:len(v.staleR)-1]
-			return
-		}
-	}
 }

@@ -213,12 +213,12 @@ func TestEpochFastPathStats(t *testing.T) {
 	}
 	// After the first read absorbed W_x, every further read must hit the
 	// epoch slot: same source clock, same version, same begin stamp.
-	v := &eng.vars[x]
-	if v.slot.thread != int32(t2) || v.slot.src != eng.vars[x].w {
-		t.Fatalf("epoch slot not recorded: %+v", v.slot)
+	c := coldState(eng, eng.varAt(int32(x)))
+	if c.slot.thread != int32(t2) || c.slot.src != &c.w {
+		t.Fatalf("epoch slot not recorded: %+v", c.slot)
 	}
-	if got := eng.vars[x].w.Ver(); v.slot.srcVer != got {
-		t.Fatalf("epoch slot version stale: slot %d clock %d", v.slot.srcVer, got)
+	if got := c.w.Ver(); c.slot.srcVer != got {
+		t.Fatalf("epoch slot version stale: slot %d clock %d", c.slot.srcVer, got)
 	}
 }
 
@@ -308,7 +308,7 @@ func TestRepromotionStaleClaimTrace(t *testing.T) {
 		e, _ := cur.Next()
 		probe.Process(e)
 	}
-	slot := probe.vars[y].slot
+	slot := coldState(probe, probe.varAt(int32(y))).slot
 	if slot.thread != int32(th[0]) || slot.src != probe.threads[th[1]].c {
 		t.Fatalf("fixture rot: y's epoch slot %+v does not name t0 absorbing C_t1", slot)
 	}

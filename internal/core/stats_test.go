@@ -14,9 +14,12 @@ import (
 )
 
 func TestStatsEpochAndEndCounters(t *testing.T) {
+	// Epoch hits and misses count lookups of owned clocks only (a ⊥ W_x is
+	// not consulted), so the trace must re-read clocks that exist: the
+	// convoy's hot lock clock is acquired again and again.
 	cfg := workload.Config{
-		Name: "stats-sharded", Threads: 8, Vars: 256, Locks: 8,
-		Events: 20000, OpsPerTxn: 4, Pattern: workload.PatternSharded,
+		Name: "stats-convoy", Threads: 8, Vars: 256, Locks: 8,
+		Events: 20000, OpsPerTxn: 4, Pattern: workload.PatternConvoy,
 		TxnFraction: 0.5, Inject: workload.ViolationNone, Seed: 7,
 	}
 	tr := trace.Collect(workload.New(cfg))

@@ -22,10 +22,12 @@ import (
 )
 
 // driveTraffic exercises every backend stage: one whole-trace check
-// (parse + check) and one incremental session (feed + finalize).
+// (parse + check) and one incremental session (feed + finalize). Its
+// trace reads a variable after a unary write, so the engine looks up an
+// owned W_x and the epoch counters move.
 func driveTraffic(t *testing.T, ts *httptest.Server) {
 	t.Helper()
-	std := []byte("t1|begin|0\nt1|w(x)|1\nt1|end|0\n")
+	std := []byte("t1|w(x)|1\nt2|begin|0\nt2|r(x)|2\nt2|end|0\n")
 	resp, err := http.Post(ts.URL+"/v1/check", "application/octet-stream", bytes.NewReader(std))
 	if err != nil {
 		t.Fatal(err)

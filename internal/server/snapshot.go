@@ -2,8 +2,7 @@ package server
 
 // Typed /metrics snapshots. These structs ARE the JSON wire schema of
 // GET /metrics on both daemon modes: what the backend and router encode
-// is what Client.refreshRing, the load harness's failover scrape and
-// the e2e assertions decode. Field declaration order is the encoding
+// is what Client.refreshRing and the e2e assertions decode. Field declaration order is the encoding
 // order, and the legacy schema was produced from Go maps (which
 // encoding/json emits with sorted keys) — so fields here MUST stay in
 // alphabetical JSON-key order to keep the emitted document

@@ -22,6 +22,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-all}"
+# Reject an unknown leg before building or arming the cleanup trap, so a
+# typo prints the usage and exits 2 without a "leg failed" log dump.
+case "$MODE" in
+    single|sharded|chaos|all) ;;
+    *) echo "usage: $0 [single|sharded|chaos|all]" >&2; exit 2 ;;
+esac
 
 BINDIR=$(mktemp -d)
 BIN="$BINDIR/aerodromed"
@@ -527,6 +533,5 @@ case "$MODE" in
     sharded) leg_sharded ;;
     chaos)   leg_chaos ;;
     all)     leg_single; leg_sharded; leg_chaos ;;
-    *) echo "usage: $0 [single|sharded|chaos|all]"; exit 2 ;;
 esac
 echo "e2e: $MODE checks passed"

@@ -9,12 +9,12 @@ import (
 )
 
 // statsLog builds a serializable STD log that exercises the epoch fast
-// path: one writer seeds a shared variable, then reader transactions
-// read it several times each — the repeats within a transaction check
-// the same unchanged write clock and hit the epoch cache.
+// path: one unary write seeds a shared variable's owned W_x, then reader
+// transactions read it several times each — the repeats within a
+// transaction check the same unchanged write clock and hit the epoch cache.
 func statsLog(threads, rounds int) string {
 	var b strings.Builder
-	b.WriteString("t0|begin|0\nt0|w(x)|0\nt0|end|0\n")
+	b.WriteString("t0|w(x)|0\n")
 	for r := 0; r < rounds; r++ {
 		for t := 1; t <= threads; t++ {
 			fmt.Fprintf(&b, "t%d|begin|0\n", t)
@@ -30,9 +30,7 @@ func statsLog(threads, rounds int) string {
 
 func TestCheckerStats(t *testing.T) {
 	c := aerodrome.NewChecker(aerodrome.Optimized)
-	c.Begin(0)
-	c.Write(0, 0)
-	c.End(0)
+	c.Write(0, 0) // unary: W_x becomes an owned clock the reads look up
 	for r := 0; r < 50; r++ {
 		c.Begin(1)
 		for i := 0; i < 4; i++ {
@@ -114,9 +112,7 @@ func TestIncrementalCheckerStats(t *testing.T) {
 func TestMonitorStats(t *testing.T) {
 	m := aerodrome.NewMonitor(aerodrome.Options{}, nil)
 	w := m.Thread("writer")
-	w.Begin()
-	w.Write("x")
-	w.End()
+	w.Write("x") // unary: W_x becomes an owned clock the reads look up
 	rd := m.Thread("reader")
 	for r := 0; r < 50; r++ {
 		rd.Begin()
