@@ -1,7 +1,6 @@
 package aerodrome
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -279,27 +278,19 @@ type Report struct {
 // check spent its time. The format is sniffed once: a stream whose first
 // four bytes are the ADB1 magic is read as compact binary, anything else
 // as STD text, so an STD trace that begins with the four bytes "ADB1" is
-// read as binary. Parsing runs on its own goroutine, pipelined against
-// checking (internal/pipeline), and the verdict, violation index and event
-// count equal CheckSTD's on the same trace. Invalid options are rejected
-// before any byte is read.
+// read as binary. An error from r other than io.EOF is returned as
+// itself (errors.Is finds it), after the events of the lines or records
+// completed before it. Parsing runs on its own goroutine, pipelined
+// against checking (internal/pipeline), and the verdict, violation index
+// and event count equal CheckSTD's on the same trace. Invalid options are
+// rejected before any byte is read.
 func Check(r io.Reader, o Options) (*Report, CheckStats, error) {
 	run, err := newCheckRun(o)
 	if err != nil {
 		return nil, CheckStats{}, err
 	}
-	br := bufio.NewReaderSize(r, 1<<16)
-	// A Peek error is left for the parser to meet again, so the read error
-	// that ended the stream (a body limit, a deadline) is the one reported.
-	head, _ := br.Peek(4)
-	var src pipeline.BatchSource
-	if rapidio.IsBinary(head) {
-		src = rapidio.NewBinaryReader(br)
-	} else {
-		src = rapidio.NewReader(br)
-	}
 	var stages pipeline.StageStats
-	v, n, err := pipeline.RunMulti(run.eng, run.sinks(), src, pipeline.Config{Stats: &stages})
+	v, n, err := pipeline.RunMulti(run.eng, run.sinks(), rapidio.NewDecoder(r), pipeline.Config{Stats: &stages})
 	if err != nil {
 		return nil, CheckStats{}, err
 	}

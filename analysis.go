@@ -250,7 +250,7 @@ func raceFromInternal(v *race.Violation) *Violation {
 // runSequential drives the run over one sequential event stream, stopping
 // as soon as every analysis has latched (so a parse error in the discarded
 // tail is never observed) or the stream ends.
-func runSequential(run checkRun, rd *rapidio.Reader) (*core.Violation, int64, error) {
+func runSequential(run checkRun, rd *rapidio.Decoder) (*core.Violation, int64, error) {
 	var viol *core.Violation
 	for viol == nil || !run.done() {
 		e, ok := rd.Next()

@@ -88,12 +88,16 @@
 // # One front door: Check and Options
 //
 // Check(r, Options{Algorithm, Analyses}) checks one whole trace. It
-// sniffs the format once (the ADB1 binary magic, else STD text) and
-// overlaps parsing and checking through internal/pipeline: a producer
-// goroutine fills pooled event batches and hands them to the checker
-// through a bounded channel, so memory stays constant, the steady state
-// allocates nothing, and the first violation stops the producer. The
-// aerodrome command and aerodromed's /v1/check run through the same loop.
+// reads r through internal/rapidio's one trace decoder, which sniffs the
+// format once (the ADB1 binary magic, else STD text) and reports a failed
+// read as itself, not as a parse error on the partial line or record it
+// cut off, so aerodromed answers a spent byte budget or a stalled upload
+// with 429 or 408 rather than 400. Parsing and checking overlap through
+// internal/pipeline: a producer goroutine fills pooled event batches and
+// hands them to the checker through a bounded channel, so memory stays
+// constant, the steady state allocates nothing, and the first violation
+// stops the producer. The aerodrome command and aerodromed's /v1/check
+// run through the same loop.
 // CheckFilesParallel runs Check on N files concurrently. CheckSTD is the
 // sequential reference: Check on STD text and on its ADB1 re-encoding
 // gives the same verdict, violation index and event count, enforced by a
@@ -101,9 +105,9 @@
 // fuzz target (FuzzPipelineDifferential).
 //
 // Two streaming front ends take the same Options: IncrementalChecker
-// accepts arbitrary byte chunks of a trace (the format sniffed from the
-// first bytes; boundaries need not align with lines or records), and
-// Monitor interns arbitrary keys for a live program. Checker, for raw
+// accepts arbitrary byte chunks of a trace (the same decoder, pushed to
+// instead of pulling; boundaries need not align with lines or records),
+// and Monitor interns arbitrary keys for a live program. Checker, for raw
 // dense IDs, takes just an Algorithm.
 //
 // Options.Analyses is the analysis set one parse drives ("one parse, one

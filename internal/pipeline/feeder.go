@@ -3,8 +3,8 @@ package pipeline
 // Feeder is the resumable counterpart of Run, for STD streams that arrive
 // in pieces rather than behind an io.Reader: the aerodromed session API
 // feeds each request body as one chunk and reads the verdict back between
-// chunks. Parsing reuses the pull pipeline's batching discipline (one
-// pooled batch, refilled by whole-buffer sweeps in rapidio) but runs on
+// chunks. Parsing runs the pull pipeline's rapidio decoder, pushed to
+// instead of pulling, into one batch refilled by its window sweeps, but on
 // the caller's goroutine — an incremental session is latency-bound, not
 // throughput-bound, and a synchronous Feed means the response to a chunk
 // already reflects every event in it.
@@ -29,7 +29,7 @@ import (
 type Feeder struct {
 	eng   core.Engine
 	extra []Sink // additional analyses sharing the parsed stream
-	src   *rapidio.Feeder
+	src   *rapidio.Decoder
 	batch []trace.Event
 	stats *StageStats
 	viol  *core.Violation

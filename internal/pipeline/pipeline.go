@@ -1,6 +1,6 @@
 // Package pipeline decouples trace parsing from checking: a producer
-// goroutine fills pooled event batches from a BatchSource (the rapidio
-// readers) and hands them through a bounded channel to the checker, which
+// goroutine fills pooled event batches from a BatchSource (a rapidio
+// decoder) and hands them through a bounded channel to the checker, which
 // runs on the caller's goroutine. The paper's algorithm is single-pass
 // with constant per-event state, so the only coupling between the two
 // stages is the event stream itself — exactly the shape that pipelines.
@@ -38,8 +38,8 @@ import (
 
 // BatchSource produces events in bulk: ReadBatch fills dst with up to
 // len(dst) events, returning how many were filled and the terminal error
-// if the stream ended inside this batch (io.EOF for a clean end). Both
-// rapidio readers implement it.
+// if the stream ended inside this batch (io.EOF for a clean end).
+// rapidio.Decoder implements it.
 type BatchSource interface {
 	ReadBatch(dst []trace.Event) (int, error)
 }

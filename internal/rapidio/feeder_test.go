@@ -1,8 +1,8 @@
 package rapidio
 
-// Feeder tests: the push-mode parser must be chunking-invariant — any way
-// of slicing an STD log into Feed calls yields exactly the event sequence
-// the pull Reader produces on the same bytes, including the error.
+// Push-path tests: the decoder must be chunking-invariant — any way of
+// slicing a log into Feed calls yields exactly the event sequence the pull
+// path produces on the same bytes, including the error.
 
 import (
 	"bufio"
@@ -15,38 +15,41 @@ import (
 	"aerodrome/internal/trace"
 )
 
-// drainFeeder pushes data into f in the given chunk sizes (cycling) and
-// collects everything ReadBatch yields, closing at the end.
+// drainFeeder pushes data into a new push decoder in the given chunk
+// sizes (cycling) and collects everything ReadBatch yields, closing at the
+// end.
 func drainFeeder(t *testing.T, data []byte, chunkSizes []int) ([]trace.Event, error) {
 	t.Helper()
-	f := NewFeeder()
 	var got []trace.Event
-	batch := make([]trace.Event, 7) // deliberately small and odd
+	err := feed(NewFeeder(), data, chunkSizes, make([]trace.Event, 7), func(evs []trace.Event) {
+		got = append(got, evs...)
+	})
+	return got, err
+}
+
+// feed pushes data into f in the given chunk sizes (cycling), drains
+// ReadBatch into batch after each chunk and hands each batch's events to
+// use, then closes f, drains it and returns its terminal error.
+func feed(f *Decoder, data []byte, chunkSizes []int, batch []trace.Event, use func([]trace.Event)) error {
 	drain := func() error {
 		for {
 			n, err := f.ReadBatch(batch)
-			got = append(got, batch[:n]...)
-			if err != nil {
+			use(batch[:n])
+			if err != nil || n < len(batch) {
 				return err
-			}
-			if n < len(batch) {
-				return nil
 			}
 		}
 	}
 	for i, ci := 0, 0; i < len(data); ci++ {
-		sz := chunkSizes[ci%len(chunkSizes)]
-		if sz > len(data)-i {
-			sz = len(data) - i
-		}
+		sz := min(chunkSizes[ci%len(chunkSizes)], len(data)-i)
 		f.Feed(data[i : i+sz])
 		i += sz
 		if err := drain(); err != nil {
-			return got, err
+			return err
 		}
 	}
 	f.Close()
-	return got, drain()
+	return drain()
 }
 
 func readAll(t *testing.T, data []byte) ([]trace.Event, error) {
@@ -175,6 +178,30 @@ func TestFeederLatchesAndBounds(t *testing.T) {
 	if f2.Err() != nil {
 		t.Fatalf("Err after clean EOF = %v, want nil", f2.Err())
 	}
+
+	// Read on a push decoder that waits for input reports io.EOF without
+	// ending the stream; Discard then drops the partial line and ends it
+	// cleanly.
+	f3 := NewFeeder()
+	f3.Feed([]byte("t0|begin|0\nt0|w(x"))
+	if ev, err := f3.Read(); err != nil || ev.Kind != trace.Begin {
+		t.Fatalf("Read = (%v, %v), want the begin", ev, err)
+	}
+	if _, err := f3.Read(); err != io.EOF || f3.Err() != nil {
+		t.Fatalf("Read while waiting = %v (Err %v), want io.EOF, not latched", err, f3.Err())
+	}
+	f3.Feed([]byte(")|5\nt0|r(x"))
+	if ev, err := f3.Read(); err != nil || ev.Kind != trace.Write {
+		t.Fatalf("Read after Feed = (%v, %v), want the write", ev, err)
+	}
+	f3.Discard()
+	f3.Feed([]byte(")|6\n"))
+	if f3.Buffered() != 0 {
+		t.Fatalf("Buffered = %d after Discard, want 0", f3.Buffered())
+	}
+	if n, err := f3.ReadBatch(batch); n != 0 || err != io.EOF || f3.Err() != nil {
+		t.Fatalf("ReadBatch after Discard = (%d, %v), want (0, io.EOF) and nil Err", n, err)
+	}
 }
 
 // TestFeederLineTooLongMatchesReader pins the shared 1 MiB line bound: a
@@ -242,8 +269,8 @@ func TestFeederShrinksAfterDrain(t *testing.T) {
 	if f.Buffered() != 0 {
 		t.Fatalf("Buffered = %d after drain, want 0", f.Buffered())
 	}
-	if cap(f.buf) > feederKeepBuf {
-		t.Fatalf("backing array still %d bytes after drain, want ≤ %d", cap(f.buf), feederKeepBuf)
+	if cap(f.buf) > windowSize {
+		t.Fatalf("backing array still %d bytes after drain, want ≤ %d", cap(f.buf), windowSize)
 	}
 }
 
@@ -277,9 +304,10 @@ func (r *dataThenErrReader) Read(p []byte) (int, error) {
 	return copy(p, r.data), io.ErrUnexpectedEOF
 }
 
-// TestReaderDataWithError pins scanner parity on sources that return data
-// and error together: every buffered line (including a final partial one)
-// is tokenized before the error surfaces.
+// TestReaderDataWithError pins the read-error rule on sources that return
+// data and error together: every complete buffered line is tokenized
+// before the error surfaces, and the final partial line is not, because
+// only a clean end makes it final.
 func TestReaderDataWithError(t *testing.T) {
 	rd := NewReader(&dataThenErrReader{data: []byte("t0|begin|0\nt0|w(x)|1\nt0|end")})
 	var events int
@@ -293,8 +321,8 @@ func TestReaderDataWithError(t *testing.T) {
 		}
 		events++
 	}
-	if events != 3 {
-		t.Fatalf("parsed %d events before the error, want 3 (incl. the partial final line)", events)
+	if events != 2 {
+		t.Fatalf("parsed %d events before the error, want 2 (not the partial final line)", events)
 	}
 	if rd.Err() != io.ErrUnexpectedEOF {
 		t.Fatalf("Err() = %v, want io.ErrUnexpectedEOF", rd.Err())
@@ -338,7 +366,7 @@ func binaryLog(t *testing.T, n int, seed int64) (bin []byte, events []trace.Even
 	return buf.Bytes(), events
 }
 
-// readAllBinary drains a pull-mode BinaryReader.
+// readAllBinary drains a pull decoder from NewBinaryReader.
 func readAllBinary(t *testing.T, data []byte) ([]trace.Event, error) {
 	t.Helper()
 	br := NewBinaryReader(bytes.NewReader(data))
@@ -352,10 +380,11 @@ func readAllBinary(t *testing.T, data []byte) ([]trace.Event, error) {
 	}
 }
 
-// TestFeederBinaryMatchesBinaryReaderAllChunkings pins the push-mode
-// binary splitter to the pull-mode BinaryReader: any chunking of an ADB1
-// stream — including splits inside the magic, the header and individual
-// records — yields the identical event sequence and terminal error.
+// TestFeederBinaryMatchesBinaryReaderAllChunkings pins the push path's
+// ADB1 decoding to the pull path's (NewBinaryReader): any chunking of an
+// ADB1 stream — including splits inside the magic, the header and
+// individual records — yields the identical event sequence and terminal
+// error.
 func TestFeederBinaryMatchesBinaryReaderAllChunkings(t *testing.T) {
 	bin, _ := binaryLog(t, 40, 11)
 	// Malformed variants: a bad op kind mid-stream, a target with the sign
@@ -396,18 +425,19 @@ func TestFeederBinaryMatchesBinaryReaderAllChunkings(t *testing.T) {
 
 // TestFeederBinaryTruncationEveryBoundary sweeps every possible
 // truncation point of an ADB1 stream — mid-header, mid-record, between
-// records — and requires the push-mode Feeder (under several chunkings of
-// the truncated bytes, including byte-at-a-time) to reproduce the
-// pull-mode BinaryReader exactly: same event prefix, same terminal error.
+// records — and requires the push path (under several chunkings of the
+// truncated bytes, including byte-at-a-time) to reproduce the pull
+// decoder from NewBinaryReader exactly: same event prefix, same terminal
+// error.
 // The older tests only pinned a handful of truncation points; a feed
 // arriving over a faulty network can end anywhere.
 func TestFeederBinaryTruncationEveryBoundary(t *testing.T) {
 	bin, _ := binaryLog(t, 12, 7)
 	chunkings := [][]int{{1}, {3}, {8}, {1 << 10}}
 	// Cuts shorter than the 4-byte magic are excluded by design: the
-	// sniffer cannot yet classify the stream, so the Feeder falls back to
-	// STD text (pinned by TestFeederSniffEdgeCases) while a direct
-	// BinaryReader assumes binary.
+	// sniffer cannot yet classify the stream, so the push path falls back
+	// to STD text (pinned by TestFeederSniffEdgeCases) while
+	// NewBinaryReader assumes binary.
 	for cut := 4; cut <= len(bin); cut++ {
 		data := bin[:cut]
 		want, wantErr := readAllBinary(t, data)
@@ -446,9 +476,9 @@ func TestFeederBinaryRandomChunking(t *testing.T) {
 	}
 }
 
-// TestFeederSniffEdgeCases pins the sniffing contract to the pull side's
-// 4-byte Peek: an inconclusive head (shorter than the magic) is STD text,
-// and the decision never depends on how the first bytes were chunked.
+// TestFeederSniffEdgeCases pins the sniffing contract: an inconclusive
+// head (shorter than the magic) is STD text, and the decision never
+// depends on how the first bytes were chunked.
 func TestFeederSniffEdgeCases(t *testing.T) {
 	batch := make([]trace.Event, 4)
 

@@ -22,6 +22,16 @@
 // The binary format ("ADB1") is a 16-byte header followed by fixed 8-byte
 // little-endian records (thread uint16, kind uint8, pad uint8, target
 // int32), suitable for multi-gigabyte logs.
+//
+// One Decoder reads both formats, whether it pulls bytes from an io.Reader
+// or the caller pushes them in chunks, so a stream decodes to the same
+// events and the same terminal error however it arrives. A sniffing
+// Decoder reads the first four bytes: the ADB1 magic selects binary,
+// anything else STD, and a stream that ends before four bytes is STD. Only
+// a clean end (io.EOF from the source, or Close) makes a final line
+// without a newline parseable, or a partial record a format error; any
+// other read error is returned as itself, after the events of the complete
+// lines or records before it.
 package rapidio
 
 import (
@@ -54,261 +64,372 @@ func (e *ParseError) Error() string {
 // Unwrap lets errors.Is(err, ErrFormat) succeed.
 func (e *ParseError) Unwrap() error { return ErrFormat }
 
-// parser holds the line-level STD tokenizer state shared by the pull-mode
-// Reader and the push-mode Feeder: the intern tables and the running line
-// number for error reporting.
-type parser struct {
-	line    int
-	threads map[string]trace.ThreadID
-	vars    map[string]trace.VarID
-	locks   map[string]trace.LockID
+const (
+	// windowSize is the pull window, and what a push window shrinks back
+	// to once drained.
+	windowSize = 64 * 1024
+	// maxLineSize bounds a single STD line; longer lines fail with
+	// bufio.ErrTooLong, as bufio.Scanner does. The bound holds in push
+	// mode too, so a newline-free stream cannot buffer without limit in a
+	// server session.
+	maxLineSize = 1 << 20
+	// maxConsecutiveEmptyReads mirrors bufio's tolerance for sources
+	// that return (0, nil) before failing with io.ErrNoProgress.
+	maxConsecutiveEmptyReads = 100
 
+	headerSize = 16 // ADB1 header: the magic and 12 reserved bytes
+	recordSize = 8  // one ADB1 record
+)
+
+// state is what a Decoder expects next in its stream.
+type state uint8
+
+const (
+	sniffing   state = iota // the format is not known yet
+	stdLines                // STD text, one event per line
+	binHeader               // ADB1, before its header
+	binRecords              // ADB1 records
+)
+
+// Decoder streams events from one trace stream, STD or ADB1. Its bytes
+// arrive one of two ways:
+//
+//   - pull: NewReader (STD), NewBinaryReader (ADB1) and NewDecoder
+//     (sniffed) read from an io.Reader into a 64 KiB window, which grows
+//     only to hold a longer line;
+//   - push: NewFeeder (sniffed) takes chunks from Feed as they come off
+//     the wire, with boundaries anywhere, and Close marks the end.
+//
+// Both decode the window with the same sweep, so the events, names and
+// terminal error do not depend on how the stream was chunked. A Decoder
+// implements trace.Source by stopping the stream at the first error
+// (recorded for Err).
+type Decoder struct {
+	src io.Reader // nil for a push decoder
+	buf []byte
+	pos int // buf[pos:end] is the unconsumed window
+	end int
+	// final is why no more bytes will come: io.EOF for a clean end (the
+	// source's EOF, or Close), else the source's read error. The window is
+	// still decoded before it surfaces.
+	final      error
+	emptyReads int
+	err        error // the latched terminal error
+	state      state
+	seen       int   // bytes of a partial STD line already searched for '\n'
+	records    int64 // ADB1 records decoded so far
+
+	// The STD tokenizer: the running line number for error reporting and
+	// the intern tables.
+	line        int
+	threads     map[string]trace.ThreadID
+	vars        map[string]trace.VarID
+	locks       map[string]trace.LockID
 	threadNames []string
 	varNames    []string
 	lockNames   []string
 }
 
-func newParser() parser {
-	return parser{
+// NewReader returns a Decoder that reads STD text from r.
+func NewReader(r io.Reader) *Decoder { return newDecoder(r, stdLines) }
+
+// NewBinaryReader returns a Decoder that reads the ADB1 format from r.
+func NewBinaryReader(r io.Reader) *Decoder { return newDecoder(r, binHeader) }
+
+// NewDecoder returns a Decoder that reads from r in the format its first
+// four bytes select.
+func NewDecoder(r io.Reader) *Decoder { return newDecoder(r, sniffing) }
+
+// NewFeeder returns an empty push Decoder, for streams that arrive in
+// pieces (the aerodromed session API), in the format its first four bytes
+// select.
+func NewFeeder() *Decoder { return newDecoder(nil, sniffing) }
+
+func newDecoder(src io.Reader, s state) *Decoder {
+	d := &Decoder{
+		src:     src,
+		state:   s,
 		threads: map[string]trace.ThreadID{},
 		vars:    map[string]trace.VarID{},
 		locks:   map[string]trace.LockID{},
 	}
+	if src != nil {
+		d.buf = make([]byte, windowSize)
+	}
+	return d
 }
 
-// Names returns the interned symbol tables accumulated so far.
-func (p *parser) Names() (threads, vars, locks []string) {
-	return p.threadNames, p.varNames, p.lockNames
+// Names returns the interned symbol tables accumulated so far (empty for
+// ADB1, whose records carry raw IDs).
+func (d *Decoder) Names() (threads, vars, locks []string) {
+	return d.threadNames, d.varNames, d.lockNames
 }
 
-const (
-	// readerBufSize is the initial fill-buffer size (matches the old
-	// bufio.Scanner configuration).
-	readerBufSize = 64 * 1024
-	// maxLineSize bounds a single line; longer lines fail with
-	// bufio.ErrTooLong, as the scanner-based reader did. The push-mode
-	// Feeder enforces the same bound, so a newline-free stream cannot
-	// buffer unboundedly in a server session.
-	maxLineSize = 1 << 20
-	// maxConsecutiveEmptyReads mirrors bufio's tolerance for sources
-	// that return (0, nil) before failing with io.ErrNoProgress.
-	maxConsecutiveEmptyReads = 100
-)
-
-// Reader streams events from an STD-format log. It implements trace.Source
-// by stopping the stream at the first error (recorded for Err); use Read
-// for error-returning iteration. Lines may be up to 1 MiB.
-//
-// The reader manages its own fill buffer rather than delegating to
-// bufio.Scanner: ReadBatch tokenizes every complete line already buffered
-// with a bytes.IndexByte sweep over the whole window — the hot path of the
-// pipelined checker and the aerodromed /v1/check endpoint — instead of a
-// scanner round trip per line.
-type Reader struct {
-	parser
-	src io.Reader
-	buf []byte
-	pos int // buf[pos:end] is the unconsumed window
-	end int
-	// finalErr is the error that ended the source (io.EOF or a read
-	// error). Like bufio.Scanner, everything buffered before it —
-	// including a final line without a newline — is still tokenized
-	// before the error surfaces.
-	finalErr   error
-	emptyReads int
-	err        error
+// Feed appends chunk to a push decoder's window (copying it; the caller
+// may reuse chunk). Events become available to ReadBatch once their line
+// or record is complete. Feeding after Close, Discard or a terminal error
+// is a no-op.
+func (d *Decoder) Feed(chunk []byte) {
+	if d.final != nil || d.err != nil {
+		return
+	}
+	d.compact()
+	d.buf = append(d.buf[:d.end], chunk...)
+	d.end = len(d.buf)
+	d.buf = d.buf[:cap(d.buf)]
 }
 
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{
-		parser: newParser(),
-		src:    r,
-		buf:    make([]byte, readerBufSize),
+// Close marks a clean end of the stream: a final line without a newline
+// becomes parseable, and once the window is drained ReadBatch returns
+// io.EOF.
+func (d *Decoder) Close() {
+	if d.final == nil {
+		d.final = io.EOF
 	}
 }
 
-// nextLine returns the next raw line (newline stripped) from the fill
-// buffer, touching the underlying reader only when the buffered window
-// holds no complete line. The returned slice aliases the buffer and is
-// valid until the next call.
-func (r *Reader) nextLine() ([]byte, error) {
-	for {
-		if i := bytes.IndexByte(r.buf[r.pos:r.end], '\n'); i >= 0 {
-			line := r.buf[r.pos : r.pos+i]
-			r.pos += i + 1
-			return line, nil
-		}
-		if r.finalErr != nil {
-			if r.pos == r.end {
-				return nil, r.finalErr
-			}
-			line := r.buf[r.pos:r.end] // final line without trailing newline
-			r.pos = r.end
-			return line, nil
-		}
-		// No newline buffered: slide the partial line to the front, grow if
-		// it fills the buffer, and refill.
-		if r.pos > 0 {
-			r.end = copy(r.buf, r.buf[r.pos:r.end])
-			r.pos = 0
-		}
-		if r.end == len(r.buf) {
-			if len(r.buf) >= maxLineSize {
-				return nil, bufio.ErrTooLong
-			}
-			next := 2 * len(r.buf)
-			if next > maxLineSize {
-				next = maxLineSize
-			}
-			grown := make([]byte, next)
-			r.end = copy(grown, r.buf[:r.end])
-			r.buf = grown
-		}
-		n, err := r.src.Read(r.buf[r.end:])
-		r.end += n
-		if err != nil {
-			// Don't return yet: a source may deliver data and its error in
-			// one call, and the buffered lines must be tokenized first.
-			r.finalErr = err
-			r.emptyReads = 0
-		} else if n == 0 {
-			// Mirror bufio.Scanner's guard: a source that keeps returning
-			// (0, nil) — legal under io.Reader — must error, not spin.
-			r.emptyReads++
-			if r.emptyReads >= maxConsecutiveEmptyReads {
-				r.finalErr = io.ErrNoProgress
-			}
-		} else {
-			r.emptyReads = 0
-		}
+// Discard drops any buffered input and ends the stream cleanly: the
+// caller has decided the rest is irrelevant (a violation latched
+// mid-chunk) and the tail must not stay pinned in memory.
+func (d *Decoder) Discard() {
+	if d.err == nil {
+		d.latch(io.EOF)
 	}
 }
 
-// Read returns the next event, io.EOF at the end of input, or a
-// *ParseError for malformed lines. Parsing tokenizes in place over the
-// fill buffer: the only per-line allocations are the first interning of
-// each thread/variable/lock name (and error paths).
-func (r *Reader) Read() (trace.Event, error) {
-	if r.err != nil {
-		return trace.Event{}, r.err
-	}
-	for {
-		raw, err := r.nextLine()
-		if err != nil {
-			r.err = err
-			return trace.Event{}, err
+// Buffered returns the number of bytes taken in but not yet decoded (at
+// most one partial line or record once a push decoder has been drained;
+// zero once the stream is terminal).
+func (d *Decoder) Buffered() int { return d.end - d.pos }
+
+// latch records the terminal error and releases the window: a terminal
+// decoder (a failed or finished server session) must not pin its last
+// chunk in memory.
+func (d *Decoder) latch(err error) {
+	d.err = err
+	d.buf, d.pos, d.end = nil, 0, 0
+}
+
+// ReadBatch fills dst with up to len(dst) events and returns how many it
+// filled, plus the terminal error if the stream ended inside this batch:
+// io.EOF for a clean end, otherwise a *ParseError, an ADB1 format error,
+// bufio.ErrTooLong or the source's read error. The error is latched, and
+// n may be positive alongside it. A pull decoder returns n < len(dst) only
+// with an error. A push decoder also returns n < len(dst) with a nil error
+// once it has decoded every complete line or record fed so far: Feed more,
+// or Close.
+func (d *Decoder) ReadBatch(dst []trace.Event) (int, error) {
+	n := 0
+	for d.err == nil && n < len(dst) {
+		switch d.state {
+		case sniffing:
+			if d.end-d.pos >= len(binMagic) || d.final != nil {
+				d.state = stdLines
+				if IsBinary(d.buf[d.pos:d.end]) {
+					d.state = binHeader
+				}
+				continue
+			}
+		case binHeader:
+			if d.end-d.pos >= headerSize || d.final == io.EOF {
+				d.readHeader()
+				continue
+			}
+		case stdLines:
+			n += d.readLines(dst[n:])
+		case binRecords:
+			n += d.readRecords(dst[n:])
 		}
-		r.line++
+		if d.err == nil && n < len(dst) && !d.refill() {
+			if d.final == nil {
+				return n, nil // a push decoder waits for Feed
+			}
+			d.latch(d.final)
+		}
+	}
+	return n, d.err
+}
+
+// readLines is the STD line sweep: it tokenizes the complete lines in the
+// window into dst with a local cursor and commits the cursor once. At a
+// clean end the final line needs no newline.
+func (d *Decoder) readLines(dst []trace.Event) int {
+	win := d.buf[d.pos:d.end]
+	// The first seen bytes of the window were searched for a newline by
+	// the sweep that ran dry; searching them again would make a long line
+	// that arrives in small pieces cost quadratic time.
+	base, n, seen := 0, 0, d.seen
+	for n < len(dst) {
+		raw := win[base:]
+		if i := bytes.IndexByte(raw[seen:], '\n'); i >= 0 {
+			raw = raw[:seen+i]
+			base += seen + i + 1
+		} else if d.final == io.EOF && len(raw) > 0 {
+			base = len(win)
+		} else if len(raw) < maxLineSize {
+			// The window has run dry.
+			d.pos += base
+			d.seen = len(raw)
+			return n
+		}
+		seen = 0
+		// A line this long fails even when its newline has arrived: a pull
+		// window never holds it whole, so a push window must not either.
+		if len(raw) >= maxLineSize {
+			d.latch(bufio.ErrTooLong)
+			return n
+		}
+		d.line++
 		line := bytes.TrimSpace(raw)
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		ev, perr := r.parseLine(line)
-		if perr != nil {
-			r.err = perr
-			return trace.Event{}, perr
-		}
-		return ev, nil
-	}
-}
-
-// Next implements trace.Source: it stops the stream at the first error and
-// records it for Err.
-func (r *Reader) Next() (trace.Event, bool) {
-	ev, err := r.Read()
-	if err != nil {
-		return trace.Event{}, false
-	}
-	return ev, true
-}
-
-// ReadBatch fills dst with up to len(dst) events and returns how many were
-// filled plus the terminal error, if the stream ended inside this batch
-// (io.EOF for a clean end, a *ParseError or scanner error otherwise). A
-// non-nil error means no further events will ever come; n may still be
-// positive alongside it. This is the producer side of the pipelined
-// checker: one call tokenizes every complete line already in the fill
-// buffer in a single sweep, refilling through the general path only when
-// the window runs dry.
-func (r *Reader) ReadBatch(dst []trace.Event) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	n := 0
-	for n < len(dst) {
-		// Whole-buffer fast path: consume complete lines straight out of
-		// the window, deferring all buffer management to the slow path.
-		win := r.buf[r.pos:r.end]
-		base := 0
-		for n < len(dst) {
-			i := bytes.IndexByte(win[base:], '\n')
-			if i < 0 {
-				break
-			}
-			raw := win[base : base+i]
-			base += i + 1
-			r.line++
-			line := bytes.TrimSpace(raw)
-			if len(line) == 0 || line[0] == '#' {
-				continue
-			}
-			ev, perr := r.parseLine(line)
-			if perr != nil {
-				r.pos += base
-				r.err = perr
-				return n, perr
-			}
-			dst[n] = ev
-			n++
-		}
-		r.pos += base
-		if n == len(dst) {
-			break
-		}
-		// Window dry: one event through the refilling path, then resume
-		// the buffer sweep.
-		ev, err := r.Read()
+		ev, err := d.parseLine(line)
 		if err != nil {
-			return n, err
+			d.latch(err)
+			return n
 		}
 		dst[n] = ev
 		n++
 	}
-	return n, nil
+	d.pos += base
+	d.seen = 0
+	return n
 }
 
-// readBatch is the shared fill-until-error loop behind the binary reader's
-// ReadBatch (the STD Reader overrides it with the buffer-sweep fast path).
-func readBatch(read func() (trace.Event, error), dst []trace.Event) (int, error) {
+// readHeader consumes the 16-byte ADB1 header, of which only the magic is
+// checked; the window holds less only at a clean end.
+func (d *Decoder) readHeader() {
+	hdr := d.buf[d.pos:d.end]
+	switch {
+	case len(hdr) < headerSize:
+		d.latch(fmt.Errorf("rapidio: short binary header: %w", ErrFormat))
+	case !IsBinary(hdr):
+		d.latch(fmt.Errorf("rapidio: bad magic %q: %w", hdr[:len(binMagic)], ErrFormat))
+	default:
+		d.pos += headerSize
+		d.state = binRecords
+	}
+}
+
+// readRecords is the ADB1 record loop: it decodes the complete records in
+// the window into dst. At a clean end a partial record is a format error.
+func (d *Decoder) readRecords(dst []trace.Event) int {
 	n := 0
-	for n < len(dst) {
-		ev, err := read()
+	for ; n < len(dst) && d.end-d.pos >= recordSize; n++ {
+		ev, err := decodeRecord(d.buf[d.pos:d.pos+recordSize], d.records)
 		if err != nil {
-			return n, err
+			d.latch(err)
+			return n
 		}
 		dst[n] = ev
-		n++
+		d.pos += recordSize
+		d.records++
 	}
-	return n, nil
+	if n < len(dst) && d.final == io.EOF && d.pos < d.end {
+		d.latch(fmt.Errorf("rapidio: truncated record: %w", ErrFormat))
+	}
+	return n
+}
+
+// refill is the one step taken when the window has run dry. It slides the
+// unconsumed tail to the front of the buffer: a pull decoder doubles the
+// buffer when the tail fills it (readLines stops a line at maxLineSize
+// first), and a buffer grown past windowSize shrinks back once the tail is
+// small, so an idle session does not pin its largest chunk. A pull decoder
+// then reads from its source and reports true; refill reports false when
+// the stream has ended (d.final is set) or a push decoder waits for Feed.
+func (d *Decoder) refill() bool {
+	if d.final != nil {
+		return false
+	}
+	switch tail := d.end - d.pos; {
+	case d.src != nil && tail == len(d.buf):
+		d.resize(2 * len(d.buf))
+	case len(d.buf) > windowSize && tail <= windowSize/4:
+		d.resize(windowSize)
+	default:
+		d.compact()
+	}
+	if d.src == nil {
+		return false
+	}
+	n, err := d.src.Read(d.buf[d.end:])
+	d.end += n
+	switch {
+	case err != nil:
+		// A source may deliver data and its error in one call: the data
+		// is decoded before the error surfaces.
+		d.final = err
+	case n > 0:
+		d.emptyReads = 0
+	default:
+		// A source that keeps returning (0, nil), legal under io.Reader,
+		// must fail rather than spin, as in bufio.
+		d.emptyReads++
+		if d.emptyReads >= maxConsecutiveEmptyReads {
+			d.final = io.ErrNoProgress
+		}
+	}
+	return true
+}
+
+// compact slides the unconsumed window to the front of the buffer.
+func (d *Decoder) compact() {
+	if d.pos > 0 {
+		d.end = copy(d.buf, d.buf[d.pos:d.end])
+		d.pos = 0
+	}
+}
+
+// resize moves the unconsumed window to the front of a new buffer of size
+// bytes.
+func (d *Decoder) resize(size int) {
+	buf := make([]byte, size)
+	d.end = copy(buf, d.buf[d.pos:d.end])
+	d.buf, d.pos = buf, 0
+}
+
+// Read returns the next event, or the terminal error as ReadBatch does:
+// io.EOF at a clean end, a *ParseError for a malformed line, and so on.
+// Parsing tokenizes in place over the window: the only per-line
+// allocations are the first interning of each thread, variable and lock
+// name (and error paths). A push decoder waiting for Feed returns io.EOF
+// without latching it.
+func (d *Decoder) Read() (trace.Event, error) {
+	var one [1]trace.Event
+	if n, err := d.ReadBatch(one[:]); n == 0 {
+		if err == nil {
+			err = io.EOF
+		}
+		return trace.Event{}, err
+	}
+	return one[0], nil
+}
+
+// Next implements trace.Source: it stops the stream at the first error
+// and records it for Err.
+func (d *Decoder) Next() (trace.Event, bool) {
+	ev, err := d.Read()
+	return ev, err == nil
 }
 
 // Err returns the terminal error of the stream, if any (nil after a clean
-// EOF).
-func (r *Reader) Err() error {
-	if r.err == io.EOF {
+// end).
+func (d *Decoder) Err() error {
+	if d.err == io.EOF {
 		return nil
 	}
-	return r.err
+	return d.err
 }
 
 // parseLine parses one trimmed, non-empty line. The []byte slices index
-// into the caller's fill buffer and must not be retained; the intern
-// tables copy names only on first sight (map lookups with string(bytes)
-// keys do not allocate).
-func (r *parser) parseLine(line []byte) (trace.Event, error) {
+// into the window and must not be retained; the intern tables copy names
+// only on first sight (map lookups with string(bytes) keys do not
+// allocate).
+func (d *Decoder) parseLine(line []byte) (trace.Event, error) {
 	fail := func(reason string) (trace.Event, error) {
-		return trace.Event{}, &ParseError{Line: r.line, Text: string(line), Reason: reason}
+		return trace.Event{}, &ParseError{Line: d.line, Text: string(line), Reason: reason}
 	}
 	sep1 := bytes.IndexByte(line, '|')
 	if sep1 < 0 {
@@ -335,7 +456,7 @@ func (r *parser) parseLine(line []byte) (trace.Event, error) {
 	if len(tname) == 0 {
 		return fail("empty thread name")
 	}
-	t := r.internThread(tname)
+	t := d.internThread(tname)
 
 	if string(op) == "begin" {
 		return trace.Event{Thread: t, Kind: trace.Begin}, nil
@@ -354,276 +475,52 @@ func (r *parser) parseLine(line []byte) (trace.Event, error) {
 	}
 	switch string(name) {
 	case "r":
-		return trace.Event{Thread: t, Kind: trace.Read, Target: int32(r.internVar(arg))}, nil
+		return trace.Event{Thread: t, Kind: trace.Read, Target: int32(d.internVar(arg))}, nil
 	case "w":
-		return trace.Event{Thread: t, Kind: trace.Write, Target: int32(r.internVar(arg))}, nil
+		return trace.Event{Thread: t, Kind: trace.Write, Target: int32(d.internVar(arg))}, nil
 	case "acq":
-		return trace.Event{Thread: t, Kind: trace.Acquire, Target: int32(r.internLock(arg))}, nil
+		return trace.Event{Thread: t, Kind: trace.Acquire, Target: int32(d.internLock(arg))}, nil
 	case "rel":
-		return trace.Event{Thread: t, Kind: trace.Release, Target: int32(r.internLock(arg))}, nil
+		return trace.Event{Thread: t, Kind: trace.Release, Target: int32(d.internLock(arg))}, nil
 	case "fork":
-		return trace.Event{Thread: t, Kind: trace.Fork, Target: int32(r.internThread(arg))}, nil
+		return trace.Event{Thread: t, Kind: trace.Fork, Target: int32(d.internThread(arg))}, nil
 	case "join":
-		return trace.Event{Thread: t, Kind: trace.Join, Target: int32(r.internThread(arg))}, nil
+		return trace.Event{Thread: t, Kind: trace.Join, Target: int32(d.internThread(arg))}, nil
 	}
 	return fail("unknown operation " + string(name))
 }
 
-func (r *parser) internThread(name []byte) trace.ThreadID {
-	if id, ok := r.threads[string(name)]; ok {
+func (d *Decoder) internThread(name []byte) trace.ThreadID {
+	if id, ok := d.threads[string(name)]; ok {
 		return id
 	}
-	id := trace.ThreadID(len(r.threads))
+	id := trace.ThreadID(len(d.threads))
 	s := string(name)
-	r.threads[s] = id
-	r.threadNames = append(r.threadNames, s)
+	d.threads[s] = id
+	d.threadNames = append(d.threadNames, s)
 	return id
 }
 
-func (r *parser) internVar(name []byte) trace.VarID {
-	if id, ok := r.vars[string(name)]; ok {
+func (d *Decoder) internVar(name []byte) trace.VarID {
+	if id, ok := d.vars[string(name)]; ok {
 		return id
 	}
-	id := trace.VarID(len(r.vars))
+	id := trace.VarID(len(d.vars))
 	s := string(name)
-	r.vars[s] = id
-	r.varNames = append(r.varNames, s)
+	d.vars[s] = id
+	d.varNames = append(d.varNames, s)
 	return id
 }
 
-func (r *parser) internLock(name []byte) trace.LockID {
-	if id, ok := r.locks[string(name)]; ok {
+func (d *Decoder) internLock(name []byte) trace.LockID {
+	if id, ok := d.locks[string(name)]; ok {
 		return id
 	}
-	id := trace.LockID(len(r.locks))
+	id := trace.LockID(len(d.locks))
 	s := string(name)
-	r.locks[s] = id
-	r.lockNames = append(r.lockNames, s)
+	d.locks[s] = id
+	d.lockNames = append(d.lockNames, s)
 	return id
-}
-
-// feedMode is the wire format a Feeder has sniffed from its first bytes.
-type feedMode uint8
-
-const (
-	// feedSniff: not enough bytes fed yet to decide the format.
-	feedSniff feedMode = iota
-	// feedSTD: RAPID STD text, one event per line.
-	feedSTD
-	// feedBinary: the compact ADB1 format, fixed 8-byte records.
-	feedBinary
-)
-
-// Feeder is the push-mode twin of Reader and BinaryReader, for event
-// streams that arrive in pieces (the aerodromed incremental session API):
-// the caller Feeds raw byte chunks as they come off the wire — chunk
-// boundaries need not align with line or record boundaries — and drains
-// the events completed so far with ReadBatch. The format is sniffed from
-// the first four bytes exactly like the /v1/check endpoint (the ADB1
-// magic selects the binary record splitter, anything else the STD
-// tokenizer), so the verdict never depends on how the stream was chunked.
-// Close marks the end of the stream, making a final unterminated STD line
-// parseable.
-type Feeder struct {
-	parser
-	buf    []byte
-	pos    int // buf[pos:] is unconsumed
-	closed bool
-	err    error
-	mode   feedMode
-	// binHeader records that the 16-byte binary header has been consumed.
-	binHeader bool
-	// binRecords counts the binary records decoded so far.
-	binRecords int64
-}
-
-// NewFeeder returns an empty Feeder.
-func NewFeeder() *Feeder {
-	return &Feeder{parser: newParser()}
-}
-
-// Feed appends chunk to the parse buffer (copying it; the caller may reuse
-// chunk). Events become available to ReadBatch once their terminating
-// newline has been fed. Feeding after Close or after a parse error is a
-// no-op: the stream is already terminal.
-func (f *Feeder) Feed(chunk []byte) {
-	if f.closed || f.err != nil {
-		return
-	}
-	if f.pos > 0 {
-		// Compact the consumed prefix before appending; after a drain the
-		// pending tail is at most one partial line.
-		f.buf = append(f.buf[:0], f.buf[f.pos:]...)
-		f.pos = 0
-	}
-	f.buf = append(f.buf, chunk...)
-}
-
-// Close marks the end of the stream: a trailing line without a newline
-// becomes available to ReadBatch, after which ReadBatch returns io.EOF.
-func (f *Feeder) Close() {
-	f.closed = true
-}
-
-// Discard drops any buffered input and stops accepting more: the caller
-// has decided the rest of the stream is irrelevant (a violation latched
-// mid-chunk) and the tail must not stay pinned in memory.
-func (f *Feeder) Discard() {
-	f.closed = true
-	f.buf, f.pos = nil, 0
-}
-
-// Buffered returns the number of fed bytes not yet consumed by ReadBatch
-// (at most one partial line once the feeder has been drained; zero once
-// the stream is terminal).
-func (f *Feeder) Buffered() int { return len(f.buf) - f.pos }
-
-// latch records the terminal error and releases the parse buffer — a
-// terminal feeder (a failed or finished server session) must not pin its
-// last chunk in memory.
-func (f *Feeder) latch(err error) error {
-	f.err = err
-	f.buf, f.pos = nil, 0
-	return err
-}
-
-// feederKeepBuf is the backing-array size a drained Feeder may keep.
-const feederKeepBuf = 64 * 1024
-
-// shrink releases an oversized backing array once the pending tail is
-// small again: an idle session that once fed a huge chunk must not pin
-// that chunk's capacity until eviction.
-func (f *Feeder) shrink() {
-	if cap(f.buf) > feederKeepBuf && len(f.buf)-f.pos <= feederKeepBuf/4 {
-		f.buf = append(make([]byte, 0, feederKeepBuf), f.buf[f.pos:]...)
-		f.pos = 0
-	}
-}
-
-// ReadBatch fills dst with events whose lines (or binary records) are
-// complete and returns how many were filled. Unlike Reader.ReadBatch,
-// n < len(dst) with a nil error does not end the stream — it means every
-// complete buffered unit has been consumed and the caller should Feed more
-// bytes. The terminal errors are io.EOF (after Close, once the buffer is
-// drained), *ParseError, and the BinaryReader format errors, all latched.
-func (f *Feeder) ReadBatch(dst []trace.Event) (int, error) {
-	if f.err != nil {
-		return 0, f.err
-	}
-	if f.mode == feedSniff {
-		if len(f.buf)-f.pos >= len(binMagic) {
-			if IsBinary(f.buf[f.pos:]) {
-				f.mode = feedBinary
-			} else {
-				f.mode = feedSTD
-			}
-		} else if f.closed {
-			// Fewer than four bytes will ever arrive. The pull-side sniffers
-			// Peek(4) and get an inconclusive head, which IsBinary rejects,
-			// so the stream is treated as STD text; match them.
-			f.mode = feedSTD
-		} else {
-			return 0, nil // need more input to sniff
-		}
-	}
-	if f.mode == feedBinary {
-		return f.readBatchBinary(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		win := f.buf[f.pos:]
-		var raw []byte
-		if i := bytes.IndexByte(win, '\n'); i >= 0 {
-			raw = win[:i]
-			f.pos += i + 1
-		} else if !f.closed {
-			if len(win) >= maxLineSize {
-				// Same bound (and error) as Reader: a line this long can
-				// never complete, and an unbounded partial line would let
-				// one newline-free session buffer without limit.
-				return n, f.latch(bufio.ErrTooLong)
-			}
-			f.shrink()
-			return n, nil // need more input
-		} else if len(win) > 0 {
-			raw = win // final line without trailing newline
-			f.pos = len(f.buf)
-		} else {
-			return n, f.latch(io.EOF)
-		}
-		if len(raw) >= maxLineSize {
-			// Reader errors on any line this long (its fill buffer caps at
-			// maxLineSize before the newline could arrive); the push path
-			// must agree even when the newline is already buffered, or the
-			// verdict would depend on chunk boundaries.
-			return n, f.latch(bufio.ErrTooLong)
-		}
-		f.line++
-		line := bytes.TrimSpace(raw)
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		ev, perr := f.parseLine(line)
-		if perr != nil {
-			return n, f.latch(perr)
-		}
-		dst[n] = ev
-		n++
-	}
-	return n, nil
-}
-
-// readBatchBinary is ReadBatch for a stream sniffed as the ADB1 binary
-// format: consume the 16-byte header once, then fixed 8-byte records. The
-// decode and every error (short header, bad op kind, truncated record) are
-// BinaryReader's, so a binary session is byte-identical to CheckBinaryReader
-// over the concatenated chunks regardless of chunk boundaries.
-func (f *Feeder) readBatchBinary(dst []trace.Event) (int, error) {
-	if !f.binHeader {
-		if len(f.buf)-f.pos < 16 {
-			if f.closed {
-				return 0, f.latch(fmt.Errorf("rapidio: short binary header: %w", ErrFormat))
-			}
-			f.shrink()
-			return 0, nil // need more input
-		}
-		// The magic was verified by the sniff; the other 12 header bytes are
-		// reserved and skipped, as in BinaryReader.
-		f.pos += 16
-		f.binHeader = true
-	}
-	n := 0
-	for n < len(dst) {
-		win := f.buf[f.pos:]
-		if len(win) < 8 {
-			if !f.closed {
-				f.shrink()
-				return n, nil // need more input
-			}
-			if len(win) == 0 {
-				return n, f.latch(io.EOF)
-			}
-			return n, f.latch(fmt.Errorf("rapidio: truncated record: %w", ErrFormat))
-		}
-		ev, err := decodeRecord(win[:8], f.binRecords)
-		if err != nil {
-			return n, f.latch(err)
-		}
-		dst[n] = ev
-		f.pos += 8
-		f.binRecords++
-		n++
-	}
-	return n, nil
-}
-
-// Err returns the terminal error of the stream, if any (nil after a clean
-// EOF).
-func (f *Feeder) Err() error {
-	if f.err == io.EOF {
-		return nil
-	}
-	return f.err
 }
 
 // ReadTrace materializes a whole STD log.
@@ -739,9 +636,9 @@ func WriteSource(w io.Writer, src trace.Source) (int64, error) {
 var binMagic = [4]byte{'A', 'D', 'B', '1'}
 
 // IsBinary reports whether head (the first bytes of a trace stream, at
-// least 4 to be conclusive) carries the binary-format magic. Format
-// sniffers — CheckFilesParallel, the aerodromed /v1/check endpoint — share
-// this so the magic lives in one place.
+// least 4 to be conclusive) carries the binary-format magic. The sniffing
+// Decoder and the tests that pin it share this so the magic lives in one
+// place.
 func IsBinary(head []byte) bool {
 	return len(head) >= len(binMagic) && [4]byte(head[:4]) == binMagic
 }
@@ -789,55 +686,6 @@ func (bw *BinaryWriter) Flush() error {
 	return bw.w.Flush()
 }
 
-// BinaryReader streams the compact binary format.
-type BinaryReader struct {
-	r      *bufio.Reader
-	header bool
-	err    error
-	record [8]byte // scratch: io.ReadFull would heap-allocate a local
-	count  int64   // records decoded so far
-}
-
-// NewBinaryReader returns a BinaryReader over r.
-func NewBinaryReader(r io.Reader) *BinaryReader {
-	return &BinaryReader{r: bufio.NewReaderSize(r, 1<<16)}
-}
-
-// Read returns the next event or io.EOF.
-func (br *BinaryReader) Read() (trace.Event, error) {
-	if br.err != nil {
-		return trace.Event{}, br.err
-	}
-	if !br.header {
-		var hdr [16]byte
-		if _, err := io.ReadFull(br.r, hdr[:]); err != nil {
-			br.err = fmt.Errorf("rapidio: short binary header: %w", ErrFormat)
-			return trace.Event{}, br.err
-		}
-		if [4]byte(hdr[:4]) != binMagic {
-			br.err = fmt.Errorf("rapidio: bad magic %q: %w", hdr[:4], ErrFormat)
-			return trace.Event{}, br.err
-		}
-		br.header = true
-	}
-	rec := &br.record
-	if _, err := io.ReadFull(br.r, rec[:]); err != nil {
-		if err == io.EOF {
-			br.err = io.EOF
-			return trace.Event{}, io.EOF
-		}
-		br.err = fmt.Errorf("rapidio: truncated record: %w", ErrFormat)
-		return trace.Event{}, br.err
-	}
-	ev, err := decodeRecord(rec[:], br.count)
-	if err != nil {
-		br.err = err
-		return trace.Event{}, err
-	}
-	br.count++
-	return ev, nil
-}
-
 // decodeRecord decodes rec, the n-th (0-based) 8-byte record of an ADB1
 // stream. Engines index dense tables by target, so a target of 2^31 or
 // more, which would turn into a negative index, is a format error.
@@ -855,27 +703,4 @@ func decodeRecord(rec []byte, n int64) (trace.Event, error) {
 		Kind:   kind,
 		Target: int32(target),
 	}, nil
-}
-
-// Next implements trace.Source.
-func (br *BinaryReader) Next() (trace.Event, bool) {
-	ev, err := br.Read()
-	if err != nil {
-		return trace.Event{}, false
-	}
-	return ev, true
-}
-
-// ReadBatch fills dst with up to len(dst) events; see Reader.ReadBatch for
-// the contract.
-func (br *BinaryReader) ReadBatch(dst []trace.Event) (int, error) {
-	return readBatch(br.Read, dst)
-}
-
-// Err returns the terminal error of the stream (nil after clean EOF).
-func (br *BinaryReader) Err() error {
-	if br.err == io.EOF {
-		return nil
-	}
-	return br.err
 }

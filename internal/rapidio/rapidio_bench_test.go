@@ -81,6 +81,39 @@ func BenchmarkParseSTDBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
+// BenchmarkParseSTDFeed is BenchmarkParseSTDBatch through the push path:
+// the same trace fed in 64 KiB chunks, as a session client streams it,
+// with ReadBatch drained after each chunk.
+func BenchmarkParseSTDFeed(b *testing.B) {
+	data := benchSTD(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events int64
+	batch := make([]trace.Event, 4096)
+	for i := 0; i < b.N; i++ {
+		n, err := feedCount(data, 64*1024, batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += n
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
+// feedCount feeds data to a new push decoder in chunk-byte pieces, drains
+// ReadBatch into batch after each, and returns how many events it decoded.
+func feedCount(data []byte, chunk int, batch []trace.Event) (int64, error) {
+	var events int64
+	err := feed(NewFeeder(), data, []int{chunk}, batch, func(evs []trace.Event) {
+		events += int64(len(evs))
+	})
+	if err == io.EOF {
+		err = nil
+	}
+	return events, err
+}
+
 func BenchmarkParseBinary(b *testing.B) {
 	var buf bytes.Buffer
 	bw := NewBinaryWriter(&buf)
@@ -119,22 +152,40 @@ func BenchmarkParseBinary(b *testing.B) {
 }
 
 // TestParseSteadyStateAllocs pins the zero-allocation property of the
-// tokenizer: once every name has been interned, re-reading the same
-// stream must not allocate per line.
+// tokenizer on every way of supplying bytes: once every name has been
+// interned, reading the stream must not allocate per line (nor, on the
+// push path, per chunk).
 func TestParseSteadyStateAllocs(t *testing.T) {
 	data := strings.Repeat("t0|begin|0\nt0|w(x1)|3\nt0|r(x1)|4\nt0|end|0\n", 500)
-	allocs := testing.AllocsPerRun(10, func() {
-		rd := NewReader(strings.NewReader(data))
-		for {
-			if _, err := rd.Read(); err != nil {
-				break
+	raw, batch := []byte(data), make([]trace.Event, 64)
+	for name, parse := range map[string]func(){
+		"Read": func() {
+			rd := NewReader(strings.NewReader(data))
+			for {
+				if _, err := rd.Read(); err != nil {
+					break
+				}
 			}
+		},
+		"ReadBatch": func() {
+			rd := NewReader(strings.NewReader(data))
+			for {
+				if _, err := rd.ReadBatch(batch); err != nil {
+					break
+				}
+			}
+		},
+		"Feed": func() {
+			if _, err := feedCount(raw, 100, batch); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		// Budget: the decoder itself, its maps, its window and the first
+		// interning of each name — but nothing proportional to the 2000
+		// lines or the 220 chunks.
+		if allocs := testing.AllocsPerRun(10, parse); allocs > 40 {
+			t.Fatalf("%s allocated %v times for a 2000-line stream; want O(1)", name, allocs)
 		}
-	})
-	// Budget: the reader itself, its maps, the scanner buffer and the
-	// first interning of each name — but nothing proportional to the
-	// 2000 lines.
-	if allocs > 40 {
-		t.Fatalf("parsing allocated %v times for a 2000-line stream; want O(1)", allocs)
 	}
 }

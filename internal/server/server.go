@@ -281,7 +281,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	s.metrics.checksTotal.Add(1)
 	ten.checksTotal.Add(1)
 	// For chunked bodies the limit can only trip mid-stream; track it so
-	// the resulting truncated-line parse error still maps to 413.
+	// an oversized body maps to 413 even when a parse error in a line
+	// before the cut surfaces first.
 	limited := &limitTrackReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
 	var raw io.Reader = limited
 	if r.ContentLength < 0 {
@@ -395,9 +396,10 @@ func (dr *deadlineReader) Read(p []byte) (int, error) {
 	return dr.r.Read(p)
 }
 
-// limitTrackReader remembers whether the wrapped MaxBytesReader tripped,
-// so a downstream parse error on the truncated tail can be reported as
-// the size-limit condition it really is.
+// limitTrackReader remembers whether the wrapped MaxBytesReader tripped.
+// The trace decoder returns that read error as itself, but it parses the
+// complete lines before the cut first, and a parse error among them must
+// still be reported as the size-limit condition the body really is.
 type limitTrackReader struct {
 	r       io.Reader
 	tripped bool

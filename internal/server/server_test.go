@@ -494,6 +494,70 @@ func TestBodyTooLargeIs413(t *testing.T) {
 	}
 }
 
+// TestCheckReadErrorKeepsItsStatus pins the decoder's read-error rule at
+// /v1/check: a chunked body that fails mid-line or mid-record is answered
+// for the failed read (429 for the tenant byte budget, 408 for a stall),
+// not with a 400 for the truncated tail the failure left behind.
+func TestCheckReadErrorKeepsItsStatus(t *testing.T) {
+	var bin bytes.Buffer
+	bw := rapidio.NewBinaryWriter(&bin)
+	for i := 0; i < 2000; i++ {
+		bw.Write(trace.Event{Kind: trace.Begin})
+		bw.Write(trace.Event{Kind: trace.End})
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		body []byte
+		// stall leaves the body open after the last byte instead of
+		// ending it.
+		stall bool
+		want  int
+	}{
+		{"std over budget", Config{TenantQuota: TenantQuota{BytesPerSec: 8192}},
+			bytes.Repeat([]byte("t0|begin|0\nt0|end|0\n"), 2000), false, http.StatusTooManyRequests},
+		{"adb1 over budget", Config{TenantQuota: TenantQuota{BytesPerSec: 8192}},
+			bin.Bytes(), false, http.StatusTooManyRequests},
+		{"std stalled mid-line", Config{BodyReadTimeout: 200 * time.Millisecond},
+			[]byte("t0|begin|0\nt0|end|0\nt0|be"), true, http.StatusRequestTimeout},
+	} {
+		_, ts := newTestServer(t, tc.cfg)
+		pr, pw := io.Pipe()
+		go func(body []byte, stall bool) {
+			// Paced like a slow uplink, so the server reads about a KiB at
+			// a time and the budget trips between two reads inside a line
+			// or record; any other pacing must give the same status.
+			for len(body) > 0 {
+				n := min(len(body), 1024)
+				if _, err := pw.Write(body[:n]); err != nil {
+					return
+				}
+				body = body[n:]
+				time.Sleep(time.Millisecond)
+			}
+			if !stall {
+				pw.Close()
+			}
+		}(tc.body, tc.stall)
+		resp, err := http.Post(ts.URL+"/v1/check", "application/octet-stream", pr)
+		pw.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: HTTP %d %s, want %d", tc.name, resp.StatusCode, msg, tc.want)
+		}
+		if tc.want == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: 429 without Retry-After", tc.name)
+		}
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")

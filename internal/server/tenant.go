@@ -213,9 +213,10 @@ func (e *errTenantBudget) Error() string { return "tenant byte budget exhausted"
 // tenantBytesReader debits a tenant's byte budget as an unbounded-length
 // body streams, failing the read once the budget is gone — the only
 // admission point for chunked bodies, whose cost is unknown upfront. The
-// budget error is latched: the format sniffer's Peek may consume (and
-// clear) a bufio fill error, and re-reading must not turn an over-budget
-// stream into a clean empty one.
+// budget error is latched: the failed read's bytes are dropped, so a
+// consumer that read on once the bucket refilled would get a stream with
+// a hole in it. The trace decoder stops at the first error, but the latch
+// does not rely on that.
 type tenantBytesReader struct {
 	r   io.Reader
 	t   *tenant

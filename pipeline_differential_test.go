@@ -13,11 +13,14 @@ package aerodrome_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"aerodrome"
 	"aerodrome/internal/core"
@@ -155,6 +158,25 @@ func TestCheckSniffEdgeCases(t *testing.T) {
 		}
 		if rep.Serializable != (v == nil) || rep.Events != n || rep.Algorithm != eng.Name() {
 			t.Fatalf("%s: Check report %+v, want serializable=%v after %d events", tc.name, rep, v == nil, n)
+		}
+	}
+}
+
+// TestCheckReportsSourceError pins the read-error rule through Check: a
+// source that fails after a whole record or line is reported as that
+// failure (errors.Is finds it), not as a truncated record or a parse
+// error on the partial line it left behind.
+func TestCheckReportsSourceError(t *testing.T) {
+	errLink := errors.New("link down")
+	bin := stdToBinary(t, []byte("t0|begin|0\nt0|end|0\n"))
+	for name, head := range map[string][]byte{
+		"ADB1 after one record": bin[:16+8],
+		"ADB1 inside a record":  bin[:16+8+3],
+		"STD inside a line":     []byte("t0|begin|0\nt0|en"),
+	} {
+		_, _, err := aerodrome.Check(io.MultiReader(bytes.NewReader(head), iotest.ErrReader(errLink)), aerodrome.Options{})
+		if !errors.Is(err, errLink) {
+			t.Fatalf("%s: Check error %v, want %v", name, err, errLink)
 		}
 	}
 }
