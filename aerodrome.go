@@ -290,12 +290,12 @@ func Check(r io.Reader, o Options) (*Report, CheckStats, error) {
 		return nil, CheckStats{}, err
 	}
 	var stages pipeline.StageStats
-	v, n, err := pipeline.RunMulti(run.eng, run.sinks(), rapidio.NewDecoder(r), pipeline.Config{Stats: &stages})
+	v, n, err := pipeline.RunMulti(run.Analyses, rapidio.NewDecoder(r), pipeline.Config{Stats: &stages})
 	if err != nil {
 		return nil, CheckStats{}, err
 	}
 	cs := CheckStats{ParseTime: stages.ParseTime(), CheckTime: stages.CheckTime()}
-	cs.Engine, cs.HasEngineStats = engineStatsOf(run.eng)
+	cs.Engine, cs.HasEngineStats = engineStatsOf(run.Engine)
 	return run.report(fromInternal(v), n), cs, nil
 }
 

@@ -109,21 +109,14 @@ type AnalysisReport struct {
 	Algorithm string `json:"algorithm"`
 }
 
-// analysisSink is a non-atomicity analysis running over the shared event
-// stream: a pipeline.Sink that can render its verdict as an
-// AnalysisReport.
-type analysisSink interface {
-	pipeline.Sink
-	analysisReport() AnalysisReport
-}
-
 // checkRun is what one Options value runs: the atomicity engine plus one
-// sink per extra analysis, in set order. newCheckRun is the one place
-// every checking entry point turns Options into them.
+// race sink per extra analysis, in set order, as the pipeline.Analyses
+// every checking entry point feeds. newCheckRun is the one place that
+// turns Options into them.
 type checkRun struct {
-	eng    core.Engine
-	set    []AnalysisKind
-	extras []analysisSink
+	pipeline.Analyses
+	set   []AnalysisKind
+	races []*raceSink // the Extra sinks, for their reports
 }
 
 func newCheckRun(o Options) (checkRun, error) {
@@ -135,35 +128,15 @@ func newCheckRun(o Options) (checkRun, error) {
 	if err != nil {
 		return checkRun{}, err
 	}
-	run := checkRun{eng: mk(), set: set}
+	run := checkRun{Analyses: pipeline.Analyses{Engine: mk()}, set: set}
 	for _, k := range set {
 		if k == AnalysisHBRace {
-			run.extras = append(run.extras, &raceSink{d: race.New()})
+			s := &raceSink{d: race.New()}
+			run.races = append(run.races, s)
+			run.Extra = append(run.Extra, s)
 		}
 	}
 	return run, nil
-}
-
-// sinks upcasts the extra analyses to the pipeline's Sink interface.
-func (c checkRun) sinks() []pipeline.Sink {
-	if len(c.extras) == 0 {
-		return nil
-	}
-	out := make([]pipeline.Sink, len(c.extras))
-	for i, s := range c.extras {
-		out[i] = s
-	}
-	return out
-}
-
-// done reports whether every extra analysis has latched.
-func (c checkRun) done() bool {
-	for _, s := range c.extras {
-		if !s.Done() {
-			return false
-		}
-	}
-	return true
 }
 
 // analyses assembles per-analysis reports in set order around the given
@@ -176,7 +149,7 @@ func (c checkRun) analyses(atomicity AnalysisReport) []AnalysisReport {
 			out = append(out, atomicity)
 			continue
 		}
-		out = append(out, c.extras[next].analysisReport())
+		out = append(out, c.races[next].analysisReport())
 		next++
 	}
 	return out
@@ -190,7 +163,7 @@ func (c checkRun) report(v *Violation, events int64) *Report {
 		Serializable: v == nil,
 		Violation:    v,
 		Events:       events,
-		Algorithm:    c.eng.Name(),
+		Algorithm:    c.Engine.Name(),
 	}
 	if !defaultAnalysisSet(c.set) {
 		rep.Analyses = c.analyses(atomicityReport(v, events, rep.Algorithm))
@@ -210,8 +183,8 @@ func atomicityReport(v *Violation, events int64, algorithm string) AnalysisRepor
 	}
 }
 
-// raceSink adapts the happens-before race detector to the analysis-sink
-// surface.
+// raceSink adapts the happens-before race detector to pipeline.Sink and
+// renders its verdict as an AnalysisReport.
 type raceSink struct {
 	d *race.Detector
 }
@@ -247,12 +220,13 @@ func raceFromInternal(v *race.Violation) *Violation {
 	}
 }
 
-// runSequential drives the run over one sequential event stream, stopping
-// as soon as every analysis has latched (so a parse error in the discarded
-// tail is never observed) or the stream ends.
+// runSequential drives the run over one sequential event stream, one
+// event at a time through each live analysis, stopping as soon as every
+// analysis has latched (so a parse error in the discarded tail is never
+// observed) or the stream ends. It is the reference the batched fan-out,
+// pipeline.Analyses.Process, is tested against.
 func runSequential(run checkRun, rd *rapidio.Decoder) (*core.Violation, int64, error) {
-	var viol *core.Violation
-	for viol == nil || !run.done() {
+	for !run.Done() {
 		e, ok := rd.Next()
 		if !ok {
 			if err := rd.Err(); err != nil {
@@ -260,17 +234,14 @@ func runSequential(run checkRun, rd *rapidio.Decoder) (*core.Violation, int64, e
 			}
 			break
 		}
-		if viol == nil {
-			viol = run.eng.Process(e)
+		if run.Engine.Violation() == nil {
+			run.Engine.Process(e)
 		}
-		for _, s := range run.extras {
+		for _, s := range run.races {
 			if !s.Done() {
 				s.Process(e)
 			}
 		}
 	}
-	if viol == nil {
-		viol = run.eng.Violation()
-	}
-	return viol, run.eng.Processed(), nil
+	return run.Engine.Violation(), run.Engine.Processed(), nil
 }

@@ -68,22 +68,23 @@ import (
 	"aerodrome/internal/velodrome"
 )
 
-func newEngine(algo string) (core.Engine, error) {
+// newEngine builds the engine of an -algo name run has already validated.
+func newEngine(algo string) core.Engine {
 	switch normalizeAlgo(algo) {
 	case "basic":
-		return core.NewBasic(), nil
+		return core.NewBasic()
 	case "readopt":
-		return core.NewReadOpt(), nil
+		return core.NewReadOpt()
 	case "optimized", "":
-		return core.NewOptimized(), nil
+		return core.NewOptimized()
 	case "velodrome":
-		return velodrome.New(), nil
+		return velodrome.New()
 	case "velodrome-pk":
-		return velodrome.New(velodrome.WithStrategy("pearce-kelly")), nil
+		return velodrome.New(velodrome.WithStrategy("pearce-kelly"))
 	case "doublechecker":
-		return doublechecker.New(0), nil
+		return doublechecker.New(0)
 	}
-	return nil, fmt.Errorf("unknown algorithm %q (want basic, readopt, optimized, velodrome, velodrome-pk or doublechecker)", algo)
+	panic("aerodrome: unvalidated algorithm " + algo)
 }
 
 func openSource(path, format string) (pipeline.BatchSource, func() error, error) {
@@ -131,10 +132,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// Validate the analysis set up front, in every mode: an unknown name is
-	// a usage error here, exactly like an unknown -algo — never silently
-	// dropped or deferred to a remote server to notice.
+	// Validate -analyses and -algo up front, in every mode: an unknown name
+	// is a usage error here, never silently dropped or deferred to a local
+	// engine, a listener or a remote server to notice.
 	analysisSet, err := aerodrome.ParseAnalyses(*analysesFlag)
+	if err == nil {
+		err = aerodrome.Options{Algorithm: aerodrome.Algorithm(normalizeAlgo(*algo)), Analyses: analysisSet}.Validate()
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, err) // the library error carries the aerodrome: prefix
 		return 2
@@ -186,19 +190,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	eng, err := newEngine(*algo)
-	if err != nil {
-		fmt.Fprintln(stderr, "aerodrome:", err)
-		return 2
-	}
 	// The hbrace analysis rides the same event stream as the atomicity
 	// engine — one parse, two verdicts.
+	an := pipeline.Analyses{Engine: newEngine(*algo)}
 	var det *race.Detector
-	var sinks []pipeline.Sink
 	for _, k := range analysisSet {
 		if k == aerodrome.AnalysisHBRace {
 			det = race.New()
-			sinks = append(sinks, detectorSink{det})
+			an.Extra = append(an.Extra, detectorSink{det})
 		}
 	}
 	src, closeSrc, err := openSource(fs.Arg(0), *format)
@@ -210,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 	var stages pipeline.StageStats
-	v, n, err := pipeline.RunMulti(eng, sinks, src, pipeline.Config{Stats: &stages})
+	v, n, err := pipeline.RunMulti(an, src, pipeline.Config{Stats: &stages})
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintln(stderr, "aerodrome:", err)
@@ -218,11 +217,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if !*quiet {
-		fmt.Fprintf(stdout, "algorithm: %s\nevents:    %d\ntime:      %v\n", eng.Name(), n, elapsed)
+		fmt.Fprintf(stdout, "algorithm: %s\nevents:    %d\ntime:      %v\n", an.Engine.Name(), n, elapsed)
 	}
 	if *stats {
 		// An explicit -stats request prints even under -q.
-		printEngineStats(stdout, eng)
+		printEngineStats(stdout, an.Engine)
 		fmt.Fprintf(stdout, "stages:    parse %v, check %v\n", stages.ParseTime(), stages.CheckTime())
 	}
 	code := 0

@@ -392,6 +392,37 @@ func TestAnalysesFlagRejectsUnknown(t *testing.T) {
 	}
 }
 
+// TestAlgoFlagRejectsUnknown pins -algo's one up-front check: every mode
+// prints the library's error and exits 2 before it checks a trace, opens
+// a listener or sends a request.
+func TestAlgoFlagRejectsUnknown(t *testing.T) {
+	path := writeTemp(t, "rho1.std", rho1STD)
+	remote := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("the remote server was called: %s %s", r.Method, r.URL)
+		http.Error(w, "unexpected", http.StatusTeapot)
+	}))
+	defer remote.Close()
+	const want = "aerodrome: unknown algorithm \"bogus\"\n"
+	for _, args := range [][]string{
+		{path},
+		{"-parallel", "1", path},
+		{"-serve", "127.0.0.1:0"},
+		{"-remote", remote.URL, path},
+		{"-remote", remote.URL, "-incremental", path},
+	} {
+		args = append([]string{"-algo", "bogus"}, args...)
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 || errOut.String() != want || out.Len() != 0 {
+			t.Fatalf("%v: exit %d, stdout %q, stderr %q; want exit 2 and stderr %q", args, code, out.String(), errOut.String(), want)
+		}
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-algo", "aerodrome", path}, &out, &errOut); code != 0 ||
+		!strings.Contains(out.String(), "algorithm: aerodrome-optimized\n") {
+		t.Fatalf("-algo aerodrome: exit %d\n%s%s", code, out.String(), errOut.String())
+	}
+}
+
 func TestAnalysesFlagRemote(t *testing.T) {
 	s, err := server.New(server.Config{})
 	if err != nil {

@@ -106,22 +106,31 @@
 //
 // Two streaming front ends take the same Options: IncrementalChecker
 // accepts arbitrary byte chunks of a trace (the same decoder, pushed to
-// instead of pulling; boundaries need not align with lines or records),
-// and Monitor interns arbitrary keys for a live program. Checker, for raw
-// dense IDs, takes just an Algorithm.
+// instead of pulling; boundaries need not align with lines or records)
+// and checks each chunk on the caller's goroutine, and Monitor interns
+// arbitrary keys for a live program. Checker, for raw dense IDs, takes
+// just an Algorithm.
 //
 // Options.Analyses is the analysis set one parse drives ("one parse, one
 // clock substrate, N verdicts"): AnalysisAtomicity, the default, and
 // AnalysisHBRace, a FastTrack-style happens-before data-race detector
-// (internal/race) on the same internal/vc clocks. Each analysis latches
-// at its own first violation, and the stream stops once every one has.
+// (internal/race) on the same internal/vc clocks. One rule governs a
+// check run: each analysis latches at its own first violation and gets
+// no event after it, and the stream is read until every analysis has
+// latched, so a parse error is reported only while some analysis is
+// still live. One fan-out applies it, pipeline.Analyses.Process, which
+// Check, IncrementalChecker and Monitor all call; CheckSTD keeps its own
+// event-at-a-time loop as the reference the three are tested against.
 // The report's top-level fields always carry the atomicity verdict;
 // per-analysis entries land in Report.Analyses, and for the default set
-// the report is byte-identical to the single-analysis one. Unknown names
-// are rejected up front with the valid set listed: by Options.Validate in
-// the library and the service, and by the CLI's `-analyses` flag. The
-// hbrace detector is pinned against a naive full-vector-clock oracle
-// (race_differential_test.go, FuzzRaceDifferential) under -race in CI.
+// the report is byte-identical to the single-analysis one. Unknown
+// analysis and algorithm names are rejected up front with the library's
+// error: by Options.Validate in the library and the service, and by the
+// CLI's `-analyses` and `-algo` flags in every mode, before it checks,
+// listens or sends anything. The hbrace detector is pinned against a
+// naive full-vector-clock oracle (race_differential_test.go,
+// FuzzRaceDifferential) on every path, the push path included, under
+// -race in CI.
 //
 // # The aerodromed service
 //

@@ -221,7 +221,7 @@ func TestIncrementalChecker(t *testing.T) {
 }
 
 // TestIncrementalCheckerBinary pins the chunk-fed checker against Check
-// on the same ADB1 bytes: the feeder sniffs the magic like Check, so a
+// on the same ADB1 bytes: the decoder sniffs the magic like Check, so a
 // binary session's verdict, violation index and event count match the
 // pull path regardless of how the records were chunked (including splits
 // inside the magic and inside records).

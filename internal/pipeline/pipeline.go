@@ -1,9 +1,17 @@
-// Package pipeline decouples trace parsing from checking: a producer
-// goroutine fills pooled event batches from a BatchSource (a rapidio
-// decoder) and hands them through a bounded channel to the checker, which
-// runs on the caller's goroutine. The paper's algorithm is single-pass
-// with constant per-event state, so the only coupling between the two
-// stages is the event stream itself — exactly the shape that pipelines.
+// Package pipeline holds the one fan-out of a check run and the
+// pipelined loop that feeds it. Analyses is what a check runs over one
+// event stream: the atomicity engine and any extra analysis sinks. Its
+// Process applies the latch rule every front end shares: each analysis
+// latches at its own first violation and gets no event after it, and the
+// stream is read until every analysis has latched. RunMulti, the root
+// package's IncrementalChecker and its Monitor all call it.
+//
+// RunMulti decouples parsing from checking: a producer goroutine fills
+// pooled event batches from a BatchSource (a rapidio decoder) and hands
+// them through a bounded channel to Analyses.Process, which runs on the
+// caller's goroutine. The paper's algorithm is single-pass with constant
+// per-event state, so the only coupling between the two stages is the
+// event stream itself — exactly the shape that pipelines.
 //
 // Design points:
 //
@@ -14,16 +22,15 @@
 //     each allocated on first use and then recycled through a free list;
 //     after warm-up the pipeline itself allocates nothing per event, and a
 //     trace that fits in one batch pays for one buffer.
-//   - Early exit: once the checker has latched at its first violation, and
-//     every extra analysis sink at its own, the consumer signals the
-//     producer via the stop channel and drains; the producer never blocks
-//     forever on a full channel.
+//   - Early exit: once every analysis has latched, the consumer signals
+//     the producer via the stop channel and drains; the producer never
+//     blocks forever on a full channel.
 //   - Observational equivalence: verdict, violation index and event count
-//     are identical to running the same engine over the same stream
-//     sequentially. In particular a parse error positioned after the first
-//     violation is not reported — the sequential checker would have
-//     stopped reading before reaching it. The differential suite at the
-//     repository root enforces this against the golden corpus and the
+//     are identical to running the same analyses over the same stream
+//     sequentially. In particular a parse error positioned after the last
+//     latch is not reported — the sequential checker would have stopped
+//     reading before reaching it. The differential suites at the
+//     repository root enforce this against the golden corpus and the
 //     fuzz seeds.
 package pipeline
 
@@ -44,13 +51,12 @@ type BatchSource interface {
 	ReadBatch(dst []trace.Event) (int, error)
 }
 
-// StageStats accumulates where a pipelined check spends its wall time,
-// split by stage: ParseNanos is time inside the source's ReadBatch
-// (tokenization), CheckNanos is time inside the engine's Process loop
-// (vector-clock work). The two stages run on different goroutines in Run,
-// so the counters are atomic and their sum can exceed the elapsed wall
-// time — they answer "which stage is the bottleneck", not "how long did
-// the call take".
+// StageStats accumulates where a check spends its wall time, split by
+// stage: ParseNanos is time inside the source's ReadBatch (tokenization),
+// CheckNanos is time inside Analyses.Process (vector-clock work). The two
+// stages run on different goroutines in RunMulti, so the counters are
+// atomic and their sum can exceed the elapsed wall time — they answer
+// "which stage is the bottleneck", not "how long did the call take".
 type StageStats struct {
 	ParseNanos atomic.Int64
 	CheckNanos atomic.Int64
@@ -62,7 +68,7 @@ func (s *StageStats) ParseTime() time.Duration { return time.Duration(s.ParseNan
 // CheckTime returns the accumulated check-stage time.
 func (s *StageStats) CheckTime() time.Duration { return time.Duration(s.CheckNanos.Load()) }
 
-// Config tunes the pipeline. The zero value selects the defaults.
+// Config tunes RunMulti. The zero value selects the defaults.
 type Config struct {
 	// BatchSize is the number of events per batch (default 4096): large
 	// enough to amortize the channel handoff to well under a nanosecond
@@ -87,20 +93,51 @@ func (c Config) withDefaults() Config {
 }
 
 // Sink is one analysis, such as the happens-before race detector,
-// consuming the shared event stream beside the primary engine. Process
+// consuming the shared event stream beside the atomicity engine. Process
 // feeds the next event; Done reports that the analysis has latched a
-// verdict and no longer needs events. Implementations must tolerate
-// Process calls after Done (the batch granularity of the pipeline can
-// overshoot by a few events) by ignoring them, exactly like a latched
-// core.Engine.
+// verdict and no longer needs events. Analyses.Process calls Process only
+// while Done is false.
 type Sink interface {
 	Process(e trace.Event)
 	Done() bool
 }
 
-// allDone reports whether every extra sink has latched.
-func allDone(sinks []Sink) bool {
-	for _, s := range sinks {
+// Analyses is one check run over one event stream: the atomicity engine
+// and the extra analyses sharing its parse. Each analysis latches at its
+// own first violation and gets no event after it; the stream is needed
+// until every analysis has latched.
+type Analyses struct {
+	Engine core.Engine
+	Extra  []Sink
+}
+
+// Process runs batch through the engine up to its violation, then
+// through each extra analysis up to its own, and reports whether every
+// analysis has now latched, so the rest of the stream can be discarded.
+// The analyses share no state, so running them one after the other over
+// a batch gives each the verdict it would reach event by event.
+func (a Analyses) Process(batch []trace.Event) (done bool) {
+	if a.Engine.Violation() == nil {
+		for _, e := range batch {
+			if a.Engine.Process(e) != nil {
+				break
+			}
+		}
+	}
+	for _, s := range a.Extra {
+		for i := 0; i < len(batch) && !s.Done(); i++ {
+			s.Process(batch[i])
+		}
+	}
+	return a.Done()
+}
+
+// Done reports whether every analysis has latched.
+func (a Analyses) Done() bool {
+	if a.Engine.Violation() == nil {
+		return false
+	}
+	for _, s := range a.Extra {
 		if !s.Done() {
 			return false
 		}
@@ -115,19 +152,18 @@ func allDone(sinks []Sink) bool {
 // sequential checker stops reading at the violation, and Run is defined
 // to be observationally identical to it.
 func Run(eng core.Engine, src BatchSource, cfg Config) (*core.Violation, int64, error) {
-	return RunMulti(eng, nil, src, cfg)
+	return RunMulti(Analyses{Engine: eng}, src, cfg)
 }
 
-// RunMulti is Run with extra analysis sinks sharing the parsed stream: one
-// parse, N verdicts. The primary engine's verdict, violation index and
-// event count are those of Run on the same input, because the engine
-// latches at its first violation and stops counting. Each sink sees every
-// event from the start of the stream up to its own latch point, so sink
+// RunMulti is Run over a whole analysis set sharing the parsed stream:
+// one parse, N verdicts. The engine's verdict, violation index and event
+// count are those of Run on the same input, and each extra analysis sees
+// every event from the start of the stream up to its own latch, so its
 // violation indices are global trace indices. Parsing stops early only
-// when the engine has latched AND every sink is done. A parse error is
-// reported only if some analysis was still live when it was reached; once
-// all have latched, the rest of the stream is discarded unread.
-func RunMulti(eng core.Engine, extra []Sink, src BatchSource, cfg Config) (*core.Violation, int64, error) {
+// once every analysis has latched. A parse error is reported only if some
+// analysis was still live when it was reached; after that, the rest of
+// the stream is discarded unread.
+func RunMulti(a Analyses, src BatchSource, cfg Config) (*core.Violation, int64, error) {
 	cfg = cfg.withDefaults()
 
 	full := make(chan []trace.Event, cfg.Depth)
@@ -176,28 +212,14 @@ func RunMulti(eng core.Engine, extra []Sink, src BatchSource, cfg Config) (*core
 		}
 	}()
 
-	var viol *core.Violation
-	done := false // the engine and every sink have latched
+	done := false // every analysis has latched
 	for evs := range full {
 		if !done {
 			var checkStart time.Time
 			if cfg.Stats != nil {
 				checkStart = time.Now()
 			}
-			for _, e := range evs {
-				if viol == nil {
-					viol = eng.Process(e)
-				}
-				for _, s := range extra {
-					if !s.Done() {
-						s.Process(e)
-					}
-				}
-				if viol != nil && allDone(extra) {
-					done = true
-					break
-				}
-			}
+			done = a.Process(evs)
 			if cfg.Stats != nil {
 				cfg.Stats.CheckNanos.Add(int64(time.Since(checkStart)))
 			}
@@ -208,11 +230,7 @@ func RunMulti(eng core.Engine, extra []Sink, src BatchSource, cfg Config) (*core
 		free <- evs[:cap(evs)]
 	}
 	if done {
-		// Any later parse error sits in the discarded tail.
-		return viol, eng.Processed(), nil
+		srcErr = nil // it sits in the discarded tail
 	}
-	if viol == nil {
-		viol = eng.Violation()
-	}
-	return viol, eng.Processed(), srcErr
+	return a.Engine.Violation(), a.Engine.Processed(), srcErr
 }

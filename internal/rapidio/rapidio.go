@@ -65,8 +65,8 @@ func (e *ParseError) Error() string {
 func (e *ParseError) Unwrap() error { return ErrFormat }
 
 const (
-	// windowSize is the pull window, and what a push window shrinks back
-	// to once drained.
+	// windowSize is the pull window, and what a push window grown past
+	// twice its size shrinks back to once drained.
 	windowSize = 64 * 1024
 	// maxLineSize bounds a single STD line; longer lines fail with
 	// bufio.ErrTooLong, as bufio.Scanner does. The bound holds in push
@@ -335,10 +335,13 @@ func (d *Decoder) readRecords(dst []trace.Event) int {
 // refill is the one step taken when the window has run dry. It slides the
 // unconsumed tail to the front of the buffer: a pull decoder doubles the
 // buffer when the tail fills it (readLines stops a line at maxLineSize
-// first), and a buffer grown past windowSize shrinks back once the tail is
-// small, so an idle session does not pin its largest chunk. A pull decoder
-// then reads from its source and reports true; refill reports false when
-// the stream has ended (d.final is set) or a push decoder waits for Feed.
+// first), and a buffer grown past twice windowSize shrinks back once the
+// tail is small, so an idle session does not pin its largest chunk. The
+// factor two is slack for a push decoder fed windowSize chunks: each
+// chunk lands behind a partial line, and a buffer that shrank to exactly
+// windowSize would be reallocated on every chunk. A pull decoder then
+// reads from its source and reports true; refill reports false when the
+// stream has ended (d.final is set) or a push decoder waits for Feed.
 func (d *Decoder) refill() bool {
 	if d.final != nil {
 		return false
@@ -346,7 +349,7 @@ func (d *Decoder) refill() bool {
 	switch tail := d.end - d.pos; {
 	case d.src != nil && tail == len(d.buf):
 		d.resize(2 * len(d.buf))
-	case len(d.buf) > windowSize && tail <= windowSize/4:
+	case len(d.buf) > 2*windowSize && tail <= windowSize/4:
 		d.resize(windowSize)
 	default:
 		d.compact()

@@ -164,6 +164,13 @@ func (c *Client) attempt(method, url, contentType string, body io.Reader, seq in
 	if t := c.timeout(); t > 0 {
 		ctx, cancel = context.WithTimeout(ctx, t)
 	}
+	if _, ok := body.(io.Closer); ok {
+		// The caller owns the body, and a retry rewinds and resends it:
+		// the transport, which closes a request body that is an
+		// io.Closer, must not close the caller's file. Feed chunks are
+		// *bytes.Readers, which are not, and keep their Content-Length.
+		body = struct{ io.Reader }{body}
+	}
 	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		cancel()

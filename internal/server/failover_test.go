@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -488,6 +490,47 @@ func TestClientRetries(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("no-retry client made %d calls, want 1", got)
+	}
+}
+
+// TestClientRetriesFile pins a retried check of a file, the body
+// `aerodrome -remote FILE` sends: the transport must not close it, so the
+// retry can rewind and resend it.
+func TestClientRetriesFile(t *testing.T) {
+	path := filepath.Join(goldenDir, "chain-cross.std")
+	std, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var calls atomic.Int64 // check attempts; the retry also polls /metrics
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/check" && calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		s.ServeHTTP(w, r)
+	}))
+	defer backend.Close()
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	client := &Client{BaseURL: backend.URL, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond}
+	rep, err := client.Check(f, aerodrome.Options{})
+	if err != nil {
+		t.Fatalf("Check of a file after one 503: %v", err)
+	}
+	sameReport(t, "retried-file-check", rep, wantReport(t, std, aerodrome.Optimized))
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("server saw %d check attempts, want 2 (one 503 + success)", got)
 	}
 }
 

@@ -5,9 +5,10 @@ package server
 // session's entire state is reproducible from its raw fed bytes — the
 // router journals every chunk a backend acknowledged, and when that
 // backend dies the journal replays into a fresh engine on the next ring
-// point, byte for byte, through the same chunk-agnostic Feeder the live
-// path uses. Fault tolerance reduces to bounded buffering plus the
-// replay-equivalence the differential harness already pins.
+// point, byte for byte, through the same chunk-agnostic
+// IncrementalChecker the live path uses. Fault tolerance reduces to
+// bounded buffering plus the replay-equivalence the differential harness
+// already pins.
 //
 // Journals are bounded three ways: a per-session in-memory cap, an
 // optional per-session spill file (chunks beyond the memory cap go to

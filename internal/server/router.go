@@ -14,9 +14,10 @@ package server
 // Sessions are backend-affine but no longer die with their backend: the
 // router journals every chunk a backend acknowledged (see journal.go),
 // and when the backend is lost it recreates the session on the next ring
-// point, replays the journal through the backend's chunk-agnostic Feeder
-// — the checker is a deterministic single pass, so the replayed engine is
-// byte-identical to the lost one — and re-sends the in-flight request.
+// point, replays the journal through the backend's chunk-agnostic
+// IncrementalChecker — the checker is a deterministic single pass, so the
+// replayed engine is byte-identical to the lost one — and re-sends the
+// in-flight request.
 // Only a session whose journal was truncated past the replay horizon
 // (over-budget, or created before a router restart) still answers 409,
 // now Retry-After-guarded so well-behaved clients back off before
@@ -792,7 +793,8 @@ func (rt *Router) respondFailoverError(w http.ResponseWriter, err error) {
 
 // failoverLocked moves route to the next healthy ring point: recreate the
 // session there (same algorithm, same tenant) and replay the journal
-// through the backend's chunk-agnostic feeder. The caller holds route.mu.
+// through the backend's chunk-agnostic IncrementalChecker. The caller
+// holds route.mu.
 func (rt *Router) failoverLocked(route *sessionRoute) error {
 	start := time.Now()
 	defer func() { rt.stageFailover.Record(time.Since(start)) }()

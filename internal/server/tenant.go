@@ -227,10 +227,15 @@ func (tr *tenantBytesReader) Read(p []byte) (int, error) {
 	if tr.err != nil {
 		return 0, tr.err
 	}
+	// A read may ask for more than the bucket holds when full (the decoder
+	// asks for its whole 64 KiB window), and take refuses such a debit
+	// outright. Reading at most one bucketful keeps every debit one that
+	// waiting can admit, so the never case cannot fire here.
+	if rate := tr.t.bucket.rate; rate > 0 && int64(len(p)) > rate {
+		p = p[:rate]
+	}
 	n, err := tr.r.Read(p)
 	if n > 0 {
-		// Reads are at most one fill buffer, far under any sane bucket
-		// capacity, so the never case cannot fire here.
 		if ok, retry, _ := tr.t.bucket.take(int64(n)); !ok {
 			tr.t.bytesRejected.Add(1)
 			tr.err = &errTenantBudget{retryAfter: retry}

@@ -7,7 +7,9 @@ package server
 // shard router multiplies across backends.
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -172,6 +174,26 @@ func TestTenantByteBudget(t *testing.T) {
 	cresp.Body.Close()
 	if cresp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("chunked over-budget check: HTTP %d, want 429", cresp.StatusCode)
+	}
+}
+
+// TestTenantBytesReaderCapsReads pins a chunked body read through a
+// bucket smaller than one decoder read: at 8 KiB/s with a full bucket, a
+// 64 KiB read of a 12 KiB body is admitted one bucketful at a time, then
+// told when to come back, instead of refused outright as a debit no wait
+// could admit.
+func TestTenantBytesReaderCapsReads(t *testing.T) {
+	ten := &tenant{quota: TenantQuota{BytesPerSec: 8192}}
+	ten.bucket.rate, ten.bucket.tokens = 8192, 8192
+	tr := &tenantBytesReader{r: bytes.NewReader(make([]byte, 12<<10)), t: ten}
+	buf := make([]byte, 64<<10)
+	if n, err := tr.Read(buf); n != 8192 || err != nil {
+		t.Fatalf("first Read = (%d, %v), want (8192, nil)", n, err)
+	}
+	n, err := tr.Read(buf)
+	var budget *errTenantBudget
+	if n != 0 || !errors.As(err, &budget) || budget.retryAfter <= 0 {
+		t.Fatalf("second Read = (%d, %v), want a budget error with a positive retry delay", n, err)
 	}
 }
 

@@ -23,7 +23,6 @@ type Monitor struct {
 	locks   map[any]trace.LockID
 	viol    *Violation
 	onViol  func(*Violation)
-	events  int64
 }
 
 // NewMonitor returns a Monitor running o over the observed event stream.
@@ -91,7 +90,7 @@ func (m *Monitor) Violation() *Violation {
 func (m *Monitor) Events() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.events
+	return m.run.Engine.Processed()
 }
 
 // Snapshot returns the event count and the first violation in one
@@ -101,13 +100,13 @@ func (m *Monitor) Events() int64 {
 func (m *Monitor) Snapshot() (events int64, v *Violation) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.events, m.viol
+	return m.run.Engine.Processed(), m.viol
 }
 
 // Algorithm returns the name of the engine backing this monitor, as it
 // appears in Report.Algorithm.
 func (m *Monitor) Algorithm() string {
-	return m.run.eng.Name()
+	return m.run.Engine.Name()
 }
 
 // Analyses returns a consistent per-analysis snapshot: each analysis'
@@ -117,7 +116,7 @@ func (m *Monitor) Algorithm() string {
 func (m *Monitor) Analyses() []AnalysisReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.run.analyses(atomicityReport(m.viol, m.events, m.run.eng.Name()))
+	return m.run.analyses(atomicityReport(m.viol, m.run.Engine.Processed(), m.run.Engine.Name()))
 }
 
 // Event feeds one explicit event, the hook for front ends that receive an
@@ -150,21 +149,12 @@ func (m *Monitor) Event(e Event) *Violation {
 func (m *Monitor) process(e trace.Event) *Violation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.viol != nil && m.run.done() {
-		return m.viol
-	}
+	one := [1]trace.Event{e}
+	m.run.Process(one[:])
 	if m.viol == nil {
-		m.events++
-		if v := m.run.eng.Process(e); v != nil {
-			m.viol = fromInternal(v)
-			if m.onViol != nil {
-				m.onViol(m.viol)
-			}
-		}
-	}
-	for _, s := range m.run.extras {
-		if !s.Done() {
-			s.Process(e)
+		m.viol = fromInternal(m.run.Engine.Violation())
+		if m.viol != nil && m.onViol != nil {
+			m.onViol(m.viol)
 		}
 	}
 	return m.viol

@@ -1,11 +1,15 @@
 package aerodrome
 
 import (
+	"io"
 	"os"
 	"runtime"
 	"sync"
+	"time"
 
 	"aerodrome/internal/pipeline"
+	"aerodrome/internal/rapidio"
+	"aerodrome/internal/trace"
 )
 
 // FileError is the typed per-file error of a CheckFilesParallel run: it
@@ -90,14 +94,18 @@ func checkFile(path string, a Algorithm) (*Report, error) {
 // front end that receives a trace stream over a wire rather than from a
 // file. The format (STD text or ADB1 binary) is sniffed from the first
 // bytes, exactly like the one-shot /v1/check endpoint, and chunk
-// boundaries need not align with line or record boundaries. It is not
-// safe for concurrent use; callers serialize (the chunk order defines the
-// trace).
+// boundaries need not align with line or record boundaries. Parsing runs
+// on the caller's goroutine: a session is latency-bound, not
+// throughput-bound, and a synchronous Feed means the answer to a chunk
+// already reflects every event in it. It is not safe for concurrent use;
+// callers serialize (the chunk order defines the trace).
 type IncrementalChecker struct {
 	run    checkRun
-	f      *pipeline.Feeder
+	dec    *rapidio.Decoder
+	batch  []trace.Event
 	stages pipeline.StageStats
-	viol   *Violation
+	err    error      // the latched terminal parse error (never io.EOF)
+	viol   *Violation // the engine's violation, converted once
 }
 
 // NewIncrementalChecker returns an incremental checker running o. Every
@@ -112,9 +120,7 @@ func NewIncrementalChecker(o Options) (*IncrementalChecker, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &IncrementalChecker{run: run}
-	c.f = pipeline.NewFeeder(run.eng, run.sinks(), pipeline.Config{Stats: &c.stages})
-	return c, nil
+	return &IncrementalChecker{run: run, dec: rapidio.NewFeeder(), batch: make([]trace.Event, 4096)}, nil
 }
 
 // AnalysisSet returns the checker's effective analysis set: o.Analyses
@@ -129,40 +135,67 @@ func (c *IncrementalChecker) AnalysisSet() []AnalysisKind {
 // events consumed so far. The atomicity entry matches Violation and
 // Processed exactly.
 func (c *IncrementalChecker) Analyses() []AnalysisReport {
-	return c.run.analyses(atomicityReport(c.Violation(), c.f.Processed(), c.Algorithm()))
+	return c.run.analyses(atomicityReport(c.Violation(), c.Processed(), c.Algorithm()))
 }
 
 // Feed appends one chunk of the stream and processes every event whose
-// line (or binary record) is now complete. It returns the latched violation, if any, and the
-// terminal parse error if the stream is malformed. After a violation,
-// further chunks are accepted and discarded — the verdict, violation index
-// and event count equal running CheckSTD over the concatenated chunks.
+// line (or binary record) is now complete. It returns the latched
+// violation, if any, and the terminal parse error if the stream is
+// malformed. Once every analysis has latched, further chunks are accepted
+// and discarded unparsed — the verdict, violation index and event count
+// equal running CheckSTD over the concatenated chunks, so a parse error
+// after that point is never reported. Feeding after a parse error returns
+// the same outcome.
 func (c *IncrementalChecker) Feed(chunk []byte) (*Violation, error) {
-	v, err := c.f.Feed(chunk)
-	if v != nil && c.viol == nil {
-		c.viol = fromInternal(v)
+	c.dec.Feed(chunk)
+	c.drain()
+	return c.Violation(), c.err
+}
+
+// drain checks every event the decoder has completed, stopping once every
+// analysis has latched or at a terminal parse error. Either ends the
+// decoder's stream, so a later Feed is a no-op and a later drain returns
+// at once.
+func (c *IncrementalChecker) drain() {
+	for {
+		parseStart := time.Now()
+		n, err := c.dec.ReadBatch(c.batch)
+		checkStart := time.Now()
+		c.stages.ParseNanos.Add(int64(checkStart.Sub(parseStart)))
+		done := c.run.Process(c.batch[:n])
+		c.stages.CheckNanos.Add(int64(time.Since(checkStart)))
+		switch {
+		case done:
+			// The rest of the stream is discarded by definition; free the
+			// unconsumed tail rather than pinning it for the session's
+			// remaining lifetime.
+			c.dec.Discard()
+			return
+		case err == io.EOF || (err == nil && n < len(c.batch)):
+			return
+		case err != nil:
+			c.err = err
+			return
+		}
 	}
-	return c.viol, err
 }
 
 // Close marks the end of the stream (parsing a final unterminated line)
 // and returns the final Report. The error is the terminal parse error, if
 // any. Close is idempotent.
 func (c *IncrementalChecker) Close() (*Report, error) {
-	v, n, err := c.f.Close()
-	if v != nil && c.viol == nil {
-		c.viol = fromInternal(v)
+	c.dec.Close()
+	c.drain()
+	if c.err != nil {
+		return nil, c.err
 	}
-	if err != nil {
-		return nil, err
-	}
-	return c.run.report(c.viol, n), nil
+	return c.run.report(c.Violation(), c.Processed()), nil
 }
 
 // Violation returns the latched violation, if any.
 func (c *IncrementalChecker) Violation() *Violation {
-	if v := c.f.Violation(); v != nil && c.viol == nil {
-		c.viol = fromInternal(v)
+	if c.viol == nil {
+		c.viol = fromInternal(c.run.Engine.Violation())
 	}
 	return c.viol
 }
@@ -171,10 +204,10 @@ func (c *IncrementalChecker) Violation() *Violation {
 // further chunks cannot change any verdict. With the default analysis set
 // this is simply "a violation latched"; with extra analyses it requires
 // each of them to have latched too.
-func (c *IncrementalChecker) Done() bool { return c.f.Done() }
+func (c *IncrementalChecker) Done() bool { return c.run.Done() }
 
 // Processed returns the number of events consumed so far.
-func (c *IncrementalChecker) Processed() int64 { return c.f.Processed() }
+func (c *IncrementalChecker) Processed() int64 { return c.run.Engine.Processed() }
 
 // Algorithm returns the name of the engine backing this checker.
-func (c *IncrementalChecker) Algorithm() string { return c.run.eng.Name() }
+func (c *IncrementalChecker) Algorithm() string { return c.run.Engine.Name() }

@@ -105,7 +105,8 @@ func requireAtomicityByteIdentity(t *testing.T, ctx string, single, dual *aerodr
 }
 
 // assertDualAnalysis checks one STD byte stream with the dual set through
-// both the sequential and pipelined checkers and pins every guarantee the
+// the sequential and pipelined checkers and the push path (fed a byte at
+// a time and in 4 KiB chunks) and pins every guarantee the
 // multi-analysis surface makes.
 func assertDualAnalysis(t *testing.T, name string, std []byte) {
 	t.Helper()
@@ -140,10 +141,21 @@ func assertDualAnalysis(t *testing.T, name string, std []byte) {
 	}
 	requireAtomicityByteIdentity(t, name+" default-set", single, def)
 
-	// The hbrace verdict must match the naive oracle, on both paths.
+	// The hbrace verdict must match the naive oracle, on every path.
 	ov, on := naiveRaceVerdict(t, std)
 	requireOracleAgreement(t, name+" dual", hbraceEntry(t, name, dual), ov, on)
 	requireOracleAgreement(t, name+" dual-pipelined", hbraceEntry(t, name, piped), ov, on)
+
+	for _, chunk := range []int{1, 4096} {
+		ctx := fmt.Sprintf("%s dual-incremental/%d", name, chunk)
+		pushed, err := checkIncremental(t, std, dualOpts, chunk)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		requireSameReport(t, ctx, single, pushed)
+		requireAtomicityByteIdentity(t, ctx, single, pushed)
+		requireOracleAgreement(t, ctx, hbraceEntry(t, ctx, pushed), ov, on)
+	}
 }
 
 func TestRaceDifferentialOnGoldenCorpus(t *testing.T) {

@@ -96,10 +96,7 @@ func (c *Checker) Stats() (EngineStats, bool) { return engineStatsOf(c.eng) }
 
 // Stats returns the incremental checker's engine introspection counters.
 // ok is false for engines without them.
-func (c *IncrementalChecker) Stats() (EngineStats, bool) {
-	s, ok := c.f.EngineStats()
-	return statsFromCore(s), ok
-}
+func (c *IncrementalChecker) Stats() (EngineStats, bool) { return engineStatsOf(c.run.Engine) }
 
 // StageTimes returns how much wall time the incremental checker has spent
 // parsing chunk bytes vs. running the engine over the parsed events.
@@ -113,7 +110,7 @@ func (c *IncrementalChecker) StageTimes() (parse, check time.Duration) {
 func (m *Monitor) Stats() (EngineStats, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return engineStatsOf(m.run.eng)
+	return engineStatsOf(m.run.Engine)
 }
 
 // CheckStats reports where one Check spent its time and what its engine
