@@ -165,13 +165,15 @@
 // backend instances by a client-supplied trace key (X-Aerodrome-Trace or
 // ?trace=, falling back to the tenant): the ring is a pure function of
 // the backend URLs, so a restarted router routes identically, and a lost
-// backend (detected by /healthz probes and proxy failures) deterministically
-// moves exactly its keys to the ring's next backend — and back on
-// recovery. Sessions stay backend-affine, and the router journals every
-// applied session chunk (bounded memory with optional spill): when a
-// session's backend dies, the next feed transparently recreates the
-// session on the ring's next backend and replays the journal first — the
-// client sees an ordinary 200 and a report covering every event. Only a
+// backend deterministically moves exactly its keys to the ring's next
+// backend — and back on recovery. A backend is marked down by /healthz
+// probes and by the router's own failed requests to it, never by a client
+// that gave up waiting. Sessions stay backend-affine, and the router
+// journals every applied session chunk (bounded memory with optional
+// spill): when a session's backend dies, the next feed, snapshot or
+// delete transparently recreates the session on the ring's next backend
+// and replays the journal first — the client sees an ordinary 200 and a
+// report covering every event, a violated session included. Only a
 // truncated journal (the session outgrew its caps) answers 409 +
 // Retry-After, asking the client for a full replay; chunk-sequence
 // numbers (X-Aerodrome-Chunk-Seq) make blind retries idempotent and turn

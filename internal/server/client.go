@@ -64,10 +64,13 @@ type Client struct {
 	// Ring cache: the last-seen router topology, refreshed from /metrics
 	// when requests fail. A changed ring_epoch means backends came or
 	// went; the healthy list is the direct-fallback pool for one-shot
-	// checks when the router itself is unreachable.
+	// checks when the router itself is unreachable. ringless is set once
+	// BaseURL's /metrics has answered without a ring: a plain aerodromed,
+	// which is not polled again.
 	ringMu       sync.Mutex
 	ringEpoch    uint64
 	ringBackends []string
+	ringless     bool
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -281,6 +284,12 @@ func (c *Client) RingEpoch() uint64 {
 // backend set. Errors are swallowed: the ring cache is an optimization
 // (plain backends have no ring and that is fine).
 func (c *Client) refreshRing() {
+	c.ringMu.Lock()
+	ringless := c.ringless
+	c.ringMu.Unlock()
+	if ringless {
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/metrics"), nil)
@@ -299,7 +308,7 @@ func (c *Client) refreshRing() {
 		// ring_epoch key, and its document must not clobber the cache.
 		RingEpoch *uint64 `json:"ring_epoch"`
 	}
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&m) != nil || m.RingEpoch == nil {
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&m) != nil {
 		return
 	}
 	var healthy []string
@@ -310,7 +319,11 @@ func (c *Client) refreshRing() {
 	}
 	sort.Strings(healthy)
 	c.ringMu.Lock()
-	c.ringEpoch, c.ringBackends = *m.RingEpoch, healthy
+	if m.RingEpoch == nil {
+		c.ringless = true
+	} else {
+		c.ringEpoch, c.ringBackends = *m.RingEpoch, healthy
+	}
 	c.ringMu.Unlock()
 }
 

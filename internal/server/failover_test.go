@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"aerodrome"
+	"aerodrome/internal/faultinject"
 )
 
 func TestJournalBounds(t *testing.T) {
@@ -507,7 +508,7 @@ func TestClientRetriesFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var calls atomic.Int64 // check attempts; the retry also polls /metrics
+	var calls atomic.Int64 // check attempts, not the retry's one /metrics poll
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/check" && calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "0")
@@ -588,5 +589,152 @@ func TestClientRingFallback(t *testing.T) {
 	sameReport(t, "ring-fallback", rep, want)
 	if got := client.RingEpoch(); got != 7 {
 		t.Fatalf("RingEpoch = %d, want 7", got)
+	}
+}
+
+// TestClientPollsPlainBackendOnce pins that the ring cache costs a plain
+// aerodromed one /metrics poll, not one per retry: its snapshot has no
+// ring_epoch, so there is no topology to watch.
+func TestClientPollsPlainBackendOnce(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var checks, polls atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/metrics":
+			polls.Add(1)
+		case "/v1/check":
+			if checks.Add(1) <= 3 {
+				w.Header().Set("Retry-After", "0")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				return
+			}
+		}
+		s.ServeHTTP(w, r)
+	}))
+	defer backend.Close()
+
+	std := []byte("t1|begin|0\nt1|w(x)|1\nt1|end|0\n")
+	client := &Client{BaseURL: backend.URL, MaxRetries: 3,
+		RetryBase: time.Millisecond, RetryMax: time.Millisecond}
+	rep, err := client.Check(bytes.NewReader(std), aerodrome.Options{})
+	if err != nil {
+		t.Fatalf("Check after three 503s: %v", err)
+	}
+	sameReport(t, "plain-backend-retries", rep, wantReport(t, std, aerodrome.Optimized))
+	if got := checks.Load(); got != 4 {
+		t.Fatalf("server saw %d check attempts, want 4", got)
+	}
+	if got := polls.Load(); got != 1 {
+		t.Fatalf("client polled /metrics %d times, want 1", got)
+	}
+}
+
+// TestRouterViolatedSessionSurvivesBackendLoss pins failover for a
+// session past its violation: the journal froze at the chunk that latched
+// it, but the chunks after it were still acknowledged, so the recreated
+// session must take the client's next chunk in sequence rather than
+// refusing it as a gap.
+func TestRouterViolatedSessionSurvivesBackendLoss(t *testing.T) {
+	c := newTestCluster(t, 2, Config{})
+	client := &Client{BaseURL: c.routerTS.URL, TraceKey: "violated-failover"}
+	sess, err := client.NewSession(aerodrome.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := []string{
+		"t1|begin|0\nt2|begin|0\n",
+		"t1|w(x)|1\nt2|w(y)|2\n",
+		"t1|r(y)|3\nt2|r(x)|4\n", // the crossing reads latch the violation
+		"t1|end|0\nt2|end|0\n",
+		"t3|begin|0\nt3|w(z)|5\n",
+		"t3|end|0\n",
+		"t4|begin|0\nt4|end|0\n",
+	}
+	var std []byte
+	for i, chunk := range chunks {
+		std = append(std, chunk...)
+		if i == len(chunks)-1 {
+			c.closeOwner(sess.ID) // the session's backend dies before the last chunk
+		}
+		v, err := sess.Feed([]byte(chunk))
+		if err != nil {
+			t.Fatalf("feed %d: %v", i, err)
+		}
+		if i >= 2 && v.State != stateViolated {
+			t.Fatalf("feed %d: state %q, want violated", i, v.State)
+		}
+	}
+	rep, err := sess.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	sameReport(t, "violated-failover", rep, wantReport(t, std, aerodrome.Optimized))
+	if rep.Serializable {
+		t.Fatal("violated session reported serializable after failover")
+	}
+}
+
+// TestRouterSessionsUnderTransportFaults runs every golden trace as a
+// keyed session, concurrently, through a router over three backends whose
+// transport fails one round trip in ten. Creates, recreates, replays,
+// feeds and deletes all cross that transport, so sessions are retried in
+// place, placed elsewhere and failed over mid-stream; every final report
+// must still equal sequential CheckSTD's, and every seed must have failed
+// sessions over.
+func TestRouterSessionsUnderTransportFaults(t *testing.T) {
+	traces := goldenSTD(t)
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprint("seed-", seed), func(t *testing.T) {
+			// Seeds run side by side: most of a run is clients sleeping
+			// out the router's Retry-After while every backend is down.
+			t.Parallel()
+			faults := faultinject.New(faultinject.Config{Seed: seed, ErrorProb: 0.1})
+			c := newTestClusterTuned(t, 3, Config{}, func(rc *RouterConfig) {
+				rc.Transport = faults.WrapTransport(nil)
+			})
+			type result struct {
+				name string
+				rep  *aerodrome.Report
+				err  error
+			}
+			results := make(chan result, len(traces))
+			i := 0
+			for name, std := range traces {
+				// Chunk sizes vary per trace and cut lines mid-way.
+				go func(name string, std []byte, size int) {
+					client := &Client{BaseURL: c.routerTS.URL, TraceKey: name,
+						RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond}
+					sess, err := client.NewSession(aerodrome.Options{})
+					if err != nil {
+						results <- result{name: name, err: fmt.Errorf("create: %w", err)}
+						return
+					}
+					for off := 0; off < len(std); off += size {
+						if _, err := sess.Feed(std[off:min(off+size, len(std))]); err != nil {
+							results <- result{name: name, err: fmt.Errorf("feed at byte %d: %w", off, err)}
+							return
+						}
+					}
+					rep, err := sess.Close()
+					results <- result{name: name, rep: rep, err: err}
+				}(name, std, 61+(i*277)%900)
+				i++
+			}
+			for range traces {
+				res := <-results
+				if res.err != nil {
+					t.Errorf("%s: %v", res.name, res.err)
+					continue
+				}
+				sameReport(t, res.name, res.rep, wantReport(t, traces[res.name], aerodrome.Optimized))
+			}
+			if n := c.router.failovers.Load(); n == 0 {
+				t.Errorf("failovers_total = 0 with %s: the faults never moved a session", faults)
+			}
+		})
 	}
 }

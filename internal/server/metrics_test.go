@@ -297,8 +297,8 @@ func TestRequestIDEchoAndGeneration(t *testing.T) {
 
 // TestRouterRequestIDPropagation pins the routed hop: an ID supplied at
 // the router edge reaches the backend's handler in the proxied request
-// headers, for both the reverse-proxied check path and the
-// router-managed session path.
+// headers, for both the forwarded check path and the router-managed
+// session path.
 func TestRouterRequestIDPropagation(t *testing.T) {
 	s, err := New(Config{})
 	if err != nil {

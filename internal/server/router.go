@@ -23,24 +23,27 @@ package server
 // now Retry-After-guarded so well-behaved clients back off before
 // replaying from scratch.
 //
-// The router is stdlib-only like the rest of the service: per-backend
-// net/http/httputil reverse proxies for one-shot checks, direct forwarding
-// for session traffic, a background /healthz prober, and a router-level
-// /metrics that publishes a ring epoch — bumped on every health
+// The router is stdlib-only like the rest of the service. Every request
+// reaches a backend through one round trip (send): checks directly,
+// session creates and failover recreates through one ring walk (place),
+// and feeds, snapshots and deletes through one retry, mark-down and
+// failover loop (forwardRoute). A background /healthz prober and a
+// router-level /metrics publish a ring epoch — bumped on every health
 // transition — so ring-aware clients can detect topology change instead
 // of hammering a dead backend.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,38 +62,39 @@ const RouterTraceHeader = "X-Aerodrome-Trace"
 // placement without guessing.
 const RouterBackendHeader = "X-Aerodrome-Backend"
 
+const (
+	// ringReplicas is the number of virtual nodes per backend on the hash
+	// ring: enough to keep the key split near-uniform with few backends
+	// while keeping ring walks trivial.
+	ringReplicas = 64
+	// probeFailAfter is the number of consecutive prober misses that mark
+	// a backend down. The router's own failed requests mark it down at
+	// once; the prober brings it back on its first answer.
+	probeFailAfter = 2
+	// affinityTTL prunes session routes not used for this long: sessions
+	// that end by backend TTL eviction or client abandonment never see a
+	// DELETE through the router, and their entries (and journals) must
+	// not accumulate forever. It is well above the backends' SessionTTL,
+	// and a pruned-but-live session is still reachable with its trace key.
+	affinityTTL = 15 * time.Minute
+	// createTimeout bounds one session create, or failover recreate, on
+	// one backend.
+	createTimeout = 10 * time.Second
+)
+
 // RouterConfig tunes the shard router. Zero values select the defaults.
 type RouterConfig struct {
 	// Backends are the base URLs of the aerodromed instances to route
 	// across (e.g. "http://10.0.0.1:8421"). At least one is required.
 	Backends []string
-	// Replicas is the number of virtual nodes per backend on the hash ring
-	// (default 64): enough to keep the key split near-uniform with few
-	// backends while keeping ring walks trivial.
-	Replicas int
 	// ProbeInterval is the /healthz probe cadence (default 500ms).
 	ProbeInterval time.Duration
-	// FailAfter is the number of consecutive probe failures that mark a
-	// backend down (default 2). Proxy-level connection failures mark it
-	// down immediately — the prober brings it back.
-	FailAfter int
 	// ProbeOnStart runs one synchronous probe round before the router
 	// serves, so a backend that is already dead at boot is never picked.
 	// A restarted router would otherwise route the first requests to
 	// backends it has not probed yet — exactly the window in which a
 	// re-attached session would be misdirected at a corpse and lost.
 	ProbeOnStart bool
-	// TenantHeader is the tenant header consulted as the routing-key
-	// fallback (default "X-Aerodrome-Tenant"), so a tenant without
-	// per-trace keys still gets a stable backend.
-	TenantHeader string
-	// AffinityTTL prunes session routes not used for this long (default
-	// 15m): sessions that end by backend TTL eviction or client
-	// abandonment never see a DELETE through the router, and their
-	// entries (and journals) must not accumulate forever. Set it
-	// comfortably above the backends' SessionTTL — a pruned-but-live
-	// session is still reachable with its trace key.
-	AffinityTTL time.Duration
 	// JournalMemBytes caps one session's in-memory journal (default
 	// 256 KiB); chunks beyond it spill to JournalSpillDir, or truncate the
 	// journal when spill is disabled.
@@ -116,20 +120,8 @@ type RouterConfig struct {
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.FailAfter <= 0 {
-		c.FailAfter = 2
-	}
-	if c.TenantHeader == "" {
-		c.TenantHeader = DefaultTenantHeader
-	}
-	if c.AffinityTTL <= 0 {
-		c.AffinityTTL = 15 * time.Minute
 	}
 	if c.JournalMemBytes <= 0 {
 		c.JournalMemBytes = 256 << 10
@@ -149,10 +141,8 @@ func (c RouterConfig) withDefaults() RouterConfig {
 // backend is one aerodromed instance behind the router.
 type backend struct {
 	name    string // the configured base URL, verbatim — the ring seed
-	url     *url.URL
-	proxy   *httputil.ReverseProxy
 	healthy atomic.Bool
-	fails   int // consecutive probe failures; prober goroutine only
+	fails   int // consecutive probe misses; probe rounds only
 
 	routed      atomic.Int64
 	proxyErrors atomic.Int64
@@ -179,7 +169,7 @@ type sessionRoute struct {
 	opts      aerodrome.Options       // requested options, replayed on recreation
 	tenant    string                  // tenant header value, replayed on recreation
 	journal   *journal
-	lastSeq   int64 // last journaled chunk sequence (-1 = none)
+	lastSeq   int64 // last acknowledged chunk sequence (-1 = none)
 
 	last time.Time // guarded by Router.mu
 }
@@ -191,8 +181,7 @@ type Router struct {
 	mux      *http.ServeMux
 	backends []*backend
 	ring     []ringPoint  // sorted by h; fixed for the router's lifetime
-	client   *http.Client // buffered session creates (small bodies, bounded)
-	forward  *http.Client // session forwards and journal replay (streaming)
+	client   *http.Client // every backend request but /healthz (see send)
 	logger   *slog.Logger
 	draining atomic.Bool
 	rr       atomic.Uint64 // round-robin cursor for keyless one-shots
@@ -253,15 +242,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("server: router needs at least one backend")
 	}
 	rt := &Router{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		client:  &http.Client{Timeout: 10 * time.Second, Transport: cfg.Transport},
-		forward: &http.Client{Transport: cfg.Transport},
-		logger:  newLogger(cfg.Log, cfg.LogLevel).With("component", "router"),
-		budget:  &journalBudget{max: cfg.JournalTotalBytes},
-		routes:  map[string]*sessionRoute{},
-		start:   time.Now(),
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		mux:    http.NewServeMux(),
+		client: &http.Client{Transport: cfg.Transport},
+		logger: newLogger(cfg.Log, cfg.LogLevel).With("component", "router"),
+		budget: &journalBudget{max: cfg.JournalTotalBytes},
+		routes: map[string]*sessionRoute{},
+		start:  time.Now(),
+		stop:   make(chan struct{}),
 	}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Backends {
@@ -274,11 +262,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("server: bad backend URL %q", raw)
 		}
-		b := &backend{name: raw, url: u}
-		b.healthy.Store(true) // optimistic: the prober and proxy errors correct
-		b.proxy = rt.newProxy(b)
+		b := &backend{name: raw}
+		b.healthy.Store(true) // optimistic: probes and failed requests correct
 		rt.backends = append(rt.backends, b)
-		for i := 0; i < cfg.Replicas; i++ {
+		for i := 0; i < ringReplicas; i++ {
 			rt.ring = append(rt.ring, ringPoint{h: ringHash(fmt.Sprintf("%s#%d", raw, i)), b: b})
 		}
 	}
@@ -286,7 +273,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.initMetrics()
 
 	if cfg.ProbeOnStart {
-		rt.probeOnce()
+		// A short deadline, and one miss is enough: the round delays
+		// serving, and a backend that is slow at boot is retried by the
+		// prober anyway.
+		rt.probeRound(&http.Client{Timeout: min(cfg.ProbeInterval, 500*time.Millisecond)}, 1)
 	}
 
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
@@ -297,29 +287,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.mux.HandleFunc("/v1/sessions/{id}/{rest...}", rt.handleSessionSub)
 	go rt.prober()
 	return rt, nil
-}
-
-// newProxy builds the reverse proxy for one backend's one-shot checks:
-// responses are tagged with the backend name, and connection-level
-// failures mark the backend down in the same pass they are answered —
-// with 503 + Retry-After, not a bare 502, so a well-behaved client backs
-// off and retries into the rerouted ring instead of the dead point. (The
-// failed request itself cannot be transparently retried: its body may be
-// half-streamed.)
-func (rt *Router) newProxy(b *backend) *httputil.ReverseProxy {
-	p := httputil.NewSingleHostReverseProxy(b.url)
-	p.Transport = rt.cfg.Transport
-	p.ModifyResponse = func(resp *http.Response) error {
-		resp.Header.Set(RouterBackendHeader, b.name)
-		return nil
-	}
-	p.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-		b.proxyErrors.Add(1)
-		rt.markDown(b, err)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "backend unavailable: "+err.Error())
-	}
-	return p
 }
 
 // markDown flips a backend unhealthy (idempotently) and bumps the ring
@@ -382,33 +349,7 @@ func (rt *Router) initMetrics() {
 	rt.stageFailover = stage("failover")
 }
 
-// probeOnce is the synchronous bootstrap probe round: every backend gets
-// one short-deadline /healthz before the router serves.
-func (rt *Router) probeOnce() {
-	timeout := rt.cfg.ProbeInterval
-	if timeout > 500*time.Millisecond {
-		timeout = 500 * time.Millisecond
-	}
-	client := &http.Client{Timeout: timeout}
-	for _, b := range rt.backends {
-		resp, err := client.Get(b.name + "/healthz")
-		ok := err == nil && resp.StatusCode == http.StatusOK
-		if resp != nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		if !ok {
-			if err == nil {
-				err = fmt.Errorf("healthz HTTP %d", resp.StatusCode)
-			}
-			rt.markDown(b, fmt.Errorf("startup probe: %w", err))
-		}
-	}
-}
-
-// prober polls every backend's /healthz. A backend is marked down after
-// FailAfter consecutive failures (a draining backend answers 503 and is
-// routed around before it disappears) and back up on the first success.
+// prober runs a probe round every ProbeInterval until Close.
 func (rt *Router) prober() {
 	tick := time.NewTicker(rt.cfg.ProbeInterval)
 	defer tick.Stop()
@@ -419,29 +360,36 @@ func (rt *Router) prober() {
 			return
 		case <-tick.C:
 			rt.pruneRoutes()
-			for _, b := range rt.backends {
-				resp, err := client.Get(b.name + "/healthz")
-				ok := err == nil && resp.StatusCode == http.StatusOK
-				if resp != nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-				if ok {
-					b.fails = 0
-					if b.healthy.CompareAndSwap(false, true) {
-						rt.epoch.Add(1)
-						rt.logger.Info("backend healthy", "backend", b.name)
-					}
-					continue
-				}
-				b.fails++
-				if b.fails >= rt.cfg.FailAfter {
-					if err == nil {
-						err = fmt.Errorf("healthz HTTP %d", resp.StatusCode)
-					}
-					rt.markDown(b, err)
-				}
+			rt.probeRound(client, probeFailAfter)
+		}
+	}
+}
+
+// probeRound sends one /healthz to every backend. The first 200 marks a
+// backend up again; failAfter misses in a row mark it down (a draining
+// backend answers 503 and is routed around before it disappears). Rounds
+// never overlap — the startup round runs before the prober starts — so
+// b.fails needs no lock.
+func (rt *Router) probeRound(client *http.Client, failAfter int) {
+	for _, b := range rt.backends {
+		resp, err := client.Get(b.name + "/healthz")
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("healthz HTTP %d", resp.StatusCode)
 			}
+		}
+		if err == nil {
+			b.fails = 0
+			if b.healthy.CompareAndSwap(false, true) {
+				rt.epoch.Add(1)
+				rt.logger.Info("backend healthy", "backend", b.name)
+			}
+			continue
+		}
+		if b.fails++; b.fails >= failAfter {
+			rt.markDown(b, err)
 		}
 	}
 }
@@ -450,8 +398,8 @@ func (rt *Router) prober() {
 // sharded topology: every request gets a correlation ID here
 // (RequestIDHeader, kept when the client supplied one), echoed in the
 // response, logged on the access line, and propagated verbatim on every
-// backend hop — the forwarding paths clone the request headers, so the
-// same ID shows up in the backends' access logs.
+// backend hop — send clones the request headers, so the same ID shows up
+// in the backends' access logs.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	serveLogged(rt.logger, rt.mux, w, r)
 }
@@ -464,7 +412,7 @@ func (rt *Router) SetDraining(v bool) {
 }
 
 // Close stops the health prober and frees the session journals. In-flight
-// proxied requests are the http.Server's to drain.
+// forwarded requests are the http.Server's to drain.
 func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 	rt.mu.Lock()
@@ -486,45 +434,76 @@ func (rt *Router) routingKey(r *http.Request) string {
 	if k := r.URL.Query().Get("trace"); k != "" {
 		return k
 	}
-	return r.Header.Get(rt.cfg.TenantHeader)
+	return r.Header.Get(DefaultTenantHeader)
 }
 
-// pick walks the ring from key's position and returns the first healthy
-// backend not vetoed by skip (nil skip allows all). Keys owned by a down
-// backend land deterministically on the next distinct backend along the
-// ring, and return home when it recovers.
+// pick returns the first healthy backend not vetoed by skip (nil skip
+// allows all): walking the ring from key's position, or round-robin for
+// the empty key, where affinity buys nothing and spreading load does.
+// Keys owned by a down backend land deterministically on the next
+// distinct backend along the ring, and return home when it recovers.
 func (rt *Router) pick(key string, skip map[*backend]bool) *backend {
+	if key == "" {
+		n := len(rt.backends)
+		start := int(rt.rr.Add(1) % uint64(n))
+		for i := 0; i < n; i++ {
+			if b := rt.backends[(start+i)%n]; b.healthy.Load() && !skip[b] {
+				return b
+			}
+		}
+		return nil
+	}
 	h := ringHash(key)
 	idx := sort.Search(len(rt.ring), func(i int) bool { return rt.ring[i].h >= h })
 	for i := 0; i < len(rt.ring); i++ {
-		p := rt.ring[(idx+i)%len(rt.ring)]
-		if p.b.healthy.Load() && !skip[p.b] {
-			return p.b
-		}
-	}
-	return nil
-}
-
-// pickAny round-robins over healthy backends, for keyless one-shots where
-// affinity buys nothing and spreading load does.
-func (rt *Router) pickAny(skip map[*backend]bool) *backend {
-	n := len(rt.backends)
-	start := int(rt.rr.Add(1) % uint64(n))
-	for i := 0; i < n; i++ {
-		b := rt.backends[(start+i)%n]
-		if b.healthy.Load() && !skip[b] {
+		if b := rt.ring[(idx+i)%len(rt.ring)].b; b.healthy.Load() && !skip[b] {
 			return b
 		}
 	}
 	return nil
 }
 
-// route resolves a request to a backend by key (or round-robin).
-func (rt *Router) route(r *http.Request) *backend {
-	if key := rt.routingKey(r); key != "" {
-		return rt.pick(key, nil)
+// send is the one way a request reaches a backend, health probes aside:
+// method and target (a path with its query) on b, a copy of hdr as the
+// headers, and body of length n (-1 = unknown). It returns the reply with
+// its body read in full. On error the response is nil when the request
+// itself failed, and set when only its reply could not be read.
+func (rt *Router) send(ctx context.Context, b *backend, method, target string, hdr http.Header, body io.Reader, n int64) (*http.Response, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, b.name+target, body)
+	if err != nil {
+		return nil, nil, err
 	}
-	return rt.pickAny(nil)
+	req.Header = hdr.Clone()
+	req.ContentLength = n
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return resp, nil, fmt.Errorf("backend response: %w", err)
+	}
+	return resp, data, nil
+}
+
+// relay writes a backend reply to the client, tagged with the backend
+// that served it. A session reply may have had its id rewritten, so the
+// length is that of data, not the backend's.
+func relay(w http.ResponseWriter, resp *http.Response, data []byte, b *backend) {
+	for k, vals := range resp.Header {
+		w.Header()[k] = vals
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.Header().Set(RouterBackendHeader, b.name)
+	w.WriteHeader(resp.StatusCode)
+	w.Write(data)
+}
+
+// unavailable answers a retryable 503.
+func unavailable(w http.ResponseWriter, msg string) {
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusServiceUnavailable, msg)
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -604,7 +583,7 @@ func (rt *Router) snapshot() RouterMetricsSnapshot {
 	}
 }
 
-// handleCheck proxies POST /v1/check to the key's backend. The body
+// handleCheck forwards POST /v1/check to the key's backend. The body
 // streams through, so a mid-flight backend failure is a 503 + Retry-After
 // to retry — only session traffic, whose chunks are journaled, fails over
 // transparently.
@@ -613,18 +592,29 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	b := rt.route(r)
+	b := rt.pick(rt.routingKey(r), nil)
 	if b == nil {
 		rt.unroutable.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "no healthy backend")
+		unavailable(w, errNoBackend.Error())
 		return
 	}
 	rt.checksRouted.Add(1)
 	b.routed.Add(1)
 	start := time.Now()
-	b.proxy.ServeHTTP(w, r)
+	resp, data, err := rt.send(r.Context(), b, http.MethodPost, r.URL.RequestURI(), r.Header, r.Body, r.ContentLength)
 	rt.stageProxy.Record(time.Since(start))
+	if err != nil {
+		if cerr := r.Context().Err(); cerr != nil {
+			// The client gave up: that says nothing about the backend.
+			unavailable(w, cerr.Error())
+			return
+		}
+		b.proxyErrors.Add(1)
+		rt.markDown(b, err)
+		unavailable(w, "backend unavailable: "+err.Error())
+		return
+	}
+	relay(w, resp, data, b)
 }
 
 // handleSessionCreate places a new session on the key's backend. The tiny
@@ -642,78 +632,78 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := rt.routingKey(r)
-	tried := map[*backend]bool{}
-	for {
-		var b *backend
-		if key != "" {
-			b = rt.pick(key, tried)
-		} else {
-			b = rt.pickAny(tried)
-		}
-		if b == nil {
-			rt.unroutable.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "no healthy backend")
-			return
-		}
-		req, rerr := http.NewRequestWithContext(r.Context(), http.MethodPost,
-			b.name+r.URL.RequestURI(), strings.NewReader(string(body)))
-		if rerr != nil {
-			writeError(w, http.StatusInternalServerError, rerr.Error())
-			return
-		}
-		req.Header = r.Header.Clone()
-		resp, derr := rt.client.Do(req)
-		if derr != nil {
-			// Nothing streamed to the client yet: mark the backend down and
-			// try the next one on the ring.
-			b.proxyErrors.Add(1)
-			rt.markDown(b, derr)
-			tried[b] = true
-			continue
-		}
-		data, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			writeError(w, http.StatusBadGateway, "backend response: "+rerr.Error())
-			return
-		}
-		if resp.StatusCode == http.StatusCreated {
-			var v SessionView
-			if json.Unmarshal(data, &v) == nil && v.ID != "" {
-				// The backend accepted these options, so they decode; an
-				// unset algorithm stays unset, leaving a recreation to its
-				// backend's default exactly like the original create.
-				var rb io.Reader
-				if len(body) > 0 {
-					rb = bytes.NewReader(body)
-				}
-				opts, _ := decodeOptions(r.URL.Query(), rb, "")
-				route := &sessionRoute{
-					backendID: v.ID,
-					key:       key,
-					opts:      opts,
-					tenant:    r.Header.Get(rt.cfg.TenantHeader),
-					journal: newJournal(rt.cfg.JournalMemBytes, rt.cfg.JournalMaxBytes,
-						rt.cfg.JournalSpillDir, rt.budget),
-					lastSeq: -1,
-					last:    time.Now(),
-				}
-				route.b.Store(b)
-				rt.mu.Lock()
-				rt.routes[v.ID] = route
-				rt.mu.Unlock()
-			}
-			rt.sessRouted.Add(1)
-			b.routed.Add(1)
-		}
-		for k, vals := range resp.Header {
-			w.Header()[k] = vals
-		}
-		w.Header().Set(RouterBackendHeader, b.name)
-		w.WriteHeader(resp.StatusCode)
-		w.Write(data)
+	b, resp, data, err := rt.place(r, key, map[*backend]bool{}, r.URL.RequestURI(), r.Header, body)
+	switch {
+	case errors.Is(err, errNoBackend):
+		rt.unroutable.Add(1)
+		unavailable(w, err.Error())
 		return
+	case b == nil:
+		unavailable(w, err.Error()) // the client gave up
+		return
+	case err != nil:
+		// The backend answered but its reply was lost: it may hold the
+		// session, so placing it again elsewhere could orphan one.
+		writeError(w, http.StatusBadGateway, err.Error())
+		return
+	}
+	if resp.StatusCode == http.StatusCreated {
+		var v SessionView
+		if json.Unmarshal(data, &v) == nil && v.ID != "" {
+			// The backend accepted these options, so they decode; an
+			// unset algorithm stays unset, leaving a recreation to its
+			// backend's default exactly like the original create.
+			var rb io.Reader
+			if len(body) > 0 {
+				rb = bytes.NewReader(body)
+			}
+			opts, _ := decodeOptions(r.URL.Query(), rb, "")
+			route := &sessionRoute{
+				backendID: v.ID,
+				key:       key,
+				opts:      opts,
+				tenant:    r.Header.Get(DefaultTenantHeader),
+				journal: newJournal(rt.cfg.JournalMemBytes, rt.cfg.JournalMaxBytes,
+					rt.cfg.JournalSpillDir, rt.budget),
+				lastSeq: -1,
+				last:    time.Now(),
+			}
+			route.b.Store(b)
+			rt.mu.Lock()
+			rt.routes[v.ID] = route
+			rt.mu.Unlock()
+		}
+		rt.sessRouted.Add(1)
+		b.routed.Add(1)
+	}
+	relay(w, resp, data, b)
+}
+
+// place is the ring walk behind session creates and failover recreates:
+// it POSTs body to target on the first backend pick(key, skip) offers,
+// and when that request fails it marks the backend down, adds it to skip
+// and tries the next. It returns the backend that answered, its reply and
+// the reply body, with err set if the body could not be read. Without
+// such a backend it returns errNoBackend, or r's context error once the
+// client has given up — which marks nothing down.
+func (rt *Router) place(r *http.Request, key string, skip map[*backend]bool, target string, hdr http.Header, body []byte) (*backend, *http.Response, []byte, error) {
+	for {
+		b := rt.pick(key, skip)
+		if b == nil {
+			return nil, nil, nil, errNoBackend
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), createTimeout)
+		resp, data, err := rt.send(ctx, b, http.MethodPost, target, hdr, bytes.NewReader(body), int64(len(body)))
+		cancel()
+		if err == nil || resp != nil {
+			return b, resp, data, err
+		}
+		if cerr := r.Context().Err(); cerr != nil {
+			return nil, nil, nil, cerr
+		}
+		b.proxyErrors.Add(1)
+		rt.markDown(b, err)
+		skip[b] = true
 	}
 }
 
@@ -737,7 +727,7 @@ func (rt *Router) lookupRoute(id string, r *http.Request) *sessionRoute {
 	route := &sessionRoute{
 		backendID: id,
 		key:       key,
-		tenant:    r.Header.Get(rt.cfg.TenantHeader),
+		tenant:    r.Header.Get(DefaultTenantHeader),
 		journal:   newTruncatedJournal(),
 		lastSeq:   -1,
 		last:      time.Now(),
@@ -752,7 +742,7 @@ func (rt *Router) lookupRoute(id string, r *http.Request) *sessionRoute {
 var (
 	// errReplayHorizon: the journal was truncated, replay is impossible.
 	errReplayHorizon = errors.New("session unrecoverable: journal truncated past replay horizon; open a new session and replay the trace")
-	// errNoBackend: nothing healthy to fail over to.
+	// errNoBackend: nothing healthy to route or fail over to.
 	errNoBackend = errors.New("no healthy backend")
 )
 
@@ -778,53 +768,84 @@ func (rt *Router) respondFailoverError(w http.ResponseWriter, err error) {
 		rt.affinityLost.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusConflict, err.Error())
-	case errors.As(err, &declined):
-		retry := declined.retryAfter
-		if retry == "" {
-			retry = "1"
-		}
-		w.Header().Set("Retry-After", retry)
+	case errors.As(err, &declined) && declined.retryAfter != "":
+		w.Header().Set("Retry-After", declined.retryAfter)
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		unavailable(w, err.Error())
 	}
 }
 
 // failoverLocked moves route to the next healthy ring point: recreate the
-// session there (same algorithm, same tenant) and replay the journal
-// through the backend's chunk-agnostic IncrementalChecker. The caller
-// holds route.mu.
-func (rt *Router) failoverLocked(route *sessionRoute) error {
+// session there (same options, same tenant) and replay the journal
+// through the backend's chunk-agnostic IncrementalChecker. r is the
+// request that found the backend lost; if its client gives up, the
+// failover stops without marking anything down. The caller holds
+// route.mu.
+func (rt *Router) failoverLocked(r *http.Request, route *sessionRoute) (err error) {
 	start := time.Now()
-	defer func() { rt.stageFailover.Record(time.Since(start)) }()
+	defer func() {
+		rt.stageFailover.Record(time.Since(start))
+		if err != nil && r.Context().Err() == nil {
+			rt.failoverFailures.Add(1)
+		}
+	}()
 	skip := map[*backend]bool{}
 	if b := route.b.Load(); b != nil {
 		skip[b] = true
 	}
-	for {
-		var nb *backend
-		if route.key != "" {
-			nb = rt.pick(route.key, skip)
-		} else {
-			nb = rt.pickAny(skip)
-		}
-		if nb == nil {
-			rt.failoverFailures.Add(1)
+	if route.journal.isTruncated() {
+		// Once there is somewhere to go, the loss is terminal: there is
+		// nothing to replay, and the session state is unreproducible.
+		if rt.pick(route.key, skip) == nil {
 			return errNoBackend
 		}
-		if route.journal.isTruncated() {
-			// There is somewhere to go but nothing to replay: the session
-			// state is unreproducible and the loss is terminal.
-			rt.failoverFailures.Add(1)
-			return errReplayHorizon
+		return errReplayHorizon
+	}
+	hdr := http.Header{}
+	hdr.Set(RequestIDHeader, r.Header.Get(RequestIDHeader))
+	if route.tenant != "" {
+		hdr.Set(DefaultTenantHeader, route.tenant)
+	}
+	if route.key != "" {
+		hdr.Set(RouterTraceHeader, route.key)
+	}
+	for {
+		nb, resp, data, err := rt.place(r, route.key, skip, "/v1/sessions"+optionsQuery(route.opts), hdr, nil)
+		if nb == nil {
+			return err
 		}
-		newID, replayed, err := rt.recreateOn(nb, route)
+		var v SessionView
+		if err == nil && resp.StatusCode != http.StatusCreated {
+			return &errBackendDeclined{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
+		}
+		if err == nil && (json.Unmarshal(data, &v) != nil || v.ID == "") {
+			err = fmt.Errorf("recreate: bad session body %q", data)
+		}
+		body, n := route.journal.replayReader()
+		if err == nil && n > 0 {
+			rhdr := hdr.Clone()
+			if route.lastSeq >= 0 {
+				// Prime the backend's idempotency cache with the client's
+				// last acknowledged sequence number: a retry of that chunk
+				// is then answered from the replayed state instead of being
+				// applied a second time, and the next chunk is no gap.
+				rhdr.Set(ChunkSeqHeader, strconv.FormatInt(route.lastSeq, 10))
+			}
+			replayStart := time.Now()
+			resp, _, err = rt.send(r.Context(), nb, http.MethodPost, "/v1/sessions/"+v.ID+"/events", rhdr, body, n)
+			if err == nil {
+				rt.stageReplay.Record(time.Since(replayStart))
+				// 200 is the live replay; 400/409 reproduce a terminal
+				// session, which is equally exact.
+				if !feedApplied(resp.StatusCode) {
+					return &errBackendDeclined{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
+				}
+			}
+		}
 		if err != nil {
-			var declined *errBackendDeclined
-			if errors.As(err, &declined) {
-				rt.failoverFailures.Add(1)
-				return err
+			if cerr := r.Context().Err(); cerr != nil {
+				return cerr
 			}
 			nb.proxyErrors.Add(1)
 			rt.markDown(nb, err)
@@ -832,85 +853,13 @@ func (rt *Router) failoverLocked(route *sessionRoute) error {
 			continue
 		}
 		rt.logger.Info("session failed over",
-			"session", route.backendID, "backend", nb.name, "replayed_bytes", replayed)
+			"session", route.backendID, "backend", nb.name, "replayed_bytes", n)
+		rt.replayedBytes.Add(n)
 		route.b.Store(nb)
-		route.backendID = newID
+		route.backendID = v.ID
 		rt.failovers.Add(1)
 		nb.routed.Add(1)
 		return nil
-	}
-}
-
-// recreateOn creates a fresh session on nb with route's parameters and
-// replays the journal into it. Returns the new backend-local session id.
-// A transport-level error means nb is unreachable (the caller marks it
-// down and moves on); an HTTP-level refusal is *errBackendDeclined.
-func (rt *Router) recreateOn(nb *backend, route *sessionRoute) (string, int64, error) {
-	req, err := http.NewRequest(http.MethodPost, nb.name+"/v1/sessions"+optionsQuery(route.opts), nil)
-	if err != nil {
-		return "", 0, err
-	}
-	rt.sessionHeaders(req, route)
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return "", 0, err
-	}
-	data, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
-		return "", 0, rerr
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return "", 0, &errBackendDeclined{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
-	}
-	var v SessionView
-	if err := json.Unmarshal(data, &v); err != nil || v.ID == "" {
-		return "", 0, fmt.Errorf("recreate: bad session body: %v", err)
-	}
-
-	rr, n := route.journal.replayReader()
-	if n == 0 {
-		return v.ID, 0, nil
-	}
-	req, err = http.NewRequest(http.MethodPost, nb.name+"/v1/sessions/"+v.ID+"/events", rr)
-	if err != nil {
-		return "", 0, err
-	}
-	req.ContentLength = n
-	rt.sessionHeaders(req, route)
-	replayStart := time.Now()
-	if route.lastSeq >= 0 {
-		// Prime the backend's idempotency cache with the pre-failover
-		// sequence number: a client retry of the last acknowledged chunk is
-		// then answered from the replayed state instead of being applied a
-		// second time.
-		req.Header.Set(ChunkSeqHeader, fmt.Sprint(route.lastSeq))
-	}
-	resp, err = rt.forward.Do(req)
-	if err != nil {
-		return "", 0, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	rt.stageReplay.Record(time.Since(replayStart))
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusBadRequest, http.StatusConflict:
-		// 200 is the live replay; 400/409 reproduce a terminal session,
-		// which is equally exact.
-	default:
-		return "", 0, &errBackendDeclined{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
-	}
-	rt.replayedBytes.Add(n)
-	return v.ID, n, nil
-}
-
-// sessionHeaders applies route's recreation headers to a backend request.
-func (rt *Router) sessionHeaders(req *http.Request, route *sessionRoute) {
-	if route.tenant != "" {
-		req.Header.Set(rt.cfg.TenantHeader, route.tenant)
-	}
-	if route.key != "" {
-		req.Header.Set(RouterTraceHeader, route.key)
 	}
 }
 
@@ -930,10 +879,85 @@ func (rt *Router) handleSessionSub(w http.ResponseWriter, r *http.Request) {
 	route.mu.Lock()
 	defer route.mu.Unlock()
 	if r.Method == http.MethodPost && r.PathValue("rest") == "events" {
-		rt.forwardFeed(w, r, id, route)
+		rt.forwardFeed(w, r, route)
 		return
 	}
 	rt.forwardOther(w, r, id, route)
+}
+
+// forwardRoute sends r on to route's backend, under the backend-local
+// session id, and returns the backend that answered, its reply, and the
+// reply body with the id rewritten to the client's. One failed request
+// is re-sent to the same backend when retrySame allows; after that the
+// backend is marked down and the session fails over, and the path is
+// rebuilt for the new backend on every attempt. chunk is the request
+// body; stream, when set, is the rest of it, never journaled, so losing
+// the backend then costs the session. ok is false when forwardRoute has
+// answered the client itself.
+func (rt *Router) forwardRoute(w http.ResponseWriter, r *http.Request, route *sessionRoute, chunk []byte, stream io.Reader, retrySame bool) (*backend, *http.Response, []byte, bool) {
+	suffix := ""
+	if rest := r.PathValue("rest"); rest != "" {
+		suffix = "/" + rest
+	}
+	if r.URL.RawQuery != "" {
+		suffix += "?" + r.URL.RawQuery
+	}
+	attempts, retried, lost := 0, false, false
+	for {
+		b := route.b.Load()
+		if lost || b == nil || !b.healthy.Load() {
+			if err := rt.failoverLocked(r, route); err != nil {
+				rt.respondFailoverError(w, err)
+				return nil, nil, nil, false
+			}
+			b, lost = route.b.Load(), false
+		}
+		var body io.Reader
+		n := int64(len(chunk))
+		if stream != nil {
+			body, n = io.MultiReader(bytes.NewReader(chunk), stream), r.ContentLength // n may be -1 (chunked)
+		} else if chunk != nil {
+			body = bytes.NewReader(chunk)
+		}
+		start := time.Now()
+		resp, data, err := rt.send(r.Context(), b, r.Method, "/v1/sessions/"+route.backendID+suffix, r.Header, body, n)
+		rt.stageProxy.Record(time.Since(start))
+		if err == nil {
+			if clientID := r.PathValue("id"); route.backendID != clientID {
+				// The ids diverge after a failover.
+				data = bytes.ReplaceAll(data, []byte(route.backendID), []byte(clientID))
+			}
+			b.routed.Add(1)
+			return b, resp, data, true
+		}
+		if cerr := r.Context().Err(); cerr != nil {
+			// The client gave up: that says nothing about the backend.
+			unavailable(w, cerr.Error())
+			return nil, nil, nil, false
+		}
+		b.proxyErrors.Add(1)
+		if retrySame && !retried {
+			// One transient fault (a doomed connection, an injected
+			// error) should cost a retry, not a failover — and for a
+			// session whose journal is already truncated, a failover
+			// would cost the session itself.
+			retried = true
+			continue
+		}
+		rt.markDown(b, err)
+		if stream != nil {
+			// Part of the chunk went down with the connection and was
+			// never journaled; the stream cannot be reproduced.
+			rt.failoverFailures.Add(1)
+			rt.respondFailoverError(w, errReplayHorizon)
+			return nil, nil, nil, false
+		}
+		if attempts++; attempts > len(rt.backends) {
+			rt.respondFailoverError(w, errNoBackend)
+			return nil, nil, nil, false
+		}
+		lost = true // fail over even if the prober revives b meanwhile
+	}
 }
 
 // feedApplied reports whether a feed response status can mean the backend
@@ -972,20 +996,18 @@ func viewTerminal(state string) bool {
 }
 
 // forwardFeed is the journaled feed path: buffer the chunk (bounded by
-// the journal's remaining capacity), forward it, journal it once the
-// backend acknowledged it, and fail over with a full replay when the
-// backend is unreachable. Chunks past the journal bound stream through
+// the journal's remaining capacity), forward it, and journal it once the
+// backend acknowledged it. Chunks past the journal bound stream through
 // unbuffered and cost the session its replay horizon.
-func (rt *Router) forwardFeed(w http.ResponseWriter, r *http.Request, clientID string, route *sessionRoute) {
+func (rt *Router) forwardFeed(w http.ResponseWriter, r *http.Request, route *sessionRoute) {
 	seq, ok := parseChunkSeq(r.Header)
 	if !ok {
 		writeError(w, http.StatusBadRequest, "bad "+ChunkSeqHeader+" header")
 		return
 	}
-	frozen := route.journal.isFrozen()
-	var buffered []byte
+	var chunk []byte
 	var stream io.Reader
-	if frozen {
+	if route.journal.isFrozen() {
 		// The session is terminal: the backend discards chunk bytes anyway,
 		// so drain them here and forward an empty feed — it still refreshes
 		// the backend's idle timer and returns the authoritative snapshot.
@@ -993,207 +1015,64 @@ func (rt *Router) forwardFeed(w http.ResponseWriter, r *http.Request, clientID s
 	} else {
 		capLeft := route.journal.capLeft()
 		var err error
-		buffered, err = io.ReadAll(io.LimitReader(r.Body, capLeft+1))
+		chunk, err = io.ReadAll(io.LimitReader(r.Body, capLeft+1))
 		if err != nil {
 			writeBodyError(w, err)
 			return
 		}
-		if int64(len(buffered)) > capLeft {
+		if int64(len(chunk)) > capLeft {
 			route.journal.truncate()
 			rt.journalTruncated.Add(1)
 			stream = r.Body
 		}
 	}
-
-	attempts := 0
-	retriedSame := false
-	for {
-		b := route.b.Load()
-		if b == nil || !b.healthy.Load() {
-			if ferr := rt.failoverLocked(route); ferr != nil {
-				rt.respondFailoverError(w, ferr)
-				return
-			}
-			b = route.b.Load()
-		}
-		var body io.Reader = bytes.NewReader(buffered)
-		n := int64(len(buffered))
-		if stream != nil {
-			body = io.MultiReader(bytes.NewReader(buffered), stream)
-			n = r.ContentLength // may be -1 (chunked): preserved downstream
-		}
-		resp, err := rt.backendDo(r, b, http.MethodPost,
-			"/v1/sessions/"+route.backendID+"/events", body, n)
-		var data []byte
-		if err == nil {
-			data, err = io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				err = fmt.Errorf("backend response: %w", err)
-			}
-		}
-		if err != nil {
-			b.proxyErrors.Add(1)
-			if !retriedSame && stream == nil && seq >= 0 {
-				// One transient fault (a doomed connection, an injected
-				// error) should cost a retry, not a failover — and for a
-				// session whose journal is already truncated, a failover
-				// would cost the session itself. The chunk carries a
-				// sequence number, so even an applied-but-unacknowledged
-				// re-POST dedups at the backend.
-				retriedSame = true
-				continue
-			}
-			rt.markDown(b, err)
-			if stream != nil {
-				// Part of the chunk went down with the connection and was
-				// never journaled; the stream cannot be reproduced.
-				rt.failoverFailures.Add(1)
-				rt.respondFailoverError(w, errReplayHorizon)
-				return
-			}
-			attempts++
-			if attempts > len(rt.backends) {
-				rt.respondFailoverError(w, errNoBackend)
-				return
-			}
-			if ferr := rt.failoverLocked(route); ferr != nil {
-				rt.respondFailoverError(w, ferr)
-				return
-			}
-			continue
-		}
-		if stream == nil && !frozen && feedApplied(resp.StatusCode) {
-			// Journal exactly the chunks the backend consumed, once. The
-			// body must be a session view: a 400/409 with an error body is
-			// a refusal (chunk sequence gap, bad header) that left the
-			// session untouched, so recording it would make a later replay
-			// reproduce state containing a rejected chunk. Re-sent or stale
-			// sequence numbers (seq <= lastSeq) were already recorded — the
-			// backend answered those from its idempotency cache.
-			if fv, isView := parseFeedView(data); isView {
-				if seq < 0 || seq > route.lastSeq {
-					route.journal.append(buffered)
-					if seq >= 0 {
-						route.lastSeq = seq
-					}
-				}
-				if resp.StatusCode != http.StatusOK || viewTerminal(fv.State) {
-					route.journal.freeze()
-				}
-			}
-		}
-		b.routed.Add(1)
-		rt.relaySessionResponse(w, resp, data, route, clientID, b)
+	// A sequence number makes even an applied-but-unacknowledged re-send
+	// dedup at the backend, so only numbered chunks retry in place.
+	b, resp, data, ok := rt.forwardRoute(w, r, route, chunk, stream, stream == nil && seq >= 0)
+	if !ok {
 		return
 	}
+	if stream == nil && feedApplied(resp.StatusCode) {
+		// Journal exactly the chunks the backend consumed, once. The
+		// body must be a session view: a 400/409 with an error body is
+		// a refusal (chunk sequence gap, bad header) that left the
+		// session untouched, so recording it would make a later replay
+		// reproduce state containing a rejected chunk. Re-sent or stale
+		// sequence numbers (seq <= lastSeq) were already recorded — the
+		// backend answered those from its idempotency cache. A frozen
+		// journal records no bytes, but lastSeq still follows the client,
+		// so a failover primes the new backend where the client stands.
+		if fv, isView := parseFeedView(data); isView {
+			if seq < 0 || seq > route.lastSeq {
+				route.journal.append(chunk)
+				if seq >= 0 {
+					route.lastSeq = seq
+				}
+			}
+			if resp.StatusCode != http.StatusOK || viewTerminal(fv.State) {
+				route.journal.freeze()
+			}
+		}
+	}
+	relay(w, resp, data, b)
 }
 
 // forwardOther handles GET (snapshot) and DELETE (finalize) for a routed
-// session, with the same failover discipline as feeds. A finished DELETE
-// — or a backend 404, the session is gone — drops the route and frees its
-// journal.
+// session. Both are bodyless and safe to re-send to the same backend: GET
+// is idempotent, and a DELETE the backend applied before the connection
+// died replays from its finalize cache instead of 404ing. A finished
+// DELETE — or a backend 404, the session is gone — drops the route and
+// frees its journal.
 func (rt *Router) forwardOther(w http.ResponseWriter, r *http.Request, clientID string, route *sessionRoute) {
-	path := "/v1/sessions/" + route.backendID
-	if rest := r.PathValue("rest"); rest != "" {
-		path += "/" + rest
-	}
-	attempts := 0
-	retriedSame := false
-	for {
-		b := route.b.Load()
-		if b == nil || !b.healthy.Load() {
-			if ferr := rt.failoverLocked(route); ferr != nil {
-				rt.respondFailoverError(w, ferr)
-				return
-			}
-			b = route.b.Load()
-		}
-		resp, err := rt.backendDo(r, b, r.Method, path, nil, 0)
-		var data []byte
-		if err == nil {
-			data, err = io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				err = fmt.Errorf("backend response: %w", err)
-			}
-		}
-		if err != nil {
-			b.proxyErrors.Add(1)
-			if !retriedSame {
-				// Bodyless requests are safe to re-send to the same backend
-				// — GET is naturally idempotent, and a DELETE the backend
-				// applied before the connection died replays from its
-				// finalize cache instead of 404ing — so one transient fault
-				// costs a retry, not a failover, which a truncated journal
-				// would turn into a lost session.
-				retriedSame = true
-				continue
-			}
-			rt.markDown(b, err)
-			attempts++
-			if attempts > len(rt.backends) {
-				rt.respondFailoverError(w, errNoBackend)
-				return
-			}
-			if ferr := rt.failoverLocked(route); ferr != nil {
-				rt.respondFailoverError(w, ferr)
-				return
-			}
-			// The path tracks the possibly-new backend id after failover.
-			path = "/v1/sessions/" + route.backendID
-			if rest := r.PathValue("rest"); rest != "" {
-				path += "/" + rest
-			}
-			continue
-		}
-		if r.Method == http.MethodDelete && resp.StatusCode == http.StatusOK ||
-			resp.StatusCode == http.StatusNotFound {
-			rt.forgetRoute(clientID)
-		}
-		b.routed.Add(1)
-		rt.relaySessionResponse(w, resp, data, route, clientID, b)
+	b, resp, data, ok := rt.forwardRoute(w, r, route, nil, nil, true)
+	if !ok {
 		return
 	}
-}
-
-// backendDo sends one forwarded request to b, preserving the original
-// headers and context.
-func (rt *Router) backendDo(orig *http.Request, b *backend, method, path string, body io.Reader, n int64) (*http.Response, error) {
-	var u strings.Builder
-	u.WriteString(b.name)
-	u.WriteString(path)
-	if q := orig.URL.RawQuery; q != "" {
-		u.WriteString("?")
-		u.WriteString(q)
+	if r.Method == http.MethodDelete && resp.StatusCode == http.StatusOK ||
+		resp.StatusCode == http.StatusNotFound {
+		rt.forgetRoute(clientID)
 	}
-	req, err := http.NewRequestWithContext(orig.Context(), method, u.String(), body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header = orig.Header.Clone()
-	req.ContentLength = n
-	start := time.Now()
-	resp, err := rt.forward.Do(req)
-	rt.stageProxy.Record(time.Since(start))
-	return resp, err
-}
-
-// relaySessionResponse writes a forwarded response back to the client,
-// rewriting the backend-local session id to the client-visible one (they
-// diverge after a failover; both are 32-hex, so the rewrite is
-// length-preserving) and tagging the serving backend.
-func (rt *Router) relaySessionResponse(w http.ResponseWriter, resp *http.Response, data []byte, route *sessionRoute, clientID string, b *backend) {
-	if route.backendID != clientID {
-		data = bytes.ReplaceAll(data, []byte(route.backendID), []byte(clientID))
-	}
-	for k, vals := range resp.Header {
-		w.Header()[k] = vals
-	}
-	w.Header().Del("Content-Length")
-	w.Header().Set(RouterBackendHeader, b.name)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(data)
+	relay(w, resp, data, b)
 }
 
 // forgetRoute drops a session route and frees its journal.
@@ -1207,12 +1086,12 @@ func (rt *Router) forgetRoute(id string) {
 	}
 }
 
-// pruneRoutes drops session routes idle past AffinityTTL. Sessions that
+// pruneRoutes drops session routes idle past affinityTTL. Sessions that
 // ended without a DELETE through the router (backend TTL eviction,
 // abandoned clients) would otherwise leak an entry — and a journal —
 // each.
 func (rt *Router) pruneRoutes() {
-	cutoff := time.Now().Add(-rt.cfg.AffinityTTL)
+	cutoff := time.Now().Add(-affinityTTL)
 	var stale []*sessionRoute
 	rt.mu.Lock()
 	for id, route := range rt.routes {

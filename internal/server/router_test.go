@@ -12,8 +12,10 @@ package server
 import (
 	"aerodrome"
 
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,7 +32,8 @@ type cluster struct {
 }
 
 // newTestCluster boots n backends and a router over them. Probing is fast
-// and a single failure marks a backend down, so failure tests don't wait.
+// (two misses mark a backend down within ~50ms), so failure tests don't
+// wait.
 func newTestCluster(t *testing.T, n int, cfg Config) *cluster {
 	return newTestClusterTuned(t, n, cfg, nil)
 }
@@ -50,7 +53,6 @@ func newTestClusterTuned(t *testing.T, n int, cfg Config, tune func(*RouterConfi
 	rcfg := RouterConfig{
 		Backends:      urls,
 		ProbeInterval: 25 * time.Millisecond,
-		FailAfter:     1,
 	}
 	if tune != nil {
 		tune(&rcfg)
@@ -325,7 +327,7 @@ func TestRouterBackendDiesMidSession(t *testing.T) {
 	// Kill the victim's backend hard.
 	c.backTS[0].Close()
 
-	// Wait until the prober notices (FailAfter=1, 25ms interval).
+	// Wait until the prober notices (two misses at a 25ms interval).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		resp, err := http.Get(c.routerTS.URL + "/healthz")
@@ -478,5 +480,154 @@ func TestRouterDrainAndNoBackends(t *testing.T) {
 	}
 	if ra == "" {
 		t.Fatal("no-backend check: 503 without Retry-After")
+	}
+}
+
+// TestRouterSnapshotAndDeleteFailOver pins the bodyless half of the
+// failover loop: once the prober has marked a session's backend down, a
+// snapshot and a delete through the router fail the session over the way
+// a feed does, addressed by the recreated session's id rather than the
+// lost one, and the final report covers the fed events. It also pins what
+// the proxy stage times: one observation per routed feed, snapshot and
+// delete, none for the create or the replay.
+func TestRouterSnapshotAndDeleteFailOver(t *testing.T) {
+	c := newTestCluster(t, 2, Config{})
+	client := &Client{BaseURL: c.routerTS.URL, TraceKey: "snapshot-delete"}
+	sess, err := client.NewSession(aerodrome.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	std := []byte("t1|begin|0\nt1|w(x)|1\nt1|end|0\n")
+	if _, err := sess.Feed(std); err != nil {
+		t.Fatal(err)
+	}
+
+	owner := c.closeOwner(sess.ID)
+	for deadline := time.Now().Add(5 * time.Second); c.router.epoch.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("prober never marked the dead backend down")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	req, _ := http.NewRequest(http.MethodGet, c.routerTS.URL+"/v1/sessions/"+sess.ID, nil)
+	req.Header.Set(RouterTraceHeader, client.TraceKey)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v SessionView
+	json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET after mark-down: HTTP %d, want 200 (failover)", resp.StatusCode)
+	}
+	if v.ID != sess.ID || v.Events != 3 {
+		t.Fatalf("GET after mark-down: id %q events %d, want %q and 3", v.ID, v.Events, sess.ID)
+	}
+	if served := resp.Header.Get(RouterBackendHeader); served == owner {
+		t.Fatalf("GET after mark-down served by the dead backend %s", served)
+	}
+
+	rep, err := sess.Close()
+	if err != nil {
+		t.Fatalf("DELETE after mark-down: %v", err)
+	}
+	sameReport(t, "delete-after-failover", rep, wantReport(t, std, aerodrome.Optimized))
+
+	snap := c.router.snapshot()
+	for stage, want := range map[string]int64{"proxy": 3, "replay": 1, "failover": 1} {
+		if got := snap.Stages[stage].Count; got != want {
+			t.Errorf("stages[%s].count = %d, want %d", stage, got, want)
+		}
+	}
+}
+
+// closeOwner closes the backend that holds the routed session id and
+// returns its URL.
+func (c *cluster) closeOwner(id string) string {
+	c.router.mu.Lock()
+	owner := c.router.routes[id].b.Load().name
+	c.router.mu.Unlock()
+	for _, ts := range c.backTS {
+		if ts.URL == owner {
+			ts.Close()
+		}
+	}
+	return owner
+}
+
+// TestRouterClientGiveUpIsNoBackendFault pins that a client abandoning a
+// routed request says nothing about the backend. The backends hold checks
+// and feeds until the request ends; a client that times out on a check
+// and on a feed must leave both backends healthy, the ring epoch at 0, no
+// proxy error counted and no session failed over.
+func TestRouterClientGiveUpIsNoBackendFault(t *testing.T) {
+	hold := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			w.WriteHeader(http.StatusOK)
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/sessions":
+			w.WriteHeader(http.StatusCreated)
+			json.NewEncoder(w).Encode(SessionView{ID: "0123456789abcdef0123456789abcdef"})
+		default:
+			// Read the body first: only then does the server watch the
+			// connection and end the request context when it closes.
+			io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+		}
+	})
+	var urls []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(hold)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	rt, err := NewRouter(RouterConfig{Backends: urls, ProbeInterval: 25 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	// served ticks when the router has finished a request, so the metrics
+	// are read only after it has dealt with the abandoned ones.
+	served := make(chan struct{}, 1)
+	rts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rt.ServeHTTP(w, r)
+		served <- struct{}{}
+	}))
+	t.Cleanup(rts.Close)
+
+	resp := tenantPost(t, rts, "/v1/sessions?trace=give-up", "", "")
+	var v SessionView
+	json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	<-served
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", resp.StatusCode)
+	}
+
+	for _, path := range []string{"/v1/check", "/v1/sessions/" + v.ID + "/events"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, rts.URL+path+"?trace=give-up",
+			strings.NewReader("t1|begin|0\n"))
+		resp, err := http.DefaultClient.Do(req)
+		cancel()
+		if err == nil {
+			resp.Body.Close()
+			t.Fatalf("POST %s: HTTP %d from a held backend, want a client timeout", path, resp.StatusCode)
+		}
+		<-served
+	}
+
+	snap := rt.snapshot()
+	if snap.RingEpoch != 0 || snap.FailoversTotal != 0 || snap.FailoverFailuresTotal != 0 {
+		t.Errorf("ring_epoch %d, failovers %d, failover failures %d; want all 0",
+			snap.RingEpoch, snap.FailoversTotal, snap.FailoverFailuresTotal)
+	}
+	for name, b := range snap.Backends {
+		if !b.Healthy || b.ProxyErrors != 0 {
+			t.Errorf("backend %s: healthy %v, proxy errors %d; want healthy with none",
+				name, b.Healthy, b.ProxyErrors)
+		}
 	}
 }

@@ -67,10 +67,6 @@ type Config struct {
 	// progress, so a stalled upload cannot pin a session lock or an
 	// admission slot indefinitely.
 	BodyReadTimeout time.Duration
-	// TenantHeader names the request header that identifies the tenant
-	// (default "X-Aerodrome-Tenant"); requests without it share the
-	// "default" tenant.
-	TenantHeader string
 	// TenantQuota is the admission budget applied to every tenant (the
 	// zero value disables per-tenant admission; the global caps above
 	// always apply).
@@ -105,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BodyReadTimeout <= 0 {
 		c.BodyReadTimeout = 30 * time.Second
-	}
-	if c.TenantHeader == "" {
-		c.TenantHeader = DefaultTenantHeader
 	}
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = 4096

@@ -2,7 +2,7 @@ package server
 
 // Multi-tenant quotas: per-tenant session, concurrent-check and ingest-byte
 // budgets layered on the global admission caps. The tenant is named by a
-// request header (Config.TenantHeader, default "X-Aerodrome-Tenant");
+// request header (DefaultTenantHeader, "X-Aerodrome-Tenant");
 // requests without the header share the "default" tenant. Like the global
 // caps, over-budget admission is rejected (429 + Retry-After), never
 // queued, and every tenant gets its own /metrics counters so a noisy
@@ -17,8 +17,8 @@ import (
 	"time"
 )
 
-// DefaultTenantHeader names the tenant of a request when Config does not
-// override it.
+// DefaultTenantHeader names the tenant of a request: the server's quota
+// and metrics bucket, and the router's routing-key fallback.
 const DefaultTenantHeader = "X-Aerodrome-Tenant"
 
 // anonymousTenant is the bucket for requests that carry no tenant header.
@@ -106,7 +106,7 @@ func (b *byteBucket) take(n int64) (ok bool, retryAfter time.Duration, never boo
 
 // tenantName resolves the tenant of a request.
 func (s *Server) tenantName(r *http.Request) string {
-	if name := r.Header.Get(s.cfg.TenantHeader); name != "" {
+	if name := r.Header.Get(DefaultTenantHeader); name != "" {
 		return name
 	}
 	return anonymousTenant
