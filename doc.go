@@ -141,13 +141,19 @@
 // (STD or binary, sniffed) through Check and returns the
 // JSON Report; the /v1/sessions API is the incremental mode — create a
 // session, feed STD chunks, poll the snapshot, finalize for the Report —
-// backed by IncrementalChecker per session. Admission is controlled, not
-// queued: concurrent sessions and checks are capped (429/503 +
-// Retry-After beyond the caps), request bodies are bounded, idle sessions
-// are evicted after a TTL, and SIGTERM drains in-flight work before
-// exiting. GET /healthz flips to 503 while draining; GET /metrics serves
-// expvar-style JSON (sessions, checks, events/sec, verdicts, per-engine
-// selection counts, plus a per-tenant section). The CLI fronts a remote daemon via
+// backed by IncrementalChecker per session. A session's snapshot is
+// published from its checker after every block a feed reads, and the
+// session is done once it failed or every requested analysis has
+// latched: later chunks are accepted and discarded. A check body and a
+// session chunk pass one intake. Admission is controlled, not queued:
+// concurrent sessions and checks are capped (429/503 + Retry-After beyond
+// the caps), request bodies are bounded (one whose declared length is
+// over the cap is refused before any of it is read, so a chunk is never
+// applied in part), idle sessions are evicted after a TTL, and SIGTERM
+// drains in-flight work before exiting. GET /healthz flips to 503 while
+// draining; GET /metrics serves expvar-style JSON (sessions, checks,
+// events/sec, verdicts, per-engine selection counts, plus a per-tenant
+// section). The CLI fronts a remote daemon via
 // `aerodrome -remote URL`. The httptest-based end-to-end suite replays the
 // golden corpus and the paper traces through both endpoints and pins them
 // byte-identical to sequential CheckSTD, under -race with ≥64 concurrent
@@ -170,10 +176,12 @@
 // probes and by the router's own failed requests to it, never by a client
 // that gave up waiting. Sessions stay backend-affine, and the router
 // journals every applied session chunk (bounded memory with optional
-// spill): when a session's backend dies, the next feed, snapshot or
-// delete transparently recreates the session on the ring's next backend
-// and replays the journal first — the client sees an ordinary 200 and a
-// report covering every event, a violated session included. Only a
+// spill) until the backend's view says the session is done, by the rule
+// the backend itself applies: when a session's backend dies, the next
+// feed, snapshot or delete transparently recreates the session on the
+// ring's next backend and replays the journal first — the client sees an
+// ordinary 200 and a report covering every event, a violated session
+// included, with every analysis it requested. Only a
 // truncated journal (the session outgrew its caps) answers 409 +
 // Retry-After, asking the client for a full replay; chunk-sequence
 // numbers (X-Aerodrome-Chunk-Seq) make blind retries idempotent and turn

@@ -258,3 +258,71 @@ func TestRouterSessionAnalysesPassthrough(t *testing.T) {
 	}
 	sameAnalyses(t, "routed-check", got.Analyses, want.Analyses)
 }
+
+// feedRoutedDual feeds dualSTD through the router as an atomicity,hbrace
+// session in 7-byte chunks, calling between after every feed with its
+// view, and returns the final report. Most chunks land after the
+// atomicity latch and before the race, where the session is violated but
+// not done.
+func feedRoutedDual(t *testing.T, c *cluster, key string, between func(*Session, *SessionView)) *aerodrome.Report {
+	t.Helper()
+	client := &Client{BaseURL: c.routerTS.URL, TraceKey: key}
+	sess, err := client.NewSession(aerodrome.Options{Analyses: dualSet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(dualSTD); off += 7 {
+		v, err := sess.Feed(dualSTD[off:min(off+7, len(dualSTD))])
+		if err != nil {
+			t.Fatalf("feed at byte %d: %v", off, err)
+		}
+		between(sess, v)
+	}
+	rep, err := sess.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestRouterDualSessionChunked pins the router's journal freeze to the
+// session's done rule: a routed atomicity,hbrace session keeps feeding
+// hbrace past the atomicity violation, so its report equals CheckSTD's,
+// race included.
+func TestRouterDualSessionChunked(t *testing.T) {
+	c := newTestCluster(t, 2, Config{})
+	want, err := aerodrome.CheckSTD(bytes.NewReader(dualSTD), aerodrome.Options{Algorithm: aerodrome.Optimized, Analyses: dualSet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := feedRoutedDual(t, c, "dual-chunked", func(*Session, *SessionView) {})
+	sameReport(t, "routed-dual-chunked", rep, want)
+	sameAnalyses(t, "routed-dual-chunked", rep.Analyses, want.Analyses)
+}
+
+// TestRouterDualSessionFailover is TestRouterDualSessionChunked with the
+// session's backend closed once the atomicity violation has latched and
+// before the race: the failover replays a journal that kept every chunk
+// hbrace still needed.
+func TestRouterDualSessionFailover(t *testing.T) {
+	c := newTestCluster(t, 2, Config{})
+	want, err := aerodrome.CheckSTD(bytes.NewReader(dualSTD), aerodrome.Options{Algorithm: aerodrome.Optimized, Analyses: dualSet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	rep := feedRoutedDual(t, c, "dual-failover", func(sess *Session, v *SessionView) {
+		if !closed && v.State == stateViolated && v.Analyses[1].Clean {
+			c.closeOwner(sess.ID)
+			closed = true
+		}
+	})
+	if !closed {
+		t.Fatal("no feed landed between the atomicity latch and the race")
+	}
+	if n := c.router.failovers.Load(); n != 1 {
+		t.Fatalf("failovers_total = %d, want 1", n)
+	}
+	sameReport(t, "routed-dual-failover", rep, want)
+	sameAnalyses(t, "routed-dual-failover", rep.Analyses, want.Analyses)
+}

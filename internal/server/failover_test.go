@@ -680,61 +680,100 @@ func TestRouterViolatedSessionSurvivesBackendLoss(t *testing.T) {
 
 // TestRouterSessionsUnderTransportFaults runs every golden trace as a
 // keyed session, concurrently, through a router over three backends whose
-// transport fails one round trip in ten. Creates, recreates, replays,
-// feeds and deletes all cross that transport, so sessions are retried in
-// place, placed elsewhere and failed over mid-stream; every final report
-// must still equal sequential CheckSTD's, and every seed must have failed
-// sessions over.
+// transport fails one round trip in ten, once with the default analysis
+// set and once with atomicity,hbrace. Creates, recreates, replays, feeds
+// and deletes all cross that transport, so sessions are retried in
+// place, placed elsewhere and failed over mid-stream; every final report,
+// per-analysis rows included, must still equal sequential CheckSTD's, and
+// every run must have failed sessions over.
 func TestRouterSessionsUnderTransportFaults(t *testing.T) {
 	traces := goldenSTD(t)
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprint("seed-", seed), func(t *testing.T) {
-			// Seeds run side by side: most of a run is clients sleeping
-			// out the router's Retry-After while every backend is down.
 			t.Parallel()
-			faults := faultinject.New(faultinject.Config{Seed: seed, ErrorProb: 0.1})
-			c := newTestClusterTuned(t, 3, Config{}, func(rc *RouterConfig) {
-				rc.Transport = faults.WrapTransport(nil)
-			})
-			type result struct {
-				name string
-				rep  *aerodrome.Report
-				err  error
-			}
-			results := make(chan result, len(traces))
-			i := 0
-			for name, std := range traces {
-				// Chunk sizes vary per trace and cut lines mid-way.
-				go func(name string, std []byte, size int) {
-					client := &Client{BaseURL: c.routerTS.URL, TraceKey: name,
-						RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond}
-					sess, err := client.NewSession(aerodrome.Options{})
-					if err != nil {
-						results <- result{name: name, err: fmt.Errorf("create: %w", err)}
-						return
-					}
-					for off := 0; off < len(std); off += size {
-						if _, err := sess.Feed(std[off:min(off+size, len(std))]); err != nil {
-							results <- result{name: name, err: fmt.Errorf("feed at byte %d: %w", off, err)}
-							return
-						}
-					}
-					rep, err := sess.Close()
-					results <- result{name: name, rep: rep, err: err}
-				}(name, std, 61+(i*277)%900)
-				i++
-			}
-			for range traces {
-				res := <-results
-				if res.err != nil {
-					t.Errorf("%s: %v", res.name, res.err)
-					continue
-				}
-				sameReport(t, res.name, res.rep, wantReport(t, traces[res.name], aerodrome.Optimized))
-			}
-			if n := c.router.failovers.Load(); n == 0 {
-				t.Errorf("failovers_total = 0 with %s: the faults never moved a session", faults)
+			for _, set := range []struct {
+				name     string
+				analyses []aerodrome.AnalysisKind
+			}{{"default", nil}, {"dual", dualSet}} {
+				t.Run(set.name, func(t *testing.T) {
+					// Runs go side by side: most of one is clients sleeping
+					// out the router's Retry-After while every backend is
+					// down.
+					t.Parallel()
+					runSessionsUnderTransportFaults(t, traces, seed, set.analyses)
+				})
 			}
 		})
 	}
+}
+
+// runSessionsUnderTransportFaults is one run of
+// TestRouterSessionsUnderTransportFaults: every trace as a concurrent
+// keyed session running analyses, through a fresh cluster whose router
+// transport fails one round trip in ten, drawn from seed.
+func runSessionsUnderTransportFaults(t *testing.T, traces map[string][]byte, seed int64, analyses []aerodrome.AnalysisKind) {
+	faults := faultinject.New(faultinject.Config{Seed: seed, ErrorProb: 0.1})
+	markDowns := &lineCounter{pattern: []byte(`msg="backend down"`)}
+	c := newTestClusterTuned(t, 3, Config{}, func(rc *RouterConfig) {
+		rc.Transport = faults.WrapTransport(nil)
+		rc.Log = markDowns
+	})
+	type result struct {
+		name string
+		rep  *aerodrome.Report
+		err  error
+	}
+	results := make(chan result, len(traces))
+	i := 0
+	for name, std := range traces {
+		// Chunk sizes vary per trace and cut lines mid-way.
+		go func(name string, std []byte, size int) {
+			client := &Client{BaseURL: c.routerTS.URL, TraceKey: name,
+				RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond}
+			sess, err := client.NewSession(aerodrome.Options{Analyses: analyses})
+			if err != nil {
+				results <- result{name: name, err: fmt.Errorf("create: %w", err)}
+				return
+			}
+			for off := 0; off < len(std); off += size {
+				if _, err := sess.Feed(std[off:min(off+size, len(std))]); err != nil {
+					results <- result{name: name, err: fmt.Errorf("feed at byte %d: %w", off, err)}
+					return
+				}
+			}
+			rep, err := sess.Close()
+			results <- result{name: name, rep: rep, err: err}
+		}(name, std, 61+(i*277)%900)
+		i++
+	}
+	for range traces {
+		res := <-results
+		if res.err != nil {
+			t.Errorf("%s: %v", res.name, res.err)
+			continue
+		}
+		want, err := aerodrome.CheckSTD(bytes.NewReader(traces[res.name]),
+			aerodrome.Options{Algorithm: aerodrome.Optimized, Analyses: analyses})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReport(t, res.name, res.rep, want)
+		sameAnalyses(t, res.name, res.rep.Analyses, want.Analyses)
+	}
+	failovers := c.router.failovers.Load()
+	t.Logf("%d mark-downs, %d failovers", markDowns.n.Load(), failovers)
+	if failovers == 0 {
+		t.Errorf("failovers_total = 0 with %s: the faults never moved a session", faults)
+	}
+}
+
+// lineCounter is a log sink that counts the lines containing pattern.
+type lineCounter struct {
+	pattern []byte
+	n       atomic.Int64
+}
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	c.n.Add(int64(bytes.Count(p, c.pattern)))
+	return len(p), nil
 }

@@ -81,10 +81,10 @@ func newTruncatedJournal() *journal {
 
 // append records one acknowledged chunk (copying it). Appends to a
 // truncated journal are no-ops (the horizon is already lost), and appends
-// to a frozen journal are dropped deliberately: the session reached a
-// terminal state, so the recorded prefix already reproduces the verdict
-// and later discarded chunks must not grow the journal. If the chunk does
-// not fit the bounds, the journal truncates itself.
+// to a frozen journal are dropped deliberately: the session is done
+// (SessionView.done), so the recorded prefix already reproduces every
+// verdict and later discarded chunks must not grow the journal. If the
+// chunk does not fit the bounds, the journal truncates itself.
 func (j *journal) append(chunk []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -127,7 +127,7 @@ func (j *journal) append(chunk []byte) {
 	j.spillBytes += n
 }
 
-// freeze marks the session terminal: the recorded prefix reproduces the
+// freeze marks the session done: the recorded prefix reproduces every
 // verdict, further appends are dropped.
 func (j *journal) freeze() {
 	j.mu.Lock()
@@ -150,8 +150,8 @@ func (j *journal) truncateLocked() {
 	j.releaseLocked()
 }
 
-// isFrozen reports whether the session reached a terminal state and the
-// journal stopped recording.
+// isFrozen reports whether the session is done and the journal stopped
+// recording.
 func (j *journal) isFrozen() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -175,24 +175,24 @@ func (m *metrics) selectEngine(name string) {
 // ran the default set (atomicity alone), whose verdict is the legacy
 // top-level fields.
 func (m *metrics) countCheck(rep *aerodrome.Report) {
-	if len(rep.Analyses) == 0 {
-		if ac := m.analyses[string(aerodrome.AnalysisAtomicity)]; ac != nil {
-			ac.checks.Add(1)
-			if !rep.Serializable {
-				ac.violations.Add(1)
-			}
-		}
-		return
+	rows := rep.Analyses
+	if len(rows) == 0 {
+		rows = []aerodrome.AnalysisReport{{Analysis: string(aerodrome.AnalysisAtomicity), Clean: rep.Serializable}}
 	}
-	for _, ar := range rep.Analyses {
-		ac := m.analyses[ar.Analysis]
-		if ac == nil {
-			continue
+	for _, ar := range rows {
+		if ac := m.analyses[ar.Analysis]; ac != nil {
+			ac.checks.Add(1)
 		}
-		ac.checks.Add(1)
 		if !ar.Clean {
-			ac.violations.Add(1)
+			m.countViolation(ar.Analysis)
 		}
+	}
+}
+
+// countViolation ticks one analysis' violation counter.
+func (m *metrics) countViolation(analysis string) {
+	if ac := m.analyses[analysis]; ac != nil {
+		ac.violations.Add(1)
 	}
 }
 

@@ -12,9 +12,11 @@ package server
 // again when it recovers.
 //
 // Sessions are backend-affine but no longer die with their backend: the
-// router journals every chunk a backend acknowledged (see journal.go),
-// and when the backend is lost it recreates the session on the next ring
-// point, replays the journal through the backend's chunk-agnostic
+// router journals every chunk a backend acknowledged (see journal.go)
+// until the backend's view of the session is done, by the same
+// SessionView.done the backend discards later chunks by, and when the
+// backend is lost it recreates the session on the next ring point,
+// replays the journal through the backend's chunk-agnostic
 // IncrementalChecker — the checker is a deterministic single pass, so the
 // replayed engine is byte-identical to the lost one — and re-sends the
 // in-flight request.
@@ -680,30 +682,36 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // place is the ring walk behind session creates and failover recreates:
-// it POSTs body to target on the first backend pick(key, skip) offers,
-// and when that request fails it marks the backend down, adds it to skip
-// and tries the next. It returns the backend that answered, its reply and
-// the reply body, with err set if the body could not be read. Without
-// such a backend it returns errNoBackend, or r's context error once the
-// client has given up — which marks nothing down.
+// it POSTs body to target on the first backend pick(key, skip) offers.
+// A failed request is sent once more to the same backend, as feeds,
+// snapshots and deletes are; when that fails too, place marks the backend
+// down, adds it to skip and tries the next. It returns the backend that
+// answered, its reply and the reply body, with err set if the body could
+// not be read. Without such a backend it returns errNoBackend, or r's
+// context error once the client has given up — which marks nothing down.
 func (rt *Router) place(r *http.Request, key string, skip map[*backend]bool, target string, hdr http.Header, body []byte) (*backend, *http.Response, []byte, error) {
 	for {
 		b := rt.pick(key, skip)
 		if b == nil {
 			return nil, nil, nil, errNoBackend
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), createTimeout)
-		resp, data, err := rt.send(ctx, b, http.MethodPost, target, hdr, bytes.NewReader(body), int64(len(body)))
-		cancel()
-		if err == nil || resp != nil {
-			return b, resp, data, err
+		for try := 0; ; try++ {
+			ctx, cancel := context.WithTimeout(r.Context(), createTimeout)
+			resp, data, err := rt.send(ctx, b, http.MethodPost, target, hdr, bytes.NewReader(body), int64(len(body)))
+			cancel()
+			if err == nil || resp != nil {
+				return b, resp, data, err
+			}
+			if cerr := r.Context().Err(); cerr != nil {
+				return nil, nil, nil, cerr
+			}
+			b.proxyErrors.Add(1)
+			if try > 0 {
+				rt.markDown(b, err)
+				skip[b] = true
+				break
+			}
 		}
-		if cerr := r.Context().Err(); cerr != nil {
-			return nil, nil, nil, cerr
-		}
-		b.proxyErrors.Add(1)
-		rt.markDown(b, err)
-		skip[b] = true
 	}
 }
 
@@ -836,7 +844,7 @@ func (rt *Router) failoverLocked(r *http.Request, route *sessionRoute) (err erro
 			resp, _, err = rt.send(r.Context(), nb, http.MethodPost, "/v1/sessions/"+v.ID+"/events", rhdr, body, n)
 			if err == nil {
 				rt.stageReplay.Record(time.Since(replayStart))
-				// 200 is the live replay; 400/409 reproduce a terminal
+				// 200 is the live replay; 400/409 reproduce a failed
 				// session, which is equally exact.
 				if !feedApplied(resp.StatusCode) {
 					return &errBackendDeclined{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
@@ -961,38 +969,33 @@ func (rt *Router) forwardRoute(w http.ResponseWriter, r *http.Request, route *se
 }
 
 // feedApplied reports whether a feed response status can mean the backend
-// consumed the chunk (and the journal must record it). 429/503 rejections
-// leave the session untouched; 200 is a live or discarded-terminal feed;
-// 400/409 latch or report a terminal state the chunk is part of. A
-// consuming status is necessary but not sufficient: 400/409 are also the
-// backend's refusal statuses (bad seq header, chunk sequence gap), whose
-// bodies are plain errors — the journaling path additionally requires the
-// body to decode to a session view before recording the chunk.
+// consumed the chunk (and the journal must record it). 413/429/503
+// rejections leave the session untouched; 200 is a live feed or one a
+// done session discarded; 400/409 fail the session or report that it
+// failed. A consuming status is necessary but not sufficient: 400/409 are
+// also the backend's refusal statuses (bad seq header, chunk sequence
+// gap), whose bodies are plain errors — the journaling path additionally
+// requires the body to decode to a session view before recording the
+// chunk.
 func feedApplied(status int) bool {
 	return status == http.StatusOK || status == http.StatusBadRequest || status == http.StatusConflict
 }
 
-// parseFeedView decodes the session-view fields of a feed response the
-// journaling decisions need. ok is false when the body is not a session
-// view (the {"error": ...} shape of a gap or bad-header rejection) — the
-// backend did not consume that chunk.
-func parseFeedView(data []byte) (view struct{ ID, State string }, ok bool) {
-	var v struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
+// feedView decodes what the journal needs of a feed reply: the id, which
+// only a session view carries — a gap or bad-header refusal is a plain
+// error, and ok is false for it, since the backend did not consume that
+// chunk — and the state and per-analysis rows that say whether the
+// session is done. The timestamps and violations are left undecoded.
+func feedView(data []byte) (v SessionView, ok bool) {
+	var fv struct {
+		ID       string                     `json:"id"`
+		State    sessionState               `json:"state"`
+		Analyses []aerodrome.AnalysisReport `json:"analyses"`
 	}
-	if json.Unmarshal(data, &v) != nil || v.ID == "" {
-		return view, false
+	if json.Unmarshal(data, &fv) != nil || fv.ID == "" {
+		return v, false
 	}
-	view.ID, view.State = v.ID, v.State
-	return view, true
-}
-
-// viewTerminal reports whether a feed-view state is terminal — the
-// journal freezes there: the recorded prefix reproduces the verdict and
-// later discarded chunks must not grow it.
-func viewTerminal(state string) bool {
-	return state == string(stateViolated) || state == string(stateFailed)
+	return SessionView{ID: fv.ID, State: fv.State, Analyses: fv.Analyses}, true
 }
 
 // forwardFeed is the journaled feed path: buffer the chunk (bounded by
@@ -1008,9 +1011,9 @@ func (rt *Router) forwardFeed(w http.ResponseWriter, r *http.Request, route *ses
 	var chunk []byte
 	var stream io.Reader
 	if route.journal.isFrozen() {
-		// The session is terminal: the backend discards chunk bytes anyway,
-		// so drain them here and forward an empty feed — it still refreshes
-		// the backend's idle timer and returns the authoritative snapshot.
+		// The session is done: the backend discards chunk bytes anyway, so
+		// drain them here and forward an empty feed — it still refreshes
+		// the backend's idle timer and returns the authoritative view.
 		io.Copy(io.Discard, r.Body)
 	} else {
 		capLeft := route.journal.capLeft()
@@ -1042,14 +1045,14 @@ func (rt *Router) forwardFeed(w http.ResponseWriter, r *http.Request, route *ses
 		// backend answered those from its idempotency cache. A frozen
 		// journal records no bytes, but lastSeq still follows the client,
 		// so a failover primes the new backend where the client stands.
-		if fv, isView := parseFeedView(data); isView {
+		if v, isView := feedView(data); isView {
 			if seq < 0 || seq > route.lastSeq {
 				route.journal.append(chunk)
 				if seq >= 0 {
 					route.lastSeq = seq
 				}
 			}
-			if resp.StatusCode != http.StatusOK || viewTerminal(fv.State) {
+			if v.done() {
 				route.journal.freeze()
 			}
 		}

@@ -14,11 +14,13 @@ import (
 
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -628,6 +630,56 @@ func TestRouterClientGiveUpIsNoBackendFault(t *testing.T) {
 		if !b.Healthy || b.ProxyErrors != 0 {
 			t.Errorf("backend %s: healthy %v, proxy errors %d; want healthy with none",
 				name, b.Healthy, b.ProxyErrors)
+		}
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestRouterCreateRetriesBeforeMarkDown pins place's same-backend retry:
+// one transport error on a session create costs a retry, as it does for
+// a feed, snapshot or delete, not a mark-down that moves every session on
+// the backend.
+func TestRouterCreateRetriesBeforeMarkDown(t *testing.T) {
+	var failed atomic.Bool
+	c := newTestClusterTuned(t, 2, Config{}, func(rc *RouterConfig) {
+		rc.Transport = roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			if req.Method == http.MethodPost && req.URL.Path == "/v1/sessions" && failed.CompareAndSwap(false, true) {
+				if req.Body != nil {
+					req.Body.Close()
+				}
+				return nil, errors.New("injected transport error")
+			}
+			return http.DefaultTransport.RoundTrip(req)
+		})
+	})
+	client := &Client{BaseURL: c.routerTS.URL, TraceKey: "create-retry"}
+	sess, err := client.NewSession(aerodrome.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	std := []byte("t1|begin|0\nt1|w(x)|1\nt1|end|0\n")
+	if _, err := sess.Feed(std); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReport(t, "create-retry", rep, wantReport(t, std, aerodrome.Optimized))
+	if !failed.Load() {
+		t.Fatal("the injected create failure never fired")
+	}
+	snap := c.router.snapshot()
+	if snap.RingEpoch != 0 {
+		t.Errorf("ring_epoch = %d after one failed create, want 0", snap.RingEpoch)
+	}
+	for name, b := range snap.Backends {
+		if !b.Healthy {
+			t.Errorf("backend %s marked down by one failed create", name)
 		}
 	}
 }

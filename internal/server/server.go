@@ -67,12 +67,10 @@ type Config struct {
 	// progress, so a stalled upload cannot pin a session lock or an
 	// admission slot indefinitely.
 	BodyReadTimeout time.Duration
-	// TenantQuota is the admission budget applied to every tenant (the
-	// zero value disables per-tenant admission; the global caps above
-	// always apply).
+	// TenantQuota is the admission budget applied to every tenant, each
+	// with its own buckets (the zero value disables per-tenant admission;
+	// the global caps above always apply).
 	TenantQuota TenantQuota
-	// TenantQuotas overrides TenantQuota for specific tenant names.
-	TenantQuotas map[string]TenantQuota
 	// MaxTenants bounds the tenant table (default 4096): the tenant header
 	// is client-supplied, so names beyond the cap share one overflow
 	// budget instead of growing state without bound.
@@ -251,49 +249,15 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	s.metrics.checksActive.Add(1)
 	defer s.metrics.checksActive.Add(-1)
 
-	if r.ContentLength > s.cfg.MaxBodyBytes {
-		// Reject declared-oversized bodies before parsing: once the
-		// MaxBytesReader truncates mid-line, the parser reports the
-		// truncated fragment and would mask the real cause.
-		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
-		return
-	}
-	// Declared body cost is debited from the tenant's byte budget before
-	// any parsing; chunked bodies (unknown length) are debited as they
-	// stream instead. A body larger than the bucket itself can never be
-	// admitted, so it gets a terminal 413 rather than a 429 that would
-	// send an obedient client into a retry loop.
-	if ok, retry, never := ten.admitBytes(r.ContentLength); !ok {
-		if never {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds tenant byte budget capacity")
-			return
-		}
-		writeQuotaRejection(w, retry, "tenant byte budget exhausted")
+	in := s.admitBody(w, r, ten)
+	if in == nil {
 		return
 	}
 	s.metrics.checksTotal.Add(1)
 	ten.checksTotal.Add(1)
-	// For chunked bodies the limit can only trip mid-stream; track it so
-	// an oversized body maps to 413 even when a parse error in a line
-	// before the cut surfaces first.
-	limited := &limitTrackReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
-	var raw io.Reader = limited
-	if r.ContentLength < 0 {
-		raw = &tenantBytesReader{r: limited, t: ten}
-	}
-	rep, cs, err := aerodrome.Check(s.bodyReader(w, raw), opts)
+	rep, cs, err := aerodrome.Check(in, opts)
 	if err != nil {
-		var budget *errTenantBudget
-		switch {
-		case limited.tripped:
-			writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
-		case errors.As(err, &budget):
-			writeQuotaRejection(w, budget.retryAfter, "tenant byte budget exhausted")
-		case errors.Is(err, os.ErrDeadlineExceeded):
-			writeError(w, http.StatusRequestTimeout, "request body stalled")
-		default:
-			writeBodyError(w, err)
-		}
+		in.refuse(w, err, nil)
 		return
 	}
 	s.metrics.eventsTotal.Add(rep.Events)
@@ -366,6 +330,69 @@ func optionsQuery(o aerodrome.Options) string {
 	return "?" + q.Encode()
 }
 
+// intake is a request body admitted for a checker: a /v1/check trace or
+// a session chunk. Every such body is read through one, capped at
+// MaxBodyBytes, debited from the tenant's byte budget as it streams when
+// its length was not declared, and with every read due within
+// BodyReadTimeout.
+type intake struct {
+	io.Reader
+	limited limitTrackReader
+}
+
+// admitBody admits r's body for ten, or answers the client itself and
+// returns nil. A declared length is judged before any byte is read: past
+// MaxBodyBytes it is 413 (truncated mid-line, the body would otherwise
+// surface as a parse error on the cut fragment, or as a chunk applied in
+// part); past the tenant's bucket it is 413 when no wait could admit it,
+// and 429 with the bucket's delay otherwise.
+func (s *Server) admitBody(w http.ResponseWriter, r *http.Request, ten *tenant) *intake {
+	if r.ContentLength > s.cfg.MaxBodyBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+		return nil
+	}
+	if ok, retry, never := ten.admitBytes(r.ContentLength); !ok {
+		if never {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds tenant byte budget capacity")
+		} else {
+			writeQuotaRejection(w, retry, "tenant byte budget exhausted")
+		}
+		return nil
+	}
+	in := &intake{limited: limitTrackReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}}
+	in.Reader = &in.limited
+	if r.ContentLength < 0 {
+		in.Reader = &tenantBytesReader{r: &in.limited, t: ten}
+	}
+	in.Reader = s.bodyReader(w, in.Reader)
+	return in
+}
+
+// refuse answers a body whose read failed, or a check that failed on
+// one, for the failure itself: 413 once the body passed MaxBodyBytes
+// (even when a parse error in a line before the cut surfaced first), 429
+// with the bucket's delay when the tenant budget ran out mid-stream, 408
+// for a stalled upload, and 400 for anything else, a parse error. A
+// session chunk passes its view, the body of its 429: the chunk was
+// applied up to there, and the view's event count says where to resume.
+// A check passes nil.
+func (in *intake) refuse(w http.ResponseWriter, err error, view any) {
+	var budget *errTenantBudget
+	switch {
+	case in.limited.tripped:
+		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+	case errors.As(err, &budget) && view != nil:
+		setRetryAfter(w, budget.retryAfter)
+		writeJSON(w, http.StatusTooManyRequests, view)
+	case errors.As(err, &budget):
+		writeQuotaRejection(w, budget.retryAfter, "tenant byte budget exhausted")
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		writeError(w, http.StatusRequestTimeout, "request body stalled")
+	default:
+		writeError(w, http.StatusBadRequest, err.Error())
+	}
+}
+
 // bodyReader wraps a request body so every read must progress within
 // BodyReadTimeout (see deadlineReader).
 func (s *Server) bodyReader(w http.ResponseWriter, r io.Reader) io.Reader {
@@ -406,6 +433,12 @@ func (l *limitTrackReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// isBodyTooLarge reports whether err is the MaxBytesReader limit.
+func isBodyTooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
+}
+
 func writeBodyError(w http.ResponseWriter, err error) {
 	if isBodyTooLarge(err) {
 		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
@@ -414,10 +447,31 @@ func writeBodyError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, err.Error())
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// reply is one JSON response as sent: its status and exact body bytes.
+// The feed and finalize caches keep replies, so a retry is answered
+// byte-identically to the first attempt.
+type reply struct {
+	status int
+	body   []byte
+}
+
+// jsonReply encodes v as a reply: v's JSON and a trailing newline.
+func jsonReply(status int, v any) reply {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return jsonReply(http.StatusInternalServerError, map[string]string{"error": err.Error()})
+	}
+	return reply{status: status, body: append(data, '\n')}
+}
+
+func (rp reply) write(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.WriteHeader(rp.status)
+	w.Write(rp.body)
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	jsonReply(status, v).write(w)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

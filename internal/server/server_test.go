@@ -494,6 +494,49 @@ func TestBodyTooLargeIs413(t *testing.T) {
 	}
 }
 
+// TestOversizedChunkRefusedWhole pins the feed's share of the one body
+// intake: a chunk whose declared length exceeds MaxBodyBytes is answered
+// 413 before any of it is read, as /v1/check answers such a body, so the
+// session's events do not move and the trace goes on as if the chunk had
+// never been sent.
+func TestOversizedChunkRefusedWhole(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
+	sess, err := (&Client{BaseURL: ts.URL}).NewSession(aerodrome.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := "t1|begin|0\nt1|w(x)|1\nt1|end|0\n", "t2|begin|0\nt2|r(x)|2\nt2|end|0\n"
+	v, err := sess.Feed([]byte(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := strings.Repeat("t0|begin|0\nt0|end|0\n", 64) // 1,280 bytes
+	resp, err := http.Post(ts.URL+"/v1/sessions/"+sess.ID+"/events", "text/plain", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized chunk: HTTP %d, want 413", resp.StatusCode)
+	}
+	body, _ := getBody(t, ts.URL+"/v1/sessions/"+sess.ID)
+	var after SessionView
+	if err := json.Unmarshal(body, &after); err != nil {
+		t.Fatal(err)
+	}
+	if after.Events != v.Events {
+		t.Fatalf("events %d after the refused chunk, want %d", after.Events, v.Events)
+	}
+	if _, err := sess.Feed([]byte(last)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReport(t, "after-oversized-chunk", rep, wantReport(t, []byte(first+last), aerodrome.Optimized))
+}
+
 // TestCheckReadErrorKeepsItsStatus pins the decoder's read-error rule at
 // /v1/check: a chunked body that fails mid-line or mid-record is answered
 // for the failed read (429 for the tenant byte budget, 408 for a stall),

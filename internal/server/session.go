@@ -5,18 +5,22 @@ package server
 // POST /v1/sessions/{id}/events, inspected by GET, finalized by DELETE,
 // and evicted by the janitor when idle past the TTL. The session manager
 // is the admission-control point: at most MaxSessions live at once
-// (over-admission is rejected with 429, never queued), each chunk body is
-// bounded, and concurrent feeds to one session are rejected busy rather
-// than queued, because chunk order defines the trace.
+// (over-admission is rejected with 429, never queued), each chunk is
+// admitted like a /v1/check body, and concurrent feeds to one session are
+// rejected busy rather than queued, because chunk order defines the trace.
+//
+// What a session knows is what its checker knows. publish derives the
+// session's one SessionView from the checker after every block of a feed
+// and at finalize, and settles what changed into /metrics; GET and the
+// janitor read that view and never touch the checker. A session is done
+// (SessionView.done) once it failed or every analysis has latched: its
+// later chunks are discarded, and the router stops journaling them.
 
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -54,25 +58,21 @@ func parseChunkSeq(h http.Header) (int64, bool) {
 type sessionState string
 
 const (
-	// stateActive: accepting events, no violation yet.
+	// stateActive: accepting events, no atomicity violation yet.
 	stateActive sessionState = "active"
-	// stateViolated: a violation latched; further chunks are accepted and
-	// discarded (the sequential checker would have stopped reading).
+	// stateViolated: the atomicity violation latched. The session is done
+	// unless another requested analysis is still live.
 	stateViolated sessionState = "violated"
-	// stateFailed: a chunk was malformed; the session is terminal.
+	// stateFailed: a chunk was malformed; the session is done.
 	stateFailed sessionState = "failed"
 )
 
 type session struct {
 	id      string
-	algo    string
 	created time.Time
-	// analyses is the session's effective analysis set; multi is true when
-	// it is anything other than the default ["atomicity"], switching the
-	// wire format to include per-analysis verdicts and the feed loop to
-	// stream until every analysis has latched.
-	analyses []aerodrome.AnalysisKind
-	multi    bool
+	// multi is true for any analysis set but the default ["atomicity"]: the
+	// view then carries per-analysis verdicts.
+	multi bool
 	// tenant owns this session's quota slot, released on finalization.
 	tenant *tenant
 
@@ -83,41 +83,27 @@ type session struct {
 	// rather than queued.
 	feedMu  sync.Mutex
 	checker *aerodrome.IncrementalChecker // guarded by feedMu
-	// engineSettled is the portion of the checker's engine introspection
-	// counters already folded into the server aggregate; the delta since
-	// it is settled at every feed and finalize boundary. Guarded by
+	// engineSettled is the part of the checker's engine introspection
+	// counters publish has folded into the server aggregate. Guarded by
 	// feedMu (reading the counters touches the engine).
 	engineSettled aerodrome.EngineStats
 
-	// mu guards only the snapshot fields below, which the feed loop
-	// refreshes per block — so GET, the janitor scan and metrics never
-	// wait behind a slow upload holding feedMu. Lock order: feedMu may
-	// be held while taking mu, never the reverse.
-	mu         sync.Mutex
-	lastActive time.Time
-	state      sessionState
-	parseErr   error
-	events     int64
-	viol       *aerodrome.Violation
-	// analysesSnap is the latest per-analysis snapshot (multi sessions
-	// only), refreshed per feed block so GET never waits behind feedMu.
-	analysesSnap []aerodrome.AnalysisReport
-	// violCounted marks analyses whose first violation was already settled
-	// into the per-analysis metrics, so block-by-block snapshot refreshes
-	// count each at most once.
-	violCounted map[string]bool
-	// removed is set (under mu) when the session leaves the table — by
-	// DELETE, eviction or server close. A feed that raced the removal
-	// must see it and stop rather than stream into a finalized checker.
+	// mu guards the fields below, so GET, the janitor scan and metrics
+	// never wait behind a slow upload holding feedMu. Lock order: feedMu
+	// may be held while taking mu, never the reverse.
+	mu sync.Mutex
+	// view is the session as of its last publish, the only writer (which
+	// also holds feedMu, so publish reads it without mu).
+	view SessionView
+	// removed is set when the session leaves the table — by DELETE,
+	// eviction or server close. A feed that raced the removal must see it
+	// and stop rather than stream into a finalized checker.
 	removed bool
-
-	// Feed idempotency cache (under mu): the last applied chunk sequence
-	// number and the exact response bytes it was answered with. One entry
-	// suffices — retries target the most recent chunk, and sequence
-	// numbers are strictly increasing.
-	lastSeq       int64
-	lastSeqStatus int
-	lastSeqResp   []byte
+	// Feed idempotency cache: the last applied chunk sequence number and
+	// the reply it was answered with. One entry suffices — retries target
+	// the most recent chunk, and sequence numbers are strictly increasing.
+	lastSeq   int64
+	lastReply reply
 }
 
 // SessionView is the JSON shape of GET /v1/sessions/{id} and the feed
@@ -137,26 +123,82 @@ type SessionView struct {
 	LastActive time.Time                  `json:"last_active"`
 }
 
-// view snapshots the session from the cached fields only — no checker
-// access, so it is safe (and fast) while a feed is in flight. Callers
-// hold s.mu.
-func (s *session) view() SessionView {
-	v := SessionView{
-		ID:         s.id,
-		Algorithm:  s.algo,
-		State:      s.state,
-		Events:     s.events,
-		Violation:  s.viol,
-		Created:    s.created,
-		LastActive: s.lastActive,
+// done reports whether no later chunk can change the session's verdicts:
+// it failed, or the atomicity engine, which every session runs, and every
+// per-analysis row have latched. A default-set view has no rows, so there
+// a violation is done. The backend's feed path and the router's journal
+// both decide by this, from the state and the rows alone.
+func (v SessionView) done() bool {
+	if v.State != stateViolated {
+		return v.State == stateFailed
 	}
-	if s.multi {
-		v.Analyses = s.analysesSnap
+	for _, a := range v.Analyses {
+		if a.Clean {
+			return false
+		}
 	}
-	if s.parseErr != nil {
-		v.Error = s.parseErr.Error()
+	return true
+}
+
+// current returns the session's last published view.
+func (s *session) current() SessionView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.view
+}
+
+// publish derives the session's view from its checker — err is the
+// terminal parse error the checker's last Feed or Close returned — and
+// stores it, settling what changed since the previous view into
+// /metrics: events, engine counters and first violations. It is the one
+// writer of sess.view. removed reports whether the session has left the
+// table. Callers hold sess.feedMu.
+func (s *Server) publish(sess *session, err error) (v SessionView, removed bool) {
+	c := sess.checker
+	v = SessionView{
+		ID:         sess.id,
+		Algorithm:  c.Algorithm(),
+		State:      stateActive,
+		Events:     c.Processed(),
+		Violation:  c.Violation(),
+		Created:    sess.created,
+		LastActive: time.Now(),
 	}
-	return v
+	if sess.multi {
+		v.Analyses = c.Analyses()
+	}
+	switch {
+	case err != nil:
+		v.State, v.Error = stateFailed, err.Error()
+	case v.Violation != nil:
+		v.State = stateViolated
+	}
+
+	prev := sess.view
+	s.metrics.eventsTotal.Add(v.Events - prev.Events)
+	sess.tenant.eventsTotal.Add(v.Events - prev.Events)
+	if cur, ok := c.Stats(); ok {
+		s.metrics.addEngineStats(cur.Sub(sess.engineSettled))
+		sess.engineSettled = cur
+	}
+	if v.Violation != nil && prev.Violation == nil {
+		s.metrics.violationsTotal.Add(1)
+		sess.tenant.violationsTotal.Add(1)
+		s.metrics.countViolation(string(aerodrome.AnalysisAtomicity))
+	}
+	for i, a := range v.Analyses {
+		// Every row is clean at the create's publish, so prev has row i
+		// whenever it is read. The atomicity row is the top-level
+		// verdict, counted above.
+		if !a.Clean && prev.Analyses[i].Clean && a.Analysis != string(aerodrome.AnalysisAtomicity) {
+			s.metrics.countViolation(a.Analysis)
+		}
+	}
+
+	sess.mu.Lock()
+	sess.view, removed = v, sess.removed
+	sess.mu.Unlock()
+	return v, removed
 }
 
 func newSessionID() string {
@@ -198,21 +240,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	analyses := checker.AnalysisSet()
-	multi := !(len(analyses) == 1 && analyses[0] == aerodrome.AnalysisAtomicity)
 	sess := &session{
-		id:       newSessionID(),
-		algo:     checker.Algorithm(),
-		created:  time.Now(),
-		analyses: analyses,
-		multi:    multi,
-		tenant:   ten,
-		checker:  checker,
-		state:    stateActive,
+		id:      newSessionID(),
+		created: time.Now(),
+		multi:   !(len(analyses) == 1 && analyses[0] == aerodrome.AnalysisAtomicity),
+		tenant:  ten,
+		checker: checker,
 	}
-	sess.lastActive = sess.created
-	if multi {
-		sess.analysesSnap = checker.Analyses()
-	}
+	view, _ := s.publish(sess, nil)
 
 	s.mu.Lock()
 	if s.closed {
@@ -235,16 +270,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sessionsOpened.Add(1)
 	ten.sessionsOpened.Add(1)
 	s.metrics.sessionsActive.Add(1)
-	s.metrics.selectEngine(sess.algo)
-	for _, k := range sess.analyses {
+	s.metrics.selectEngine(view.Algorithm)
+	for _, k := range analyses {
 		if ac := s.metrics.analyses[string(k)]; ac != nil {
 			ac.sessions.Add(1)
 		}
 	}
-
-	sess.mu.Lock()
-	view := sess.view()
-	sess.mu.Unlock()
 	writeJSON(w, http.StatusCreated, view)
 }
 
@@ -261,8 +292,8 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) *session 
 }
 
 // handleSessionEvents is POST /v1/sessions/{id}/events: one STD chunk in,
-// the post-chunk snapshot out. The body is bounded by MaxBodyBytes; chunk
-// boundaries need not align with line boundaries.
+// the post-chunk view out. The chunk is admitted like a /v1/check body;
+// chunk boundaries need not align with line boundaries.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookupSession(w, r)
 	if sess == nil {
@@ -283,270 +314,107 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sess.feedMu.Unlock()
 
-	// Retry of the last applied chunk: replay the cached response without
-	// feeding (or billing) the body again. The check runs before byte
-	// admission — a retried chunk was already debited when it was applied.
+	// A retry of the last applied chunk replays its cached reply, and any
+	// other number but the next is a gap; neither feeds (or bills) the
+	// body — a retried chunk was already debited when it was applied.
 	if seq >= 0 {
 		sess.mu.Lock()
-		dup := sess.lastSeqResp != nil && seq == sess.lastSeq
-		gap := sess.lastSeqResp != nil && !dup && seq != sess.lastSeq+1
-		status, cached := sess.lastSeqStatus, sess.lastSeqResp
-		if dup {
-			sess.lastActive = time.Now()
-		}
+		last, cached := sess.lastSeq, sess.lastReply
 		sess.mu.Unlock()
-		if dup {
+		if cached.body != nil && seq != last+1 {
 			io.Copy(io.Discard, s.bodyReader(w, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)))
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			w.Write(cached)
-			return
-		}
-		if gap {
+			if seq == last {
+				// A retry is activity: refresh the idle timer.
+				_, err := sess.checker.Feed(nil)
+				s.publish(sess, err)
+				cached.write(w)
+				return
+			}
 			// A sequence jump means chunks between lastSeq and seq were
 			// applied somewhere this engine never saw them — e.g. a router
 			// failed the session over elsewhere, then a restarted router
 			// re-derived the original placement. Feeding past the hole
 			// would silently produce a wrong verdict; refuse so the client
 			// replays the trace from the start.
-			io.Copy(io.Discard, s.bodyReader(w, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)))
 			writeError(w, http.StatusConflict, "chunk sequence gap: session state diverged, replay from the start")
 			return
 		}
 	}
 
-	// One chunk is one admission unit of the tenant's byte budget:
-	// declared lengths are debited upfront, chunked bodies as they stream.
-	// A chunk larger than the bucket capacity can never be admitted → 413.
-	if ok, retry, never := sess.tenant.admitBytes(r.ContentLength); !ok {
-		if never {
-			writeError(w, http.StatusRequestEntityTooLarge, "chunk exceeds tenant byte budget capacity")
-			return
-		}
-		writeQuotaRejection(w, retry, "tenant byte budget exhausted")
+	in := s.admitBody(w, r, sess.tenant)
+	if in == nil {
 		return
 	}
-	var raw io.Reader = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if r.ContentLength < 0 {
-		raw = &tenantBytesReader{r: raw, t: sess.tenant}
-	}
-	body := s.bodyReader(w, raw)
 	sess.mu.Lock()
-	if sess.removed {
-		sess.mu.Unlock()
+	before, removed := sess.view, sess.removed
+	sess.mu.Unlock()
+	if removed {
 		// Lost a race with DELETE / eviction between lookup and lock.
 		writeError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	sess.lastActive = time.Now()
-	state, view := sess.state, sess.view()
-	sess.mu.Unlock()
-	// A failed session is terminal outright; a violated one is terminal
-	// only once every requested analysis has latched — a multi-analysis
-	// session whose race analysis is still live keeps consuming chunks
-	// after the atomicity violation. (Reading checker.Done here is safe:
-	// we hold feedMu.)
-	if state == stateFailed || (state != stateActive && sess.checker.Done()) {
-		// Terminal states accept and discard the chunk; drain it so the
-		// client receives the snapshot instead of a connection reset
-		// mid-upload (the per-read deadline still bounds a stalled drain).
-		io.Copy(io.Discard, body)
-		if state == stateFailed {
-			s.writeFeedResult(w, sess, seq, http.StatusConflict, view)
-			return
-		}
-		s.writeFeedResult(w, sess, seq, http.StatusOK, view)
-		return
-	}
 
 	// Stream the body into the checker in fixed-size blocks: O(block)
-	// extra memory per feed instead of a whole buffered chunk; the
-	// snapshot fields refresh per block so GET and the janitor see live
-	// state without waiting on feedMu; and every block read carries a
-	// fresh deadline, so a stalled upload fails within BodyReadTimeout.
-	// Chunks are stream fragments, not transactions: events already fed
-	// when an upload dies stay fed.
-	before := sess.checker.Processed()
-	feedStart := time.Now()
+	// extra memory per feed instead of a whole buffered chunk, a view
+	// published per block so GET and the janitor see live state without
+	// waiting on feedMu, and a fresh read deadline per block. Chunks are
+	// stream fragments, not transactions: events already fed when an
+	// upload dies stay fed. A done session's checker discards what it is
+	// fed, so its chunk costs one block read before the drain below.
+	start := time.Now()
 	block := make([]byte, 64*1024)
-	var v *aerodrome.Violation
-	var ferr error
-	removedMidFeed := false
+	var view SessionView
+	var rerr error
 	for {
-		n, rerr := body.Read(block)
-		if n > 0 {
-			v, ferr = sess.checker.Feed(block[:n])
-			var snap []aerodrome.AnalysisReport
-			if sess.multi {
-				// Snapshot per-analysis state while holding feedMu (it reads
-				// the checker), then publish it under mu like the other
-				// cached fields.
-				snap = sess.checker.Analyses()
-			}
-			sess.mu.Lock()
-			sess.lastActive = time.Now()
-			sess.events = sess.checker.Processed()
-			if sess.multi {
-				sess.analysesSnap = snap
-				s.countAnalysisViolationsLocked(sess, snap)
-			}
-			removedMidFeed = sess.removed
-			sess.mu.Unlock()
-			if ferr != nil || removedMidFeed || sess.checker.Done() {
-				break
-			}
-		}
-		if rerr == io.EOF {
+		var n int
+		n, rerr = in.Read(block)
+		_, ferr := sess.checker.Feed(block[:n])
+		if view, removed = s.publish(sess, ferr); removed || view.done() || rerr != nil {
 			break
 		}
-		if rerr != nil {
-			s.settleFeed(sess, before, feedStart)
-			var budget *errTenantBudget
-			if errors.As(rerr, &budget) {
-				// Mid-stream exhaustion of a chunked feed: a prefix of the
-				// chunk is already applied (chunks are stream fragments, not
-				// transactions), so answer with the snapshot — its event
-				// count tells the client exactly where to resume instead of
-				// blindly retrying the whole chunk.
-				secs := int64(budget.retryAfter/time.Second) + 1
-				w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-				sess.mu.Lock()
-				view := sess.view()
-				sess.mu.Unlock()
-				writeJSON(w, http.StatusTooManyRequests, view)
-				return
-			}
-			if errors.Is(rerr, os.ErrDeadlineExceeded) {
-				writeError(w, http.StatusRequestTimeout, "chunk upload stalled")
-				return
-			}
-			writeBodyError(w, rerr)
-			return
-		}
 	}
-	s.settleFeed(sess, before, feedStart)
-	if removedMidFeed {
+	if !before.done() {
+		s.metrics.stageFeed.Record(time.Since(start))
+	}
+	switch {
+	case removed:
 		// DELETE or eviction signalled mid-stream; stop so the remover's
 		// pending feedMu acquisition (and finalization) can proceed.
 		writeError(w, http.StatusNotFound, "session closed during feed")
 		return
-	}
-	if ferr != nil || v != nil {
-		// Terminal mid-body: discard the tail for connection hygiene.
-		io.Copy(io.Discard, body)
-	}
-	sess.mu.Lock()
-	status := http.StatusOK
-	switch {
-	case ferr != nil:
-		sess.state = stateFailed
-		sess.parseErr = ferr
-		status = http.StatusBadRequest
-	case v != nil && sess.viol == nil:
-		// Guarded on first sighting: a multi-analysis session keeps feeding
-		// after the atomicity latch, and every later Feed returns the same
-		// latched violation.
-		sess.state = stateViolated
-		sess.viol = v
-		s.metrics.violationsTotal.Add(1)
-		sess.tenant.violationsTotal.Add(1)
-		s.countAnalysisViolationLocked(sess, string(aerodrome.AnalysisAtomicity))
-	}
-	view = sess.view()
-	sess.mu.Unlock()
-	s.writeFeedResult(w, sess, seq, status, view)
-}
-
-// countAnalysisViolationLocked settles one analysis' first violation into
-// the per-analysis metrics, at most once per session. Callers hold sess.mu.
-func (s *Server) countAnalysisViolationLocked(sess *session, name string) {
-	if sess.violCounted == nil {
-		sess.violCounted = map[string]bool{}
-	}
-	if sess.violCounted[name] {
+	case !view.done() && rerr != io.EOF:
+		in.refuse(w, rerr, view)
 		return
 	}
-	sess.violCounted[name] = true
-	if ac := s.metrics.analyses[name]; ac != nil {
-		ac.violations.Add(1)
+	if rerr == nil {
+		// Done mid-chunk: drain the tail, so the client gets the view
+		// rather than a connection reset mid-upload.
+		io.Copy(io.Discard, in)
 	}
-}
-
-// countAnalysisViolationsLocked settles every non-clean entry of a
-// per-analysis snapshot. Callers hold sess.mu.
-func (s *Server) countAnalysisViolationsLocked(sess *session, snap []aerodrome.AnalysisReport) {
-	for _, ar := range snap {
-		if !ar.Clean {
-			s.countAnalysisViolationLocked(sess, ar.Analysis)
+	status := http.StatusOK
+	if view.State == stateFailed {
+		status = http.StatusBadRequest // this chunk failed the session
+		if before.State == stateFailed {
+			status = http.StatusConflict
 		}
 	}
-}
-
-// writeFeedResult writes one feed response and, when the chunk carried a
-// sequence number, caches the exact response bytes under it for
-// idempotent retries. Callers only reach here with statuses that mean
-// the chunk was consumed (200 applied or discarded-terminal, 400/409
-// terminal); rejections (429/503/408/413) bypass this path — the chunk
-// was not applied, so its retry must run for real.
-func (s *Server) writeFeedResult(w http.ResponseWriter, sess *session, seq int64, status int, view SessionView) {
-	data, err := json.Marshal(view)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	// Trailing newline matches writeJSON's json.Encoder framing, so cached
-	// replays are byte-identical to first-time responses.
-	data = append(data, '\n')
+	// Every status here means the chunk was consumed, so a numbered one
+	// caches its reply; rejections (429/503/408/413) bypass the cache —
+	// the chunk was not applied, so its retry must run for real.
+	out := jsonReply(status, view)
 	if seq >= 0 {
 		sess.mu.Lock()
-		sess.lastSeq, sess.lastSeqStatus, sess.lastSeqResp = seq, status, data
+		sess.lastSeq, sess.lastReply = seq, out
 		sess.mu.Unlock()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(data)
-}
-
-// countFeedEvents settles the events consumed by one feed into the global
-// and per-tenant counters.
-func (s *Server) countFeedEvents(sess *session, before int64) {
-	delta := sess.checker.Processed() - before
-	s.metrics.eventsTotal.Add(delta)
-	sess.tenant.eventsTotal.Add(delta)
-}
-
-// settleFeed settles the outcome of one feed: events consumed,
-// feed-stage latency, and the engine introspection delta since the last
-// settlement. Callers hold sess.feedMu.
-func (s *Server) settleFeed(sess *session, before int64, start time.Time) {
-	s.countFeedEvents(sess, before)
-	s.metrics.stageFeed.Record(time.Since(start))
-	s.settleEngineStats(sess)
-}
-
-// settleEngineStats folds the checker's engine introspection activity
-// since the previous settlement into the server-wide aggregate, so
-// /metrics reflects long-running sessions while they stream rather than
-// only after they finalize. Callers hold sess.feedMu.
-func (s *Server) settleEngineStats(sess *session) {
-	cur, ok := sess.checker.Stats()
-	if !ok {
-		return
-	}
-	s.metrics.addEngineStats(cur.Sub(sess.engineSettled))
-	sess.engineSettled = cur
+	out.write(w)
 }
 
 // handleSessionGet is GET /v1/sessions/{id}.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
+	if sess := s.lookupSession(w, r); sess != nil {
+		writeJSON(w, http.StatusOK, sess.current())
 	}
-	sess.mu.Lock()
-	view := sess.view()
-	sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, view)
 }
 
 // finalizedTTL bounds the DELETE idempotency cache: a finalize response
@@ -555,12 +423,11 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // stays a footnote next to live sessions.
 const finalizedTTL = time.Minute
 
-// finalizedReport is one cached DELETE response: the exact status and
-// body bytes, replayed verbatim for retries of the same finalize.
+// finalizedReport is one cached DELETE reply, replayed verbatim for
+// retries of the same finalize.
 type finalizedReport struct {
-	status int
-	body   []byte
-	at     time.Time
+	reply
+	at time.Time
 }
 
 // handleSessionDelete is DELETE /v1/sessions/{id}: finalize the stream (a
@@ -574,103 +441,53 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	sess := s.sessions[id]
 	s.mu.Unlock()
-	if sess == nil {
-		s.replayFinalized(w, id)
+	if sess == nil || !s.removeSession(id) {
+		// Gone, or a concurrent DELETE or eviction got there first:
+		// exactly one caller finalizes (and counts) the session, and a
+		// retry replays its cached reply.
+		s.finalMu.Lock()
+		fr, ok := s.finalized[id]
+		s.finalMu.Unlock()
+		if !ok {
+			writeError(w, http.StatusNotFound, "no such session")
+			return
+		}
+		fr.write(w)
 		return
 	}
-	if !s.removeSession(sess.id) {
-		// A concurrent DELETE or eviction got there first; exactly one
-		// caller finalizes (and counts) the session.
-		s.replayFinalized(w, id)
-		return
+	var out reply
+	if rep, err := s.finalizeSession(sess, &s.metrics.sessionsClosed); err != nil {
+		out = jsonReply(http.StatusBadRequest, sess.current())
+	} else {
+		out = jsonReply(http.StatusOK, rep)
 	}
-	rep, err := s.finalizeSession(sess, &s.metrics.sessionsClosed)
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if err != nil {
-		sess.state = stateFailed
-		sess.parseErr = err
-		s.writeDeleteResult(w, id, http.StatusBadRequest, sess.view())
-		return
-	}
-	if !rep.Serializable && sess.state == stateActive {
-		// The trailing flushed line completed a violation.
-		sess.state = stateViolated
-		sess.viol = rep.Violation
-		s.metrics.violationsTotal.Add(1)
-		sess.tenant.violationsTotal.Add(1)
-		s.countAnalysisViolationLocked(sess, string(aerodrome.AnalysisAtomicity))
-	}
-	if len(rep.Analyses) > 0 {
-		// The final flushed line may have latched a non-atomicity analysis;
-		// refresh the cached snapshot and settle any last violations.
-		sess.analysesSnap = rep.Analyses
-		s.countAnalysisViolationsLocked(sess, rep.Analyses)
-	}
-	s.writeDeleteResult(w, id, http.StatusOK, rep)
-}
-
-// replayFinalized answers a DELETE for an id not in the session table:
-// the cached finalize response when one exists (an idempotent retry),
-// 404 otherwise.
-func (s *Server) replayFinalized(w http.ResponseWriter, id string) {
+	// Cached before it is sent, so a retry that follows a lost reply finds
+	// it.
 	s.finalMu.Lock()
-	fr, ok := s.finalized[id]
+	s.finalized[id] = finalizedReport{reply: out, at: time.Now()}
 	s.finalMu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such session")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(fr.status)
-	w.Write(fr.body)
+	out.write(w)
 }
 
-// writeDeleteResult writes one finalize response and caches the exact
-// bytes under the session id, so a retried DELETE replays byte-identical
-// to the first.
-func (s *Server) writeDeleteResult(w http.ResponseWriter, id string, status int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	// Trailing newline matches writeJSON's json.Encoder framing, so cached
-	// replays are byte-identical to first-time responses.
-	data = append(data, '\n')
-	s.finalMu.Lock()
-	s.finalized[id] = finalizedReport{status: status, body: data, at: time.Now()}
-	s.finalMu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(data)
-}
-
-// finalizeSession closes a session's checker after it has been removed
-// from the table, settling the shared counters; counter is the terminal
-// metric this path owns (closed vs evicted). The caller must have won
-// removeSession. Sequence: signal any in-flight feed via the removed flag
-// (it aborts at its next block), then take the stream lock — never while
-// holding sess.mu, the feed loop acquires them in the opposite order.
+// finalizeSession closes a session's checker, parsing a final
+// unterminated line, once the session has left the table, and publishes
+// its last view; counter is the terminal metric this path owns (closed vs
+// evicted). The caller must have won removeSession. Sequence:
+// signal any in-flight feed via the removed flag (it aborts at its next
+// block), then take the stream lock — never while holding sess.mu, the
+// feed loop acquires them in the opposite order.
 func (s *Server) finalizeSession(sess *session, counter *atomic.Int64) (*aerodrome.Report, error) {
 	sess.mu.Lock()
 	sess.removed = true
 	sess.mu.Unlock()
 	sess.feedMu.Lock()
 	defer sess.feedMu.Unlock()
-	before := sess.checker.Processed()
 	start := time.Now()
 	rep, err := sess.checker.Close()
 	s.metrics.stageFinalize.Record(time.Since(start))
-	// Close may parse a final unterminated line; count those events too,
-	// and settle the engine's remaining introspection delta.
-	s.countFeedEvents(sess, before)
-	s.settleEngineStats(sess)
+	s.publish(sess, err)
 	counter.Add(1)
 	sess.tenant.releaseSession()
-	sess.mu.Lock()
-	sess.events = sess.checker.Processed()
-	sess.mu.Unlock()
 	return rep, err
 }
 
@@ -712,7 +529,7 @@ func (s *Server) janitor(ttl time.Duration) {
 			var idle []*session
 			for _, sess := range s.sessions {
 				if sess.mu.TryLock() {
-					if sess.lastActive.Before(cutoff) {
+					if sess.view.LastActive.Before(cutoff) {
 						idle = append(idle, sess)
 					}
 					sess.mu.Unlock()
@@ -720,13 +537,13 @@ func (s *Server) janitor(ttl time.Duration) {
 			}
 			s.mu.Unlock()
 			for _, sess := range idle {
-				// Re-check under the session lock: a feed acknowledged
-				// between the scan and this point refreshed lastActive,
-				// and evicting it anyway would lose an active session.
-				// (Holding sess.mu while removeSession takes s.mu cannot
-				// deadlock against the scan above: the scan only TryLocks.)
+				// Re-check under the session lock: a feed published between
+				// the scan and this point refreshed the view, and evicting
+				// it anyway would lose an active session. (Holding sess.mu
+				// while removeSession takes s.mu cannot deadlock against
+				// the scan above: the scan only TryLocks.)
 				sess.mu.Lock()
-				if sess.removed || !sess.lastActive.Before(cutoff) {
+				if sess.removed || !sess.view.LastActive.Before(cutoff) {
 					sess.mu.Unlock()
 					continue
 				}
@@ -752,10 +569,4 @@ func (s *Server) pruneFinalized() {
 		}
 	}
 	s.finalMu.Unlock()
-}
-
-// isBodyTooLarge reports whether err is the MaxBytesReader limit.
-func isBodyTooLarge(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
 }

@@ -134,9 +134,6 @@ func (s *Server) tenant(r *http.Request) *tenant {
 			}
 		}
 		q := s.cfg.TenantQuota
-		if override, ok := s.cfg.TenantQuotas[name]; ok {
-			q = override
-		}
 		t = &tenant{name: name, quota: q}
 		t.bucket.rate = q.BytesPerSec
 		if q.BytesPerSec > 0 {
@@ -197,11 +194,16 @@ func (t *tenant) admitBytes(contentLength int64) (ok bool, retryAfter time.Durat
 }
 
 // writeQuotaRejection answers a per-tenant 429 with a Retry-After derived
-// from the bucket deficit (minimum 1s, the same floor the global caps use).
+// from the bucket deficit.
 func writeQuotaRejection(w http.ResponseWriter, retryAfter time.Duration, msg string) {
-	secs := int64(retryAfter/time.Second) + 1
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	setRetryAfter(w, retryAfter)
 	writeError(w, http.StatusTooManyRequests, msg)
+}
+
+// setRetryAfter sets Retry-After to one more than the wait's whole
+// seconds, so never below 1s, the floor the global caps use.
+func setRetryAfter(w http.ResponseWriter, wait time.Duration) {
+	w.Header().Set("Retry-After", strconv.FormatInt(int64(wait/time.Second)+1, 10))
 }
 
 // errTenantBudget is the sentinel a tenantBytesReader returns when a

@@ -135,12 +135,11 @@ func TestTenantCheckQuota(t *testing.T) {
 }
 
 func TestTenantByteBudget(t *testing.T) {
-	// 256 B/s: the first small body fits the (one-second) bucket, the
-	// second is rejected with a Retry-After, and an untagged request is
-	// untouched (it belongs to the separately budgeted "default" tenant).
-	_, ts := newTestServer(t, Config{
-		TenantQuotas: map[string]TenantQuota{"acme": {BytesPerSec: 256}},
-	})
+	// 256 B/s for every tenant, each with its own bucket: the first small
+	// body fits acme's (one-second) bucket, the second is rejected with a
+	// Retry-After, and an untagged request is untouched (it belongs to the
+	// "default" tenant, whose bucket acme's traffic never drew on).
+	_, ts := newTestServer(t, Config{TenantQuota: TenantQuota{BytesPerSec: 256}})
 	body := strings.Repeat("t0|begin|0\nt0|end|0\n", 10) // 200 bytes
 
 	resp := tenantPost(t, ts, "/v1/check", "acme", body)
